@@ -32,6 +32,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 
 	"github.com/inca-arch/inca/internal/access"
 	"github.com/inca-arch/inca/internal/arch"
@@ -97,7 +98,16 @@ type Area = metrics.Area
 
 // Model returns a zoo network by name: VGG16, VGG19, ResNet18, ResNet50,
 // MobileNetV2, MNasNet, VGG16-CIFAR, ResNet18-CIFAR, LeNet5.
-func Model(name string) (*Network, error) { return nn.ByName(name) }
+func Model(name string) (*Network, error) {
+	shared, err := nn.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	// The zoo instance is shared process-wide; hand out a private copy.
+	net := *shared
+	net.Layers = slices.Clone(shared.Layers)
+	return &net, nil
+}
 
 // Models returns the six ImageNet networks of the paper's evaluation.
 func Models() []*Network { return nn.PaperModels() }

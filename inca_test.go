@@ -3,7 +3,10 @@ package inca
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
+
+	"github.com/inca-arch/inca/internal/nn"
 )
 
 func TestFacadeModels(t *testing.T) {
@@ -16,6 +19,27 @@ func TestFacadeModels(t *testing.T) {
 	}
 	if _, err := Model("nope"); err == nil {
 		t.Fatal("unknown model should error")
+	}
+}
+
+// TestFacadeModelIsPrivateCopy pins Model's contract over the shared
+// zoo: the caller owns the returned network, so editing it (fields or
+// layers) leaves the instance the service resolves untouched.
+func TestFacadeModelIsPrivateCopy(t *testing.T) {
+	fresh := nn.LeNet5()
+	net, err := Model("LeNet5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, _ := nn.ByName("LeNet5")
+	if net == shared {
+		t.Fatal("Model returned the shared zoo instance")
+	}
+	net.Name = "edited"
+	net.Layers[0].OutC = 99
+	net.Layers = append(net.Layers[:1], net.Layers[2:]...)
+	if !reflect.DeepEqual(shared, fresh) {
+		t.Fatal("editing Model's network changed nn.ByName's copy")
 	}
 }
 

@@ -34,14 +34,25 @@ func (c Config) Save(path string) error {
 
 // ReadJSON parses a configuration from r and validates it.
 func ReadJSON(r io.Reader) (Config, error) {
+	c, err := DecodeJSON(r)
+	if err != nil {
+		return Config{}, err
+	}
+	if err := c.Validate(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
+}
+
+// DecodeJSON parses a configuration from r, rejecting unknown fields,
+// without validating it. It is for configurations a backend ignores,
+// such as the GPU model's zero Config; everything else uses ReadJSON.
+func DecodeJSON(r io.Reader) (Config, error) {
 	var c Config
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return Config{}, fmt.Errorf("arch: decoding config: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
 	}
 	return c, nil
 }

@@ -380,3 +380,66 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 	}
 	return []byte(sb.String())
 }
+
+// TestShardedSweepWithGPUByteIdentity runs a sweep over every legacy
+// arch, GPU included, with overrides through a 3-shard coordinator and
+// asserts the cells match a single-node run byte for byte. The GPU axis
+// is fixed: its zero Config must cross the shard wire without being
+// validated, or every shard answers 400 and the sweep fails.
+func TestShardedSweepWithGPUByteIdentity(t *testing.T) {
+	const body = `{"archs":["inca","baseline","gpu"],"models":["LeNet5"],` +
+		`"phases":["inference","training"],"overrides":[{"batch":4},{"adc_bits":6}]}`
+	// One sweep worker per request on every node: the GPU's two override
+	// cells share one cache key, and which of them reports "cached" must
+	// not depend on worker scheduling.
+	opts := func(id string, sharder serve.Sharder) serve.Options {
+		return serve.Options{ShardID: id, Sharder: sharder, MaxInflight: 1 << 10}
+	}
+	post := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep via %s: status %d: %s", url, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	ref := httptest.NewServer(serve.New(opts("", nil)).Handler())
+	t.Cleanup(ref.Close)
+
+	urls := make([]string, 3)
+	for i := range urls {
+		ts := httptest.NewServer(serve.New(opts(shardName(i), nil)).Handler())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	co, err := New(Options{Peers: urls, Client: fastClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(serve.New(opts("coord", co)).Handler())
+	t.Cleanup(coordTS.Close)
+
+	var want, got struct {
+		Cells json.RawMessage     `json:"cells"`
+		Shard *serve.ShardSummary `json:"shard"`
+	}
+	if err := json.Unmarshal(post(ref.URL), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(post(coordTS.URL), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(want.Cells), `"arch":"TitanRTX"`) {
+		t.Fatalf("reference sweep has no GPU cells: %s", want.Cells)
+	}
+	if string(got.Cells) != string(want.Cells) {
+		t.Fatalf("cluster cells differ from single-node run:\n%s\nvs\n%s", got.Cells, want.Cells)
+	}
+	if got.Shard == nil || got.Shard.Local != 0 {
+		t.Fatalf("cells were not all evaluated on shards: %+v", got.Shard)
+	}
+}

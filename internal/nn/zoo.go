@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // builder threads the running feature-map shape through layer construction.
 type builder struct {
@@ -367,13 +371,33 @@ func LightModels() []*Network {
 	return []*Network{MobileNetV2(), MNasNet()}
 }
 
-// ByName looks up a zoo network by case-sensitive name.
+// zooTable is every named network, built once and shared: list keeps
+// the listing order, byName indexes the same instances.
+type zooTable struct {
+	list   []*Network
+	byName map[string]*Network
+}
+
+var zoo = sync.OnceValue(func() zooTable {
+	list := append(PaperModels(), VGG16CIFAR(), ResNet18CIFAR(), LeNet5(), AlexNet())
+	byName := make(map[string]*Network, len(list))
+	for _, n := range list {
+		byName[n.Name] = n
+	}
+	return zooTable{list: list, byName: byName}
+})
+
+// Zoo returns every named network in listing order (the paper models,
+// the CIFAR adaptations, LeNet5, AlexNet). The networks are the shared
+// instances ByName returns and are read-only.
+func Zoo() []*Network { return slices.Clone(zoo().list) }
+
+// ByName looks up a zoo network by case-sensitive name. The network is
+// built once per process and shared by every caller, so it is read-only:
+// callers must not modify it or its Layers. Copy it before changing it.
 func ByName(name string) (*Network, error) {
-	all := append(PaperModels(), VGG16CIFAR(), ResNet18CIFAR(), LeNet5(), AlexNet())
-	for _, n := range all {
-		if n.Name == name {
-			return n, nil
-		}
+	if n, ok := zoo().byName[name]; ok {
+		return n, nil
 	}
 	return nil, fmt.Errorf("nn: unknown network %q", name)
 }

@@ -358,7 +358,7 @@ func (s *Server) writeSweepCSV(w http.ResponseWriter, resp SweepResponse) {
 // handleModels lists the zoo with shape-level statistics and the
 // registered dataflow backends able to simulate each model.
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
-	all := append(nn.PaperModels(), nn.VGG16CIFAR(), nn.ResNet18CIFAR(), nn.LeNet5(), nn.AlexNet())
+	all := nn.Zoo()
 	ids := dataflow.IDs()
 	infos := make([]ModelInfo, 0, len(all))
 	for _, net := range all {

@@ -43,14 +43,17 @@ type ShardSweepRequest struct {
 }
 
 // ShardCellResult is one evaluated cell in a shard response: the full
-// report (its stable JSON encoding, byte-identical to a local run), or
-// an error string for cells whose evaluation failed.
+// report in its stable wire form (encoding to the same bytes as a local
+// run's report), or an error string for cells whose evaluation failed.
+// The report is typed rather than raw JSON so each side converts it
+// once: the shard encodes it straight into the response, and the
+// coordinator's decoder fills it in the same pass that reads the body.
 type ShardCellResult struct {
 	Seq      int             `json:"seq"`
 	Cached   bool            `json:"cached"`
 	Attempts int             `json:"attempts"`
 	Error    string          `json:"error,omitempty"`
-	Report   json.RawMessage `json:"report,omitempty"`
+	Report   *sim.WireReport `json:"report,omitempty"`
 }
 
 // ShardSweepResponse is the POST /v1/shard/sweep payload.
@@ -127,8 +130,8 @@ func WireCells(cells []sweep.Cell) ([]ShardCell, error) {
 }
 
 // cellFromWire rebuilds one resolved sweep cell from its wire form. The
-// round trip preserves the cell's cache key: arch.ReadJSON restores the
-// exact Config (fingerprints use shortest-exact float encoding), and
+// round trip preserves the cell's cache key: the config decode restores
+// the exact Config (fingerprints use shortest-exact float encoding), and
 // name/dataflow/fixed ride the wire verbatim.
 func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	net, err := nn.ByName(wc.Model)
@@ -139,7 +142,14 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	cfg, err := arch.ReadJSON(bytes.NewReader(wc.Config))
+	// A fixed arch's model ignores its config (the GPU backend's is the
+	// zero Config, which fails validation), its cache key is "fixed",
+	// and plans never apply overrides to it: decode, do not validate.
+	decode := arch.ReadJSON
+	if wc.Fixed {
+		decode = arch.DecodeJSON
+	}
+	cfg, err := decode(bytes.NewReader(wc.Config))
 	if err != nil {
 		return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 	}
@@ -199,30 +209,32 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 		// A shard attributes the cells it ran to its own ledger; the
 		// coordinator attributes the gathered results to the request's.
 		s.accountResults(cost.FromContext(ctx), results)
-		resp := ShardSweepResponse{
+		s.writeJSON(w, http.StatusOK, ShardSweepResponse{
 			ShardID: s.opt.ShardID,
-			Cells:   make([]ShardCellResult, 0, len(results)),
+			Cells:   wireResults(results),
 			Cache:   s.cache.Stats(),
-		}
-		for i, res := range results {
-			cr := ShardCellResult{Seq: req.Cells[i].Seq, Cached: res.Cached, Attempts: res.Attempts}
-			if res.Err != nil {
-				cr.Error = res.Err.Error()
-			} else {
-				rep, err := json.Marshal(res.Report)
-				if err != nil {
-					s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding cell %d report: %w", cr.Seq, err))
-					return
-				}
-				cr.Report = rep
-			}
-			resp.Cells = append(resp.Cells, cr)
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		})
 	})
 }
 
-// shardResults lifts a shard response's cells back into engine results
+// wireResults lowers engine results onto a shard response's cells — the
+// inverse of ShardResults. Each cell echoes its Seq from the request
+// (cellFromWire carried it into the engine cell).
+func wireResults(results []sweep.Result) []ShardCellResult {
+	out := make([]ShardCellResult, 0, len(results))
+	for _, res := range results {
+		cr := ShardCellResult{Seq: res.Cell.Seq, Cached: res.Cached, Attempts: res.Attempts}
+		if res.Err != nil {
+			cr.Error = res.Err.Error()
+		} else {
+			cr.Report = res.Report.Wire()
+		}
+		out = append(out, cr)
+	}
+	return out
+}
+
+// ShardResults lifts a shard response's cells back into engine results
 // for the given request cells (results[i] answers cells[i] of the
 // request that produced resp). Exported for the coordinator's merge
 // path.
@@ -236,14 +248,17 @@ func ShardResults(cells []sweep.Cell, resp ShardSweepResponse) ([]sweep.Result, 
 			return nil, fmt.Errorf("shard result %d answers seq %d, want %d", i, cr.Seq, cells[i].Seq)
 		}
 		res := sweep.Result{Cell: cells[i], Cached: cr.Cached, Attempts: cr.Attempts}
-		if cr.Error != "" {
+		switch {
+		case cr.Error != "":
 			res.Err = fmt.Errorf("%s", cr.Error)
-		} else {
-			var rep sim.Report
-			if err := json.Unmarshal(cr.Report, &rep); err != nil {
+		case cr.Report == nil:
+			return nil, fmt.Errorf("shard result seq %d carries neither report nor error", cr.Seq)
+		default:
+			rep, err := cr.Report.Report()
+			if err != nil {
 				return nil, fmt.Errorf("decoding cell seq %d report: %w", cr.Seq, err)
 			}
-			res.Report = &rep
+			res.Report = rep
 		}
 		out = append(out, res)
 	}

@@ -78,7 +78,12 @@ type layerJSON struct {
 	AllocatedCells int64      `json:"allocated_cells"`
 }
 
-type reportJSON struct {
+// WireReport is a report's stable JSON form. Report.MarshalJSON and
+// UnmarshalJSON go through it, and a payload that embeds a *WireReport
+// directly (the cluster shard wire) encodes to the same bytes as the
+// report itself while skipping the marshal-then-splice pass. Wire and
+// Report convert in each direction.
+type WireReport struct {
 	Arch            string      `json:"arch"`
 	Network         string      `json:"network"`
 	Phase           string      `json:"phase"`
@@ -90,11 +95,11 @@ type reportJSON struct {
 	Layers          []layerJSON `json:"layers"`
 }
 
-// MarshalJSON renders the report with explicit units and derived
-// per-image figures. EnergyPerImageJ is zero when the batch size is not
-// positive (the error-returning accessor remains EnergyPerImage).
-func (r *Report) MarshalJSON() ([]byte, error) {
-	out := reportJSON{
+// Wire builds the report's stable JSON form, with explicit units and
+// derived per-image figures. EnergyPerImageJ is zero when the batch size
+// is not positive (the error-returning accessor remains EnergyPerImage).
+func (r *Report) Wire() *WireReport {
+	out := &WireReport{
 		Arch:          r.Arch,
 		Network:       r.Network,
 		Phase:         r.Phase.String(),
@@ -116,7 +121,12 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 			AllocatedCells: lr.AllocatedCells,
 		})
 	}
-	return json.Marshal(out)
+	return out
+}
+
+// MarshalJSON renders the report's stable JSON form (see Wire).
+func (r *Report) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.Wire())
 }
 
 // decodeEnergy rebuilds the per-component tally. The wire total is
@@ -185,34 +195,33 @@ func parseKindName(s string) (nn.Kind, error) {
 	return 0, fmt.Errorf("sim: unknown layer kind %q", s)
 }
 
-// UnmarshalJSON rebuilds a report from its stable wire encoding — the
-// HTTP client's decode path. Derived fields (throughput, per-image
-// energy, the energy totals) are not read back; they recompute from the
-// decoded state and agree with the wire values, so
-// marshal → unmarshal → marshal is byte-identical. Layer geometry is not
-// part of the wire schema: decoded layers carry only name and kind.
-func (r *Report) UnmarshalJSON(b []byte) error {
-	var in reportJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	phase, err := parsePhaseName(in.Phase)
+// Report rebuilds a report from its stable wire form — the inverse of
+// Report.Wire. Derived fields (throughput, per-image energy, the energy
+// totals) are not read back; they recompute from the decoded state and
+// agree with the wire values, so Wire → Report → Wire is exact. Layer
+// geometry is not part of the wire schema: decoded layers carry only
+// name and kind.
+func (w *WireReport) Report() (*Report, error) {
+	phase, err := parsePhaseName(w.Phase)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	total, err := decodeResult(in.Total)
+	total, err := decodeResult(w.Total)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out := Report{Arch: in.Arch, Network: in.Network, Phase: phase, Batch: in.Batch, Total: total}
-	for _, lj := range in.Layers {
+	out := &Report{Arch: w.Arch, Network: w.Network, Phase: phase, Batch: w.Batch, Total: total}
+	if len(w.Layers) > 0 {
+		out.Layers = make([]LayerResult, 0, len(w.Layers))
+	}
+	for _, lj := range w.Layers {
 		kind, err := parseKindName(lj.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := decodeResult(lj.Result)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out.Layers = append(out.Layers, LayerResult{
 			Layer:          nn.Layer{Name: lj.Name, Kind: kind},
@@ -221,6 +230,21 @@ func (r *Report) UnmarshalJSON(b []byte) error {
 			AllocatedCells: lj.AllocatedCells,
 		})
 	}
-	*r = out
+	return out, nil
+}
+
+// UnmarshalJSON rebuilds a report from its stable wire encoding — the
+// HTTP client's decode path (see WireReport.Report); marshal →
+// unmarshal → marshal is byte-identical.
+func (r *Report) UnmarshalJSON(b []byte) error {
+	var in WireReport
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	rep, err := in.Report()
+	if err != nil {
+		return err
+	}
+	*r = *rep
 	return nil
 }

@@ -131,7 +131,22 @@ func TestDeterministicResultOrder(t *testing.T) {
 func TestCancellationMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ch, err := Stream(ctx, PaperPlan(), Options{Workers: 2})
+	// Every build after the first waits until the consumer has
+	// cancelled, so cells cannot all finish before cancel() lands
+	// however fast the host is.
+	plan := PaperPlan()
+	cancelled := make(chan struct{})
+	var builds atomic.Int32
+	for i := range plan.Archs {
+		build := plan.Archs[i].Build
+		plan.Archs[i].Build = func(cfg arch.Config) (sim.Simulator, error) {
+			if builds.Add(1) > 1 {
+				<-cancelled
+			}
+			return build(cfg)
+		}
+	}
+	ch, err := Stream(ctx, plan, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +155,7 @@ func TestCancellationMidSweep(t *testing.T) {
 	for r := range ch {
 		if first {
 			cancel()
+			close(cancelled)
 			first = false
 		}
 		if r.Err != nil {
