@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race api-surface api-surface-update bench bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 bench-gate bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace profile
+.PHONY: check build test vet race api-surface api-surface-update bench bench-pr bench-gate bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
 
 check: vet build race api-surface bench-gate
 
@@ -32,30 +32,13 @@ api-surface-update:
 bench:
 	$(GO) run ./cmd/inca-bench -o BENCH_PR2.json
 
-# Dataflow/auto-tuner era baseline for this PR, recorded in the repo root.
-bench-pr6:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR6.json
-
-# Result-store era baseline: the four tensor kernels plus the
-# store-warm-start probe (cold recompute vs warm disk replay).
-bench-pr7:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR7.json -pr 7
-
-# Cluster era baseline: everything above plus the request-coalescing
-# probe (a 32-request thundering herd, coalescer off vs on).
-bench-pr8:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR8.json -pr 8
-
-# Durable-jobs era baseline: everything above plus the job-resume probe
-# (a 64-cell async job cold vs resumed against 32 checkpointed cells).
-bench-pr9:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR9.json -pr 9
-
-# Observability-plane era baseline: everything above plus the
-# instrumentation overhead probe (traced + SLO-tracked + cost-attributed
-# sweeps vs bare ones).
-bench-pr10:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR10.json -pr 10
+# Full baseline for PR n, recorded in the repo root: the four tensor
+# kernels plus every A/B probe (store warm start, request coalescing,
+# job resume, observability overhead). `make bench-pr PR=14` writes
+# BENCH_PR14.json with "pr": 14.
+bench-pr:
+	@test -n "$(PR)" || { echo "usage: make bench-pr PR=n" >&2; exit 2; }
+	$(GO) run ./cmd/inca-bench -o BENCH_PR$(PR).json -pr $(PR)
 
 # Deterministic perf-regression gate: compares the two newest committed
 # BENCH_PR*.json baselines and fails on a >10% slowdown in any kernel
@@ -82,6 +65,18 @@ trace:
 	$(GO) test -race -run 'Trace|Traced|KernelStats|Stats|QueuedGauge|Prometheus|LatencyBuckets|Pprof' \
 		./internal/obs/ ./internal/sim/ ./internal/sweep/ \
 		./internal/serve/ ./internal/tensor/
+
+# Short native-fuzzing pass: every Fuzz* target in the listed packages
+# runs for 5 s on two workers (`go test -fuzz` takes one target per
+# run). Seed corpora live in each package's testdata/fuzz; a crash
+# writes its input there, to be fixed and kept as a regression seed.
+fuzz-smoke:
+	@for pkg in ./internal/fixed/ ./internal/wal/; do \
+		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$fz"; \
+			$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 5s -parallel 2 $$pkg || exit 1; \
+		done; \
+	done
 
 # CPU profile of the kernel benchmark (the numeric hot path); inspect
 # with `go tool pprof cpu.pprof`.

@@ -340,7 +340,7 @@ func warmStart(ctx context.Context, st *inca.ResultStore, from string, logger in
 	if err != nil {
 		return err
 	}
-	res, err := st.Import(bytes.NewReader(corpus), 0)
+	res, err := st.Import(bytes.NewReader(corpus))
 	if err != nil {
 		return err
 	}

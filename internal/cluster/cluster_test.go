@@ -443,3 +443,40 @@ func TestShardedSweepWithGPUByteIdentity(t *testing.T) {
 		t.Fatalf("cells were not all evaluated on shards: %+v", got.Shard)
 	}
 }
+
+// TestShardedSimulateByteIdentity pins /v1/simulate on a coordinator: the
+// cell is dispatched to its owning shard like a one-cell sweep, and the
+// JSON and CSV bodies are byte-identical to a single node's.
+func TestShardedSimulateByteIdentity(t *testing.T) {
+	ref := httptest.NewServer(serve.New(serve.Options{}).Handler())
+	t.Cleanup(ref.Close)
+	urls := make([]string, 3)
+	for i := range urls {
+		_, ts := newShard(t, shardName(i), nil)
+		urls[i] = ts.URL
+	}
+	co, err := New(Options{Peers: urls, Client: fastClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(serve.New(serve.Options{Sharder: co}).Handler())
+	t.Cleanup(coordTS.Close)
+	const body = `{"dataflow":"is","model":"VGG16-CIFAR","phase":"training","batch":8}`
+	for _, query := range []string{"", "?format=csv"} {
+		get := func(base string) []byte {
+			t.Helper()
+			resp, err := http.Post(base+"/v1/simulate"+query, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("simulate via %s: status %d: %s", base, resp.StatusCode, raw)
+			}
+			return raw
+		}
+		if want, got := get(ref.URL), get(coordTS.URL); string(got) != string(want) {
+			t.Fatalf("simulate%s via coordinator differs:\n%s\nvs\n%s", query, got, want)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -28,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/inca-arch/inca/internal/wal"
 )
 
 // State is a job's lifecycle state.
@@ -259,7 +262,7 @@ type Manager struct {
 	opt Options
 
 	mu        sync.Mutex
-	jnl       *journal // nil when running memory-only (dir == "")
+	jnl       *wal.Log // nil when running memory-only (dir == "") or closed
 	jobs      map[string]*Job
 	order     []string // submission/replay order for List
 	recovered []*Job   // non-terminal journaled jobs awaiting Start
@@ -296,12 +299,14 @@ func Open(dir string, opt Options) (*Manager, error) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("job: %w", err)
 		}
-		jnl, recs, err := openJournal(filepath.Join(dir, "journal.log"))
+		jnl, recs, torn, err := openJournal(filepath.Join(dir, "journal.log"))
 		if err != nil {
 			return nil, err
 		}
 		m.jnl = jnl
-		m.torn.Store(jnl.torn)
+		if torn {
+			m.torn.Store(1)
+		}
 		m.replay(recs)
 	}
 	// Queue capacity covers the configured depth plus one slot per
@@ -537,7 +542,12 @@ func (m *Manager) Close() error {
 	m.wg.Wait()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.jnl.close()
+	if m.jnl == nil {
+		return nil
+	}
+	err := m.jnl.Close()
+	m.jnl = nil
+	return err
 }
 
 // appendLocked journals one record; callers hold m.mu. A failing disk
@@ -545,7 +555,12 @@ func (m *Manager) Close() error {
 // further back) but never liveness — the in-memory table is already
 // updated, mirroring the result store's swallow-IO-errors stance.
 func (m *Manager) appendLocked(rec jrecord) {
-	_ = m.jnl.append(rec)
+	if m.jnl == nil {
+		return
+	}
+	if payload, err := json.Marshal(rec); err == nil {
+		_, _ = m.jnl.Append(payload)
+	}
 }
 
 // runner is one pool goroutine: it drains the queue until the manager

@@ -1,34 +1,18 @@
 package job
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
+
+	"github.com/inca-arch/inca/internal/wal"
 )
 
-// Journal framing mirrors internal/store's segment framing so the same
-// crash-safety argument applies: an 8-byte magic, then length-prefixed
-// records:
-//
-//	[4B little-endian payload length][4B IEEE CRC-32 of payload][payload]
-//
-// Only ever appended to, so a crash can tear at most the final record,
-// and open truncates a torn tail instead of failing — the surviving
-// prefix replays cleanly.
-const (
-	jnlMagic     = "INCAJNL1"
-	recHeaderLen = 8
-	// maxRecordBytes bounds a single record's payload: the largest
-	// legitimate record is a terminal result body for a huge sweep, and
-	// 16 MiB rejects a corrupt length prefix before it allocates
-	// gigabytes.
-	maxRecordBytes = 16 << 20
-)
+// jnlMagic names the journal format: an internal/wal log whose payloads
+// are JSON records (see jrecord). Being a wal log, it is only ever
+// appended to, so a crash can tear at most the final record, and open
+// truncates a torn tail instead of failing — the surviving prefix
+// replays cleanly.
+const jnlMagic = "INCAJNL1"
 
 // Journal record operations. Each op is one append; replaying the
 // sequence rebuilds the job table exactly.
@@ -64,136 +48,22 @@ type jrecord struct {
 	Error   string `json:"error,omitempty"`
 }
 
-// journal is the append-only job log. All methods are called with the
-// manager's mutex held, so appends are serialized.
-type journal struct {
-	f      *os.File
-	size   int64
-	torn   int64
-	closed bool
-}
-
 // openJournal opens (creating if needed) the journal file and replays
 // every cleanly framed record, truncating a torn or corrupt tail to the
 // last good record — the same recovery the result store applies to its
-// segments.
-func openJournal(path string) (*journal, []jrecord, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("job: %w", err)
-	}
-	j := &journal{f: f}
-	recs, good, err := j.scan()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("job: %w", err)
-	}
-	if good < fi.Size() {
-		// Crash recovery: everything past the last good record is a torn
-		// append. Drop it so the file is clean for future appends.
-		j.torn++
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("job: truncating torn journal tail: %w", err)
-		}
-	}
-	j.size = good
-	return j, recs, nil
-}
-
-// scan walks the journal's records and returns every good one plus the
-// offset of the first byte that is not part of a cleanly framed record
-// (the truncation point for a torn tail).
-func (j *journal) scan() ([]jrecord, int64, error) {
-	r := bufio.NewReader(io.NewSectionReader(j.f, 0, 1<<62))
-	magic := make([]byte, len(jnlMagic))
-	if n, err := io.ReadFull(r, magic); err != nil {
-		if n == 0 {
-			// Brand-new journal: write the magic and start empty.
-			return nil, int64(len(jnlMagic)), j.writeMagic()
-		}
-		// Shorter than the magic: unrecoverable prefix, reinitialize.
-		j.torn++
-		return nil, int64(len(jnlMagic)), j.writeMagic()
-	}
-	if string(magic) != jnlMagic {
-		j.torn++
-		return nil, int64(len(jnlMagic)), j.writeMagic()
-	}
+// segments. torn reports whether anything was dropped.
+func openJournal(path string) (*wal.Log, []jrecord, bool, error) {
 	var recs []jrecord
-	off := int64(len(jnlMagic))
-	header := make([]byte, recHeaderLen)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			return recs, off, nil // clean EOF or torn header: truncate here
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		sum := binary.LittleEndian.Uint32(header[4:])
-		if n == 0 || n > maxRecordBytes {
-			return recs, off, nil // corrupt length: everything past here is suspect
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return recs, off, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, off, nil // bit rot or torn write caught by the CRC
-		}
+	log, torn, err := wal.Open(path, jnlMagic, true, func(_ int64, payload []byte) bool {
 		var rec jrecord
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.ID == "" {
-			return recs, off, nil // framed but undecodable: stop, do not replay
+			return false // framed but undecodable: stop, do not replay
 		}
 		recs = append(recs, rec)
-		off += recHeaderLen + int64(n)
-	}
-}
-
-// writeMagic initializes an empty or unrecognizable journal file.
-func (j *journal) writeMagic() error {
-	if err := j.f.Truncate(0); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	if _, err := j.f.WriteAt([]byte(jnlMagic), 0); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	return nil
-}
-
-// append frames and appends one record. Errors are returned for the
-// manager to count; the in-memory state is already updated by then, so
-// a failing disk degrades durability, not liveness.
-func (j *journal) append(rec jrecord) error {
-	if j == nil || j.closed {
-		return nil
-	}
-	payload, err := json.Marshal(rec)
+		return true
+	})
 	if err != nil {
-		return fmt.Errorf("job: %w", err)
+		return nil, nil, false, fmt.Errorf("job: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return errors.New("job: journal record exceeds the size bound")
-	}
-	framed := make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(framed[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:8], crc32.ChecksumIEEE(payload))
-	copy(framed[recHeaderLen:], payload)
-	if _, err := j.f.WriteAt(framed, j.size); err != nil {
-		return fmt.Errorf("job: %w", err)
-	}
-	j.size += int64(len(framed))
-	return nil
-}
-
-// close releases the file handle; later appends become no-ops.
-func (j *journal) close() error {
-	if j == nil || j.closed {
-		return nil
-	}
-	j.closed = true
-	return j.f.Close()
+	return log, recs, torn, nil
 }

@@ -16,10 +16,8 @@ import (
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/obs"
 	"github.com/inca-arch/inca/internal/obs/cost"
-	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/suite"
 	"github.com/inca-arch/inca/internal/sweep"
-	"github.com/inca-arch/inca/internal/tune"
 )
 
 // decodeBody parses a JSON request body strictly, bounded at the
@@ -112,14 +110,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	cells := []sweep.Cell{{Arch: ax, Config: ax.Base, Network: net, Phase: phase}}
 	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
 		s.admitted(w, r, func(ctx context.Context) {
-			plan := sweep.Plan{Archs: []sweep.Arch{ax}, Networks: []*nn.Network{net}, Phases: []sim.Phase{phase}}
-			results, err := sweep.Run(ctx, plan, s.sweepOptions(1))
-			tally := cost.FromContext(ctx)
-			if err == nil {
-				s.accountResults(tally, results)
-			}
+			results, _, err := s.runCells(ctx, s.opt.Sharder, cells, nil)
 			if err == nil && results[0].Err != nil {
 				err = results[0].Err
 			}
@@ -136,7 +130,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if wantsCost(r) {
-				s.writeJSONCost(w, http.StatusOK, rep, tally.Snapshot())
+				s.writeJSONCost(w, http.StatusOK, rep, cost.FromContext(ctx).Snapshot())
 				return
 			}
 			s.writeJSON(w, http.StatusOK, rep)
@@ -146,103 +140,47 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 // handleSweep fans a declarative plan out on the engine. Per-cell
 // failures are reported inline (the table stays rectangular); only an
-// invalid plan or an exhausted deadline fails the whole request.
+// invalid plan or an exhausted deadline fails the whole request. Tune
+// requests run the auto-tuner instead and are not coalesced.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
 		s.writeDecodeError(w, err)
 		return
 	}
-	var nets []*nn.Network
-	for _, name := range req.Models {
-		net, err := nn.ByName(name)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		nets = append(nets, net)
-	}
-	var phases []sim.Phase
-	for _, name := range req.Phases {
-		phase, err := parsePhase(name)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		phases = append(phases, phase)
-	}
-	if req.Tune != nil {
-		s.handleTuneSweep(w, r, req, nets, phases)
-		return
-	}
-	// newStyle marks requests that select backends through the dataflow
-	// fields; only those responses carry per-cell dataflow IDs (legacy
-	// bodies stay byte-identical).
-	newStyle := len(req.Dataflows) > 0
-	var archs []sweep.Arch
-	for _, name := range req.Archs {
-		ax, err := buildArch(name, "", req.Batch, nil)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		archs = append(archs, ax)
-	}
-	for _, id := range req.Dataflows {
-		ax, err := buildDataflowArch(id, req.Batch, nil)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		archs = append(archs, ax)
-	}
-	var overrides []sweep.Override
-	for _, spec := range req.Overrides {
-		overrides = append(overrides, spec.override())
-	}
-	plan := sweep.Plan{Archs: archs, Networks: nets, Phases: phases, Overrides: overrides}
-	if _, err := plan.Cells(); err != nil {
+	cs, err := compileSweep(req)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
+	if cs.tune != nil {
 		s.admitted(w, r, func(ctx context.Context) {
-			var results []sweep.Result
-			var shard *ShardSummary
-			var err error
-			if s.opt.Sharder != nil {
-				// Cluster mode: scatter the expanded cells across peers and
-				// gather their partials. The summary rows below are built
-				// from the same full reports a local run produces, so the
-				// response body's cells are byte-identical either way.
-				cells, cellsErr := plan.Cells()
-				if cellsErr != nil {
-					s.writeError(w, http.StatusBadRequest, cellsErr)
-					return
-				}
-				var summary ShardSummary
-				results, summary, err = s.opt.Sharder.Sweep(ctx, cells)
-				shard = &summary
-			} else {
-				results, err = sweep.Run(ctx, plan, s.sweepOptions(s.requestWorkers()))
-			}
+			fronts, failed, err := s.runTune(ctx, cs)
 			if err != nil {
 				s.writeError(w, statusForRunErr(err), err)
 				return
 			}
-			// Attribute the materialized results — local or shard-
-			// gathered — to this request's cost tally; the tally's cell
-			// counts and energy sums match the response's cells exactly.
-			tally := cost.FromContext(ctx)
-			s.accountResults(tally, results)
-			resp := s.sweepSummary(results, newStyle)
+			s.writeJSON(w, http.StatusOK, SweepResponse{
+				Cells: []CellResult{}, Failed: failed, Cache: s.cache.Stats(), Frontiers: fronts,
+			})
+		})
+		return
+	}
+	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
+		s.admitted(w, r, func(ctx context.Context) {
+			results, shard, err := s.runCells(ctx, s.opt.Sharder, cs.cells, nil)
+			if err != nil {
+				s.writeError(w, statusForRunErr(err), err)
+				return
+			}
+			resp := s.sweepSummary(results, cs.newStyle)
 			resp.Shard = shard
 			if wantsCSV(r) {
 				s.writeSweepCSV(w, resp)
 				return
 			}
 			if wantsCost(r) {
-				s.writeJSONCost(w, http.StatusOK, resp, tally.Snapshot())
+				s.writeJSONCost(w, http.StatusOK, resp, cost.FromContext(ctx).Snapshot())
 				return
 			}
 			s.writeJSON(w, http.StatusOK, resp)
@@ -251,85 +189,51 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepSummary folds engine results into the /v1/sweep response body:
-// one summary row per cell, in the order given. It is shared by the
-// local and scatter/gather paths of handleSweep — both feed it full
-// reports, which is the heart of the cluster's byte-identity guarantee.
+// one summary row per cell, in the order given. Local and sharded runs
+// both feed it full reports, which is the heart of the cluster's
+// byte-identity guarantee.
 func (s *Server) sweepSummary(results []sweep.Result, newStyle bool) SweepResponse {
 	resp := SweepResponse{Cells: make([]CellResult, 0, len(results)), Cache: s.cache.Stats()}
 	for _, res := range results {
-		cell := CellResult{
-			Arch:     res.Cell.Arch.Name,
-			Override: res.Cell.Override,
-			Network:  res.Cell.Network.Name,
-			Phase:    res.Cell.Phase.String(),
-			Cached:   res.Cached,
-		}
-		if newStyle {
-			cell.Dataflow = res.Cell.Dataflow()
-		}
 		if res.Cached {
 			resp.Cached++
 		}
 		if res.Err != nil {
-			cell.Error = res.Err.Error()
 			resp.Failed++
-		} else {
-			rep := res.Report
-			cell.EnergyJ = rep.Total.Energy.Total()
-			cell.LatencyS = rep.Total.Latency
-			if perImage, err := rep.EnergyPerImage(); err == nil {
-				cell.EnergyPerImageJ = perImage
-			}
-			cell.ThroughputIPS = rep.Throughput()
-			cell.Utilization = rep.Utilization()
 		}
-		resp.Cells = append(resp.Cells, cell)
+		resp.Cells = append(resp.Cells, summaryRow(res, newStyle))
 	}
 	return resp
 }
 
-// handleTuneSweep runs the mapping auto-tuner for a /v1/sweep request
-// carrying a TuneSpec: one Pareto frontier per model × phase, evaluated
-// on the same engine, cache, and retry policy as a plain sweep.
-func (s *Server) handleTuneSweep(w http.ResponseWriter, r *http.Request, req SweepRequest, nets []*nn.Network, phases []sim.Phase) {
-	if len(nets) == 0 {
-		s.writeError(w, http.StatusBadRequest, errors.New("tune request needs at least one model"))
-		return
+// summaryRow fills one cell's summary row from its engine result; sweep
+// and job result bodies both build their rows here. Dataflow is set only
+// for requests that select backends through the dataflow fields, so
+// legacy bodies carry no dataflow key.
+func summaryRow(res sweep.Result, newStyle bool) CellResult {
+	row := CellResult{
+		Arch:     res.Cell.Arch.Name,
+		Override: res.Cell.Override,
+		Network:  res.Cell.Network.Name,
+		Phase:    res.Cell.Phase.String(),
+		Cached:   res.Cached,
 	}
-	dataflows := req.Tune.Dataflows
-	if len(dataflows) == 0 {
-		dataflows = req.Dataflows
+	if newStyle {
+		row.Dataflow = res.Cell.Dataflow()
 	}
-	for _, id := range dataflows {
-		if _, err := dataflow.Get(id); err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	if res.Err != nil {
+		row.Error = res.Err.Error()
+		return row
 	}
-	opt := tune.Options{
-		Dataflows:      dataflows,
-		Phases:         phases,
-		MaxPerDataflow: req.Tune.MaxPerDataflow,
-		Workers:        s.requestWorkers(),
-		Cache:          s.cache,
-		Retry:          s.opt.SweepRetry,
+	rep := res.Report
+	row.EnergyJ = rep.Total.Energy.Total()
+	row.LatencyS = rep.Total.Latency
+	if perImage, err := rep.EnergyPerImage(); err == nil {
+		row.EnergyPerImageJ = perImage
 	}
-	s.admitted(w, r, func(ctx context.Context) {
-		resp := SweepResponse{Cells: make([]CellResult, 0)}
-		for _, net := range nets {
-			fronts, err := tune.Search(ctx, net, opt)
-			if err != nil {
-				s.writeError(w, statusForRunErr(err), err)
-				return
-			}
-			for _, f := range fronts {
-				resp.Failed += f.Failed
-			}
-			resp.Frontiers = append(resp.Frontiers, fronts...)
-		}
-		resp.Cache = s.cache.Stats()
-		s.writeJSON(w, http.StatusOK, resp)
-	})
+	row.ThroughputIPS = rep.Throughput()
+	row.Utilization = rep.Utilization()
+	return row
 }
 
 // writeSweepCSV renders the sweep summary as CSV, one row per cell.

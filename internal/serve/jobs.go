@@ -15,6 +15,7 @@ import (
 	"github.com/inca-arch/inca/internal/obs"
 	"github.com/inca-arch/inca/internal/obs/cost"
 	"github.com/inca-arch/inca/internal/sim"
+	"github.com/inca-arch/inca/internal/store"
 	"github.com/inca-arch/inca/internal/sweep"
 	"github.com/inca-arch/inca/internal/tune"
 )
@@ -65,22 +66,22 @@ type JobList struct {
 	Jobs []job.Snapshot `json:"jobs"`
 }
 
-// compiledSweep is a validated, executable form of a SweepRequest —
-// shared by submit-time validation (reject a bad spec with 400 before
-// it is journaled) and run-time execution on the job pool.
+// compiledSweep is a validated, executable form of a SweepRequest.
 type compiledSweep struct {
-	nets     []*nn.Network
-	phases   []sim.Phase
-	cells    []sweep.Cell
+	nets  []*nn.Network
+	cells []sweep.Cell
+	// newStyle marks requests that select backends through the dataflow
+	// fields; only their bodies carry per-cell dataflow IDs.
 	newStyle bool
-	// tune is set for auto-tuner requests; cells stays nil and
-	// tuneDataflows carries the validated backend selection.
-	tune          *TuneSpec
-	tuneDataflows []string
+	// tune is set for auto-tuner requests, holding the validated search
+	// (backends, phases, bound); cells stays nil.
+	tune *tune.Options
 }
 
-// compileSweep validates a sweep/tune request exactly like the
-// synchronous /v1/sweep path does, returning the executable form.
+// compileSweep validates a sweep/tune request and returns its executable
+// form. It is the only request compiler: /v1/sweep, job submission, and
+// job execution all call it, so they accept and reject the same bodies
+// with the same messages.
 func compileSweep(req SweepRequest) (compiledSweep, error) {
 	var cs compiledSweep
 	for _, name := range req.Models {
@@ -90,12 +91,13 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 		}
 		cs.nets = append(cs.nets, net)
 	}
+	var phases []sim.Phase
 	for _, name := range req.Phases {
 		phase, err := parsePhase(name)
 		if err != nil {
 			return cs, err
 		}
-		cs.phases = append(cs.phases, phase)
+		phases = append(phases, phase)
 	}
 	if req.Tune != nil {
 		if len(cs.nets) == 0 {
@@ -110,8 +112,7 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 				return cs, err
 			}
 		}
-		cs.tune = req.Tune
-		cs.tuneDataflows = dataflows
+		cs.tune = &tune.Options{Dataflows: dataflows, Phases: phases, MaxPerDataflow: req.Tune.MaxPerDataflow}
 		return cs, nil
 	}
 	cs.newStyle = len(req.Dataflows) > 0
@@ -134,7 +135,7 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 	for _, spec := range req.Overrides {
 		overrides = append(overrides, spec.override())
 	}
-	plan := sweep.Plan{Archs: archs, Networks: cs.nets, Phases: cs.phases, Overrides: overrides}
+	plan := sweep.Plan{Archs: archs, Networks: cs.nets, Phases: phases, Overrides: overrides}
 	cells, err := plan.Cells()
 	if err != nil {
 		return cs, err
@@ -402,126 +403,95 @@ func (s *Server) execJob(ctx context.Context, j *job.Job) (body []byte, err erro
 		return nil, err
 	}
 	if cs.tune != nil {
-		return s.execTuneJob(ctx, j, cs)
-	}
-	j.SetTotal(len(cs.cells))
-	var results []sweep.Result
-	if s.opt.Sharder != nil {
-		results, err = s.shardJobCells(ctx, j, cs.cells)
-	} else {
-		opt := s.sweepOptions(s.requestWorkers())
-		// Only error-free cells checkpoint: they are in the result store
-		// and will replay from disk, which is what cells_done promises. A
-		// failed or cancelled cell re-runs on resume, so it stays uncounted.
-		opt.OnResult = func(r sweep.Result) {
-			if r.Err == nil {
-				j.AddDone(1)
-			}
-		}
-		results, err = sweep.RunCells(ctx, cs.cells, opt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.accountResults(cost.FromContext(ctx), results)
-	return marshalJobResult(s.jobResult(j.ID(), results, cs.newStyle))
-}
-
-// execTuneJob runs an auto-tuner job: one Pareto frontier per model ×
-// phase, on the same engine, cache, and retry policy as the synchronous
-// tune path. Frontier cells checkpoint through the cache's store tier
-// like sweep cells, so a resumed tune job replays evaluated mappings
-// from disk; progress counters stay zero (the search sizes itself).
-func (s *Server) execTuneJob(ctx context.Context, j *job.Job, cs compiledSweep) ([]byte, error) {
-	opt := tune.Options{
-		Dataflows:      cs.tuneDataflows,
-		Phases:         cs.phases,
-		MaxPerDataflow: cs.tune.MaxPerDataflow,
-		Workers:        s.requestWorkers(),
-		Cache:          s.cache,
-		Retry:          s.opt.SweepRetry,
-	}
-	res := JobResult{JobID: j.ID(), Cells: []JobCell{}}
-	for _, net := range cs.nets {
-		fronts, err := tune.Search(ctx, net, opt)
+		// Frontier cells checkpoint through the cache's store tier like
+		// sweep cells, so a resumed tune job replays evaluated mappings
+		// from disk; progress counters stay zero (the search sizes itself).
+		fronts, failed, err := s.runTune(ctx, cs)
 		if err != nil {
 			return nil, err
 		}
-		for _, f := range fronts {
-			res.Failed += f.Failed
-		}
-		res.Frontiers = append(res.Frontiers, fronts...)
+		return marshalJobResult(JobResult{JobID: j.ID(), Cells: []JobCell{}, Failed: failed, Frontiers: fronts})
 	}
-	return marshalJobResult(res)
+	j.SetTotal(len(cs.cells))
+	// Only error-free cells checkpoint: they are in the result store and
+	// will replay from disk, which is what cells_done promises. A failed
+	// or cancelled cell re-runs on resume, so it stays uncounted.
+	results, _, err := s.runCells(ctx, s.jobSharder(), cs.cells, func(r sweep.Result) {
+		if r.Err == nil {
+			j.AddDone(1)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return marshalJobResult(jobResult(j.ID(), results, cs.newStyle))
 }
 
-// shardJobCells is the cluster-mode job path: cells already present in
-// the result store are filled locally (the recovered coordinator
-// re-dispatches only incomplete cells), the rest scatter/gather through
-// the sharder, and gathered reports are checkpointed into the store so
-// the next interruption resumes from them too.
-func (s *Server) shardJobCells(ctx context.Context, j *job.Job, cells []sweep.Cell) ([]sweep.Result, error) {
+// jobSharder is the sharder a job's cells run on. Sharded cells bypass
+// the coordinator's memo cache and with it the store tier, so on a
+// coordinator with a result store a job reads and writes the store
+// around the dispatch itself (storeSharder); synchronous requests
+// dispatch through the bare sharder and leave the store alone.
+func (s *Server) jobSharder() Sharder {
+	if s.opt.Sharder == nil || s.opt.Store == nil {
+		return s.opt.Sharder
+	}
+	return storeSharder{Sharder: s.opt.Sharder, st: s.opt.Store}
+}
+
+// storeSharder checkpoints a sharded job through the result store:
+// cells the store already holds are answered from it without dispatch
+// (a recovered coordinator re-dispatches only incomplete cells), and
+// every gathered report is written back, so the next interruption
+// resumes from it too.
+type storeSharder struct {
+	Sharder
+	st *store.Store
+}
+
+func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.Result, ShardSummary, error) {
 	results := make([]sweep.Result, len(cells))
-	st := s.opt.Store
 	var pending []sweep.Cell
 	var pendingIdx []int
 	for i, c := range cells {
-		if st != nil {
-			if rep, ok := st.Get(c.Key().String()); ok {
-				results[i] = sweep.Result{Cell: c, Report: rep, Cached: true, Attempts: 1}
-				j.AddDone(1)
-				continue
-			}
+		if rep, ok := ss.st.Get(c.Key().String()); ok {
+			results[i] = sweep.Result{Cell: c, Report: rep, Cached: true, Attempts: 1}
+			continue
 		}
 		pending = append(pending, c)
 		pendingIdx = append(pendingIdx, i)
 	}
-	if len(pending) > 0 {
-		res, _, err := s.opt.Sharder.Sweep(ctx, pending)
-		if err != nil {
-			return nil, err
-		}
-		for k, r := range res {
-			results[pendingIdx[k]] = r
-			if r.Err == nil {
-				if st != nil {
-					st.Put(r.Cell.Key().String(), r.Report)
-				}
-				j.AddDone(1)
-			}
+	if len(pending) == 0 {
+		return results, ShardSummary{}, nil
+	}
+	gathered, summary, err := ss.Sharder.Sweep(ctx, pending)
+	if err != nil {
+		return nil, summary, err
+	}
+	for k, r := range gathered {
+		results[pendingIdx[k]] = r
+		if r.Err == nil {
+			ss.st.Put(r.Cell.Key().String(), r.Report)
 		}
 	}
-	return results, nil
+	return results, summary, nil
 }
 
-// jobResult folds engine results into the deterministic terminal body —
-// sweepSummary's row shape without the cache-dependent fields.
-func (s *Server) jobResult(id string, results []sweep.Result, newStyle bool) JobResult {
+// jobResult folds engine results into the deterministic terminal body:
+// sweepSummary's rows without the cache-dependent cached flag.
+func jobResult(id string, results []sweep.Result, newStyle bool) JobResult {
 	res := JobResult{JobID: id, Cells: make([]JobCell, 0, len(results))}
 	for _, r := range results {
-		cell := JobCell{
-			Arch:     r.Cell.Arch.Name,
-			Override: r.Cell.Override,
-			Network:  r.Cell.Network.Name,
-			Phase:    r.Cell.Phase.String(),
-		}
-		if newStyle {
-			cell.Dataflow = r.Cell.Dataflow()
-		}
+		row := summaryRow(r, newStyle)
 		if r.Err != nil {
-			cell.Error = r.Err.Error()
 			res.Failed++
-		} else {
-			rep := r.Report
-			cell.EnergyJ = rep.Total.Energy.Total()
-			cell.LatencyS = rep.Total.Latency
-			if perImage, err := rep.EnergyPerImage(); err == nil {
-				cell.EnergyPerImageJ = perImage
-			}
-			cell.ThroughputIPS = rep.Throughput()
-			cell.Utilization = rep.Utilization()
 		}
-		res.Cells = append(res.Cells, cell)
+		res.Cells = append(res.Cells, JobCell{
+			Arch: row.Arch, Dataflow: row.Dataflow, Override: row.Override,
+			Network: row.Network, Phase: row.Phase, Error: row.Error,
+			EnergyJ: row.EnergyJ, LatencyS: row.LatencyS, EnergyPerImageJ: row.EnergyPerImageJ,
+			ThroughputIPS: row.ThroughputIPS, Utilization: row.Utilization,
+		})
 	}
 	return res
 }

@@ -460,3 +460,43 @@ func TestJobCrashResumeByteIdentity(t *testing.T) {
 			stats.Hits, stats.Puts, totalCells)
 	}
 }
+
+// TestTuneJobFrontiersMatchSyncSweep pins the one tune runner: a tune
+// job's result carries the same frontiers, byte for byte, and the same
+// failed count as the synchronous /v1/sweep answer for the same spec.
+// Each side runs on its own cold server, so cached flags agree too.
+func TestTuneJobFrontiersMatchSyncSweep(t *testing.T) {
+	t.Parallel()
+	_, syncTS := newTestServer(t, Options{})
+	jm := newJobManager(t, "", job.Options{Runners: 1})
+	_, ts := newTestServer(t, Options{Jobs: jm})
+	const spec = `{"models":["LeNet5","ResNet18"],"phases":["inference","training"],` +
+		`"tune":{"dataflows":["is","os"],"max_per_dataflow":3}}`
+	type tuneBody struct {
+		Failed    int             `json:"failed"`
+		Frontiers json.RawMessage `json:"frontiers"`
+	}
+	var sync, async tuneBody
+	resp := post(t, syncTS.URL+"/v1/sweep", spec, nil)
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &sync) != nil {
+		t.Fatalf("sync tune answered %d: %s", resp.StatusCode, raw)
+	}
+	resp = post(t, ts.URL+"/v1/jobs", spec, nil)
+	var snap job.Snapshot
+	if err := json.Unmarshal(readAll(t, resp), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJob(t, ts.URL, snap.ID); final.State != job.StateSucceeded {
+		t.Fatalf("tune job ended %s: %s", final.State, final.Error)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + snap.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw := readAll(t, resp); json.Unmarshal(raw, &async) != nil {
+		t.Fatalf("job result: %s", raw)
+	}
+	if len(sync.Frontiers) == 0 || string(async.Frontiers) != string(sync.Frontiers) || async.Failed != sync.Failed {
+		t.Fatalf("tune job (failed %d) %s\nvs sync sweep (failed %d) %s", async.Failed, async.Frontiers, sync.Failed, sync.Frontiers)
+	}
+}

@@ -38,9 +38,11 @@ import (
 	"github.com/inca-arch/inca/internal/fault"
 	"github.com/inca-arch/inca/internal/job"
 	"github.com/inca-arch/inca/internal/obs"
+	"github.com/inca-arch/inca/internal/obs/cost"
 	"github.com/inca-arch/inca/internal/store"
 	"github.com/inca-arch/inca/internal/sweep"
 	"github.com/inca-arch/inca/internal/tensor"
+	"github.com/inca-arch/inca/internal/tune"
 )
 
 // Options configures a Server. The zero value is production-usable:
@@ -129,10 +131,11 @@ type Options struct {
 	// (cmd/inca-serve opens one with -job-dir). Without a manager the
 	// /v1/jobs routes answer 404.
 	Jobs *job.Manager
-	// Sharder, when non-nil, switches /v1/sweep to cluster scatter/
-	// gather: expanded cells are handed to the sharder (the
-	// internal/cluster coordinator in cmd/inca-serve) instead of the
-	// local engine, and /healthz/ready reports per-peer health.
+	// Sharder, when non-nil, switches /v1/simulate, /v1/sweep, and sweep
+	// jobs to cluster scatter/gather: expanded cells are handed to the
+	// sharder (the internal/cluster coordinator in cmd/inca-serve)
+	// instead of the local engine, and /healthz/ready reports per-peer
+	// health.
 	Sharder Sharder
 	// ShardID names this node in shard responses and readiness bodies;
 	// empty outside cluster deployments.
@@ -294,17 +297,64 @@ func (s *Server) Store() *store.Store { return s.opt.Store }
 // Tracer returns the server's tracer, nil when tracing is disabled.
 func (s *Server) Tracer() *obs.Tracer { return s.opt.Tracer }
 
-// sweepOptions assembles the engine options for one admitted request:
-// the given worker budget, the shared cache, and the server's retry
-// policy and fault injector, so a request's cells retry transient
-// failures exactly like an offline sweep would.
-func (s *Server) sweepOptions(workers int) sweep.Options {
-	return sweep.Options{
-		Workers: workers,
-		Cache:   s.cache,
-		Retry:   s.opt.SweepRetry,
-		Inject:  s.opt.Inject,
+// runCells evaluates cells and charges every result to ctx's cost tally
+// and the usage ledger. It is the only place that picks between the
+// local engine and a sharder: with sh nil the cells run on this node's
+// engine, through the memo cache and its store tier, and onResult (when
+// non-nil) sees each result as it completes; otherwise sh scatters them
+// across the cluster, onResult sees each gathered result in order, and
+// the returned summary describes the dispatch.
+func (s *Server) runCells(ctx context.Context, sh Sharder, cells []sweep.Cell, onResult func(sweep.Result)) ([]sweep.Result, *ShardSummary, error) {
+	var (
+		results []sweep.Result
+		shard   *ShardSummary
+		err     error
+	)
+	if sh == nil {
+		results, err = sweep.RunCells(ctx, cells, sweep.Options{
+			Workers:  s.requestWorkers(),
+			Cache:    s.cache,
+			Retry:    s.opt.SweepRetry,
+			Inject:   s.opt.Inject,
+			OnResult: onResult,
+		})
+	} else {
+		var summary ShardSummary
+		results, summary, err = sh.Sweep(ctx, cells)
+		shard = &summary
+		if err == nil && onResult != nil {
+			for _, r := range results {
+				onResult(r)
+			}
+		}
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.accountResults(cost.FromContext(ctx), results)
+	return results, shard, nil
+}
+
+// runTune runs the mapping auto-tuner for a compiled tune request: one
+// Pareto frontier per model × phase, on the server's engine, cache, and
+// retry policy. It returns the frontiers and how many of their
+// evaluations failed. Tune runs always stay on this node.
+func (s *Server) runTune(ctx context.Context, cs compiledSweep) ([]tune.Frontier, int, error) {
+	opt := *cs.tune
+	opt.Workers, opt.Cache, opt.Retry = s.requestWorkers(), s.cache, s.opt.SweepRetry
+	var fronts []tune.Frontier
+	failed := 0
+	for _, net := range cs.nets {
+		f, err := tune.Search(ctx, net, opt)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, fr := range f {
+			failed += fr.Failed
+		}
+		fronts = append(fronts, f...)
+	}
+	return fronts, failed, nil
 }
 
 // requestWorkers is the sweep worker-pool size granted to one admitted

@@ -10,7 +10,6 @@ import (
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
-	"github.com/inca-arch/inca/internal/obs/cost"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
 )
@@ -94,7 +93,7 @@ type ShardSummary struct {
 }
 
 // Sharder is the seam the cluster coordinator plugs into the server
-// through Options: handleSweep hands it the expanded cell list and gets
+// through Options: runCells hands it the expanded cell list and gets
 // back one result per cell in input order. Implementations live outside
 // this package (internal/cluster) so serve never imports the HTTP
 // client it is itself the server for.
@@ -201,14 +200,14 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 		cells = append(cells, c)
 	}
 	s.admitted(w, r, func(ctx context.Context) {
-		results, err := sweep.RunCells(ctx, cells, s.sweepOptions(s.requestWorkers()))
+		// A shard never re-shards: its cells run on the local engine and
+		// are charged to its own ledger, while the coordinator charges the
+		// gathered results to the request's.
+		results, _, err := s.runCells(ctx, nil, cells, nil)
 		if err != nil {
 			s.writeError(w, statusForRunErr(err), err)
 			return
 		}
-		// A shard attributes the cells it ran to its own ledger; the
-		// coordinator attributes the gathered results to the request's.
-		s.accountResults(cost.FromContext(ctx), results)
 		s.writeJSON(w, http.StatusOK, ShardSweepResponse{
 			ShardID: s.opt.ShardID,
 			Cells:   wireResults(results),

@@ -9,10 +9,6 @@ import (
 	"github.com/inca-arch/inca/internal/store"
 )
 
-// maxImportLineBytes bounds one record line of an import corpus — the
-// same per-record ceiling the store itself enforces on disk.
-const maxImportLineBytes = 16 << 20
-
 // storeStatsResponse is the GET /v1/store/stats payload: the store's
 // own counters plus the cache-level disk_hits they feed.
 type storeStatsResponse struct {
@@ -69,7 +65,7 @@ func (s *Server) handleStoreImport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opt.StoreImportMaxBytes)
-	res, err := st.Import(body, maxImportLineBytes)
+	res, err := st.Import(body)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		switch {

@@ -123,11 +123,10 @@ func (u *usageAccount) snapshot() UsageResponse {
 }
 
 // accountResults charges a request's materialized sweep results to its
-// cost tally (via ctx) and to the server's usage ledger. Called at
-// every point results land — local simulate/sweep, shard-gathered
-// sweeps, shard executors, and job runs — so the tally's cell counts
-// and energy/latency sums match the response's simulation reports
-// exactly, whichever node or path produced them.
+// cost tally and to the server's usage ledger. runCells calls it for
+// every run, local or sharded, so the tally's cell counts and
+// energy/latency sums match the response's simulation reports exactly,
+// whichever node or path produced them.
 func (s *Server) accountResults(t *cost.Tally, results []sweep.Result) {
 	for _, r := range results {
 		var energy, latency float64

@@ -191,7 +191,7 @@ func TestImportConcurrentWithCompaction(t *testing.T) {
 		}
 	}()
 
-	res, err := s.Import(&corpus, 0)
+	res, err := s.Import(&corpus)
 	close(stop)
 	wg.Wait()
 	if err != nil {

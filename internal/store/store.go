@@ -4,10 +4,11 @@
 // fleet has already paid for; this package makes those results durable
 // and shareable:
 //
-//   - append-only segment files (seg-NNNNNN.log) of CRC-framed JSON
-//     records, each holding one sim.Report addressed by the SHA-256 of
-//     its canonical 5-segment cell key — content addressing makes merge
-//     and dedupe trivial (equal keys produce byte-identical reports);
+//   - append-only segment files (seg-NNNNNN.log), internal/wal logs of
+//     JSON records, each holding one sim.Report addressed by the SHA-256
+//     of its canonical 5-segment cell key — content addressing makes
+//     merge and dedupe trivial (equal keys produce byte-identical
+//     reports);
 //   - an in-memory index rebuilt by scanning the segments at Open, so
 //     the warm start costs one sequential read of the directory and no
 //     separate index file can desynchronize from the data;
@@ -32,12 +33,10 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -47,33 +46,15 @@ import (
 	"time"
 
 	"github.com/inca-arch/inca/internal/sim"
+	"github.com/inca-arch/inca/internal/wal"
 )
 
-// Segment framing. Each segment file starts with an 8-byte magic and
-// carries length-prefixed records:
-//
-//	[4B little-endian payload length][4B IEEE CRC-32 of payload][payload]
-//
-// The payload is one JSON record (see record). The CRC detects torn or
-// bit-rotted tails; the length prefix bounds reads so a corrupt length
-// cannot allocate unboundedly.
-const (
-	segMagic     = "INCASTO1"
-	recHeaderLen = 8
-	// maxRecordBytes bounds a single record's payload: a full ImageNet
-	// report is tens of KB, so 16 MiB is generous and still rejects a
-	// corrupt length prefix before it allocates gigabytes.
-	maxRecordBytes = 16 << 20
-)
+// segMagic names the segment format: an internal/wal log whose payloads
+// are JSON records (see record).
+const segMagic = "INCASTO1"
 
-// Sentinel errors.
-var (
-	// ErrClosed reports an operation on a closed store.
-	ErrClosed = errors.New("store: closed")
-	// ErrCorrupt reports an import record whose content hash does not
-	// match its key — a corrupted or tampered corpus line.
-	ErrCorrupt = errors.New("store: corrupt record")
-)
+// ErrClosed reports an operation on a closed store.
+var ErrClosed = errors.New("store: closed")
 
 // Options configures Open. The zero value is production-usable.
 type Options struct {
@@ -135,8 +116,49 @@ type indexEntry struct {
 type segment struct {
 	id   int
 	path string
-	f    *os.File
-	size int64
+	log  *wal.Log
+}
+
+// view is one generation of the store's on-disk state: the open
+// segments, the index over them, and the active tail. Compaction builds
+// the next view on the side and swaps it in only once it is complete.
+type view struct {
+	index  map[string]indexEntry // content address (hex SHA-256 of key) → location
+	keys   map[string]string     // content address → canonical key (collision guard, export)
+	segs   map[int]*segment
+	active *segment
+}
+
+func newView() view {
+	return view{
+		index: make(map[string]indexEntry),
+		keys:  make(map[string]string),
+		segs:  make(map[int]*segment),
+	}
+}
+
+// bytes is the view's total on-disk size.
+func (v *view) bytes() int64 {
+	var n int64
+	for _, seg := range v.segs {
+		n += seg.log.Size()
+	}
+	return n
+}
+
+// close releases every segment file, deleting them too when remove is
+// set, and returns the first close error.
+func (v *view) close(remove bool) error {
+	var first error
+	for _, seg := range v.segs {
+		if err := seg.log.Close(); err != nil && first == nil {
+			first = err
+		}
+		if remove {
+			os.Remove(seg.path)
+		}
+	}
+	return first
 }
 
 // Stats is a point-in-time snapshot of a store's counters and footprint,
@@ -177,11 +199,8 @@ type Store struct {
 	torn     atomic.Int64
 	ioErrs   atomic.Int64
 
-	mu     sync.Mutex
-	index  map[string]indexEntry // content address (hex SHA-256 of key) → location
-	keys   map[string]string     // content address → canonical key (collision guard, export)
-	segs   map[int]*segment
-	active *segment
+	mu sync.Mutex
+	view
 	nextID int
 	closed bool
 }
@@ -201,13 +220,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:   dir,
-		opt:   opt,
-		index: make(map[string]indexEntry),
-		keys:  make(map[string]string),
-		segs:  make(map[int]*segment),
-	}
+	s := &Store{dir: dir, opt: opt, view: newView()}
 	names, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -243,82 +256,23 @@ func Open(dir string, opt Options) (*Store, error) {
 // a torn or corrupt tail to the last cleanly-framed record.
 func (s *Store) openSegment(id int) (*segment, error) {
 	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	good, err := s.scanSegment(id, f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if good < fi.Size() {
-		// Crash recovery: everything past the last good record is a torn
-		// append. Drop it so the file is clean for future appends.
-		s.torn.Add(1)
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("store: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	return &segment{id: id, path: path, f: f, size: good}, nil
-}
-
-// scanSegment walks a segment's records, indexing each good one, and
-// returns the offset of the first byte that is not part of a cleanly
-// framed record (the truncation point for a torn tail).
-func (s *Store) scanSegment(id int, f *os.File) (int64, error) {
-	r := bufio.NewReader(io.NewSectionReader(f, 0, 1<<62))
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != segMagic {
-		// A file too short for the magic, or with the wrong one, holds no
-		// recoverable records; reinitialize it as an empty segment.
-		s.torn.Add(1)
-		return int64(len(segMagic)), s.writeMagic(f)
-	}
-	off := int64(len(segMagic))
-	header := make([]byte, recHeaderLen)
-	for {
-		if _, err := io.ReadFull(r, header); err != nil {
-			return off, nil // clean EOF or torn header: truncate here
-		}
-		n := binary.LittleEndian.Uint32(header[:4])
-		sum := binary.LittleEndian.Uint32(header[4:])
-		if n == 0 || n > maxRecordBytes {
-			return off, nil // corrupt length: everything past here is suspect
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return off, nil // bit rot or torn write caught by the CRC
-		}
+	log, torn, err := wal.Open(path, segMagic, false, func(off int64, payload []byte) bool {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
-			return off, nil // framed but undecodable: stop, do not index
+			return false // framed but undecodable: stop, do not index
 		}
 		a := addr(rec.Key)
-		s.index[a] = indexEntry{seg: id, off: off, size: recHeaderLen + int64(n), created: rec.Created}
+		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: rec.Created}
 		s.keys[a] = rec.Key
-		off += recHeaderLen + int64(n)
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-}
-
-// writeMagic initializes an empty or unrecognizable segment file.
-func (s *Store) writeMagic(f *os.File) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if torn {
+		s.torn.Add(1)
 	}
-	if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return &segment{id: id, path: path, log: log}, nil
 }
 
 func (s *Store) segPath(id int) string {
@@ -330,17 +284,11 @@ func (s *Store) newSegment() (*segment, error) {
 	id := s.nextID
 	s.nextID++
 	path := s.segPath(id)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	log, err := wal.Create(path, segMagic)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	seg := &segment{id: id, path: path, f: f, size: int64(len(segMagic))}
-	s.segs[id] = seg
-	return seg, nil
+	return &segment{id: id, path: path, log: log}, nil
 }
 
 // Get returns the stored report for the canonical cell key, or false on
@@ -372,14 +320,10 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	rec, err := readRecord(seg.f, e.off, e.size)
-	if err != nil || rec.Key != key {
-		s.ioErrs.Add(1)
-		s.misses.Add(1)
-		return nil, false
-	}
+	var rec record
 	var rep sim.Report
-	if err := json.Unmarshal(rec.Report, &rep); err != nil {
+	payload, err := seg.log.ReadAt(e.off, e.size)
+	if err != nil || json.Unmarshal(payload, &rec) != nil || rec.Key != key || json.Unmarshal(rec.Report, &rep) != nil {
 		s.ioErrs.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -392,34 +336,6 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 // timestamp is past the store's TTL at time now.
 func (s *Store) expiredAt(created int64, now time.Time) bool {
 	return s.opt.TTL > 0 && now.Sub(time.Unix(0, created)) > s.opt.TTL
-}
-
-// readPayload reads and CRC-verifies one framed record at the given
-// location, returning the raw JSON payload bytes.
-func readPayload(f *os.File, off, size int64) ([]byte, error) {
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(buf[:4])
-	sum := binary.LittleEndian.Uint32(buf[4:8])
-	if int64(n)+recHeaderLen != size || crc32.ChecksumIEEE(buf[recHeaderLen:]) != sum {
-		return nil, ErrCorrupt
-	}
-	return buf[recHeaderLen:], nil
-}
-
-// readRecord reads, verifies, and decodes one framed record.
-func readRecord(f *os.File, off, size int64) (record, error) {
-	var rec record
-	payload, err := readPayload(f, off, size)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return rec, err
-	}
-	return rec, nil
 }
 
 // Put stores the report under the canonical cell key, overwriting any
@@ -448,54 +364,37 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	if s.closed {
 		return
 	}
-	if err := s.appendLocked(a, key, payload, created); err != nil {
+	if err := s.appendTo(&s.view, a, key, payload, created); err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
 	s.puts.Add(1)
-	if s.totalBytesLocked() > s.opt.MaxBytes {
+	if s.view.bytes() > s.opt.MaxBytes {
 		if err := s.compactLocked(); err != nil {
 			s.ioErrs.Add(1)
 		}
 	}
 }
 
-// appendLocked frames and appends one payload to the active segment,
-// rolling to a fresh segment first when the active one is full.
-func (s *Store) appendLocked(a, key string, payload []byte, created int64) error {
-	if s.active == nil || s.active.size+recHeaderLen+int64(len(payload)) > s.opt.SegmentMaxBytes {
+// appendTo appends one payload to the view's active segment, rolling to
+// a fresh segment first when the active one is full. Callers hold s.mu.
+func (s *Store) appendTo(v *view, a, key string, payload []byte, created int64) error {
+	size := wal.HeaderLen + int64(len(payload))
+	if v.active == nil || v.active.log.Size()+size > s.opt.SegmentMaxBytes {
 		seg, err := s.newSegment()
 		if err != nil {
 			return err
 		}
-		s.active = seg
+		v.segs[seg.id] = seg
+		v.active = seg
 	}
-	seg := s.active
-	framed := frame(payload)
-	if _, err := seg.f.WriteAt(framed, seg.size); err != nil {
+	off, err := v.active.log.Append(payload)
+	if err != nil {
 		return err
 	}
-	s.index[a] = indexEntry{seg: seg.id, off: seg.size, size: int64(len(framed)), created: created}
-	s.keys[a] = key
-	seg.size += int64(len(framed))
+	v.index[a] = indexEntry{seg: v.active.id, off: off, size: size, created: created}
+	v.keys[a] = key
 	return nil
-}
-
-// frame prefixes a payload with its length and CRC.
-func frame(payload []byte) []byte {
-	out := make([]byte, recHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[recHeaderLen:], payload)
-	return out
-}
-
-func (s *Store) totalBytesLocked() int64 {
-	var n int64
-	for _, seg := range s.segs {
-		n += seg.size
-	}
-	return n
 }
 
 // compactLocked rewrites the live records into fresh segments and
@@ -504,7 +403,9 @@ func (s *Store) totalBytesLocked() int64 {
 // segments get higher IDs than every old one, so a crash between
 // writing them and deleting the old files recovers to a consistent
 // newest-wins index (at worst resurrecting some evicted bytes, which
-// the next compaction drops again).
+// the next compaction drops again). The survivors are written into a
+// view built on the side: if that fails, its partial segments are
+// deleted and the store keeps serving from the old ones.
 func (s *Store) compactLocked() error {
 	s.compacts.Add(1)
 	type live struct {
@@ -515,16 +416,17 @@ func (s *Store) compactLocked() error {
 	}
 	now := s.opt.now()
 	var survivors []live
+	expired := 0
 	for a, e := range s.index {
 		if s.expiredAt(e.created, now) {
-			s.expired.Add(1)
+			expired++
 			continue
 		}
 		seg := s.segs[e.seg]
 		if seg == nil {
 			continue
 		}
-		payload, err := readPayload(seg.f, e.off, e.size)
+		payload, err := seg.log.ReadAt(e.off, e.size)
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
@@ -537,30 +439,25 @@ func (s *Store) compactLocked() error {
 	budget := s.opt.MaxBytes * 9 / 10
 	var total int64
 	for _, sv := range survivors {
-		total += recHeaderLen + int64(len(sv.payload))
+		total += wal.HeaderLen + int64(len(sv.payload))
 	}
 	drop := 0
 	for drop < len(survivors) && total > budget {
-		total -= recHeaderLen + int64(len(survivors[drop].payload))
-		s.evicted.Add(1)
+		total -= wal.HeaderLen + int64(len(survivors[drop].payload))
 		drop++
 	}
-	survivors = survivors[drop:]
 
-	old := s.segs
-	s.segs = make(map[int]*segment)
-	s.index = make(map[string]indexEntry)
-	s.keys = make(map[string]string)
-	s.active = nil
-	for _, sv := range survivors {
-		if err := s.appendLocked(sv.a, sv.key, sv.payload, sv.created); err != nil {
+	next := newView()
+	for _, sv := range survivors[drop:] {
+		if err := s.appendTo(&next, sv.a, sv.key, sv.payload, sv.created); err != nil {
+			next.close(true)
 			return err
 		}
 	}
-	for _, seg := range old {
-		seg.f.Close()
-		os.Remove(seg.path)
-	}
+	s.view.close(true)
+	s.view = next
+	s.expired.Add(int64(expired))
+	s.evicted.Add(int64(drop))
 	return nil
 }
 
@@ -594,7 +491,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	entries := len(s.index)
 	segments := len(s.segs)
-	bytes := s.totalBytesLocked()
+	bytes := s.view.bytes()
 	s.mu.Unlock()
 	return Stats{
 		Hits:        s.hits.Load(),
@@ -644,7 +541,7 @@ func (s *Store) Export(w io.Writer) (int, error) {
 	for _, l := range locs {
 		// The stored payload is already one compact JSON object with no
 		// embedded newlines — it is the corpus line verbatim.
-		payload, err := readPayload(l.seg.f, l.e.off, l.e.size)
+		payload, err := l.seg.log.ReadAt(l.e.off, l.e.size)
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
@@ -673,15 +570,12 @@ type ImportResult struct {
 // for unknown keys are appended, records for keys the store already
 // holds are skipped (the local copy wins — equal keys mean byte-
 // identical reports, so there is nothing to reconcile), and records
-// whose content address does not match their key are rejected. Lines
-// longer than maxLineBytes (<= 0 means 16 MiB) fail the import.
-func (s *Store) Import(r io.Reader, maxLineBytes int) (ImportResult, error) {
-	if maxLineBytes <= 0 {
-		maxLineBytes = maxRecordBytes
-	}
+// whose content address does not match their key are rejected. A line
+// longer than the record ceiling (wal.MaxRecord) fails the import.
+func (s *Store) Import(r io.Reader) (ImportResult, error) {
 	var res ImportResult
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc.Buffer(make([]byte, 64<<10), wal.MaxRecord)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -713,8 +607,8 @@ func (s *Store) Import(r io.Reader, maxLineBytes int) (ImportResult, error) {
 			res.Skipped++
 			continue
 		}
-		err = s.appendLocked(a, rec.Key, payload, rec.Created)
-		overflow := s.totalBytesLocked() > s.opt.MaxBytes
+		err = s.appendTo(&s.view, a, rec.Key, payload, rec.Created)
+		overflow := s.view.bytes() > s.opt.MaxBytes
 		if err == nil && overflow {
 			err = s.compactLocked()
 		}
@@ -747,11 +641,5 @@ func (s *Store) closeLocked() error {
 		return nil
 	}
 	s.closed = true
-	var first error
-	for _, seg := range s.segs {
-		if err := seg.f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.view.close(false)
 }

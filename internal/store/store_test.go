@@ -206,7 +206,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	// Import into an empty store: equal stores export byte-identical
 	// corpora (record payloads are preserved verbatim, keys sort).
 	b := mustOpen(t, t.TempDir(), Options{})
-	res, err := b.Import(bytes.NewReader(corpus.Bytes()), 0)
+	res, err := b.Import(bytes.NewReader(corpus.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// A second import of the same corpus finds every key present and
 	// adds nothing — the local copies win.
-	res, err = b.Import(bytes.NewReader(corpus.Bytes()), 0)
+	res, err = b.Import(bytes.NewReader(corpus.Bytes()))
 	if err != nil || res.Added != 0 || res.Skipped != 5 {
 		t.Fatalf("re-import = %+v, %v", res, err)
 	}
@@ -239,7 +239,7 @@ func TestImportRejectsTamperedAddr(t *testing.T) {
 	// longer matches and the record must be rejected.
 	tampered := bytes.Replace(corpus.Bytes(), []byte(`"key":"honest-key"`), []byte(`"key":"forged-key"`), 1)
 	b := mustOpen(t, t.TempDir(), Options{})
-	res, err := b.Import(bytes.NewReader(tampered), 0)
+	res, err := b.Import(bytes.NewReader(tampered))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestImportRejectsTamperedAddr(t *testing.T) {
 		t.Fatalf("import = %+v, want the forged record rejected", res)
 	}
 	garbage := bytes.NewReader([]byte("not json\n\n{\"key\":\"\"}\n"))
-	res, err = b.Import(garbage, 0)
+	res, err = b.Import(garbage)
 	if err != nil || res.Rejected != 2 || res.Added != 0 {
 		t.Fatalf("garbage import = %+v, %v", res, err)
 	}
@@ -263,6 +263,36 @@ func TestClosedStoreDegrades(t *testing.T) {
 	s.Put("k2", testReport("k2")) // must not panic
 	if err := s.Compact(); err != ErrClosed {
 		t.Fatalf("Compact on closed store = %v", err)
+	}
+}
+
+// TestFailedCompactionKeepsRecords pins the compaction swap: when the
+// survivors cannot be written (here the store's directory has been
+// replaced by a file, so no new segment can be created), Compact fails
+// and the store keeps serving every record from its old segments.
+func TestFailedCompactionKeepsRecords(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := mustOpen(t, dir, Options{})
+	keys := []string{"INCA/fixed/a/inference", "INCA/fixed/b/inference", "INCA/fixed/c/inference"}
+	for _, k := range keys {
+		s.Put(k, testReport(k))
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err == nil {
+		t.Fatal("Compact succeeded with no directory to write segments into")
+	}
+	if st := s.Stats(); st.Entries != len(keys) || st.Segments != 1 {
+		t.Fatalf("stats after failed compaction = %+v, want %d entries in 1 segment", st, len(keys))
+	}
+	for _, k := range keys {
+		if got, ok := s.Get(k); !ok || got.Network != k {
+			t.Fatalf("Get(%q) after failed compaction = %v, %v", k, got, ok)
+		}
 	}
 }
 

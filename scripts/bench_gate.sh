@@ -5,8 +5,8 @@
 # fails when any kernel present in both regressed by more than 10%
 # (override with BENCH_GATE_TOLERANCE, a fraction). Baselines are
 # committed files, so the gate never runs benchmarks itself — CI noise
-# cannot flake it. Record a new baseline with `make bench-pr<N>` on the
-# machine of record before relying on its numbers.
+# cannot flake it. Record a new baseline with `make bench-pr PR=<N>` on
+# the machine of record before relying on its numbers.
 #
 # Usage: bench_gate.sh [OLD.json NEW.json]   (auto-picks when omitted)
 set -eu
