@@ -298,6 +298,10 @@ func (c *Client) exchange(ctx context.Context, method, path string, payload []by
 	return err
 }
 
+// maxResponseBytes bounds one response body; a longer body fails the
+// call instead of being decoded from a truncated prefix.
+const maxResponseBytes = 16 << 20
+
 // once runs a single HTTP exchange. Transport failures come back marked
 // transient; non-2xx answers come back as *APIError.
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
@@ -332,7 +336,9 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 			c.opt.OnTrace(traceID)
 		}
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	// One byte past the limit tells a body that fits exactly from one
+	// that was cut off.
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -345,6 +351,10 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 			Message:    errorMessage(raw),
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
+	}
+	if len(raw) > maxResponseBytes {
+		// Terminal: the same request would draw the same oversized body.
+		return fmt.Errorf("client: %s %s: response body exceeds the %d-byte limit", method, path, maxResponseBytes)
 	}
 	if out == nil {
 		return nil

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -69,6 +70,41 @@ func Test4xxIsTerminalWithoutRetry(t *testing.T) {
 	}
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("server saw %d requests for a terminal 400, want 1", got)
+	}
+}
+
+// TestOversizedResponseNamesLimit pins the response-size bound: a body
+// one byte over the limit fails the call with an error naming the limit
+// (not a decode error from a silently truncated prefix), and is not
+// retried.
+func TestOversizedResponseNamesLimit(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		// A syntactically valid JSON string, so only the size is wrong.
+		body := make([]byte, maxResponseBytes+1)
+		for i := range body {
+			body[i] = 'x'
+		}
+		body[0], body[len(body)-1] = '"', '"'
+		w.Write(body)
+	}))
+	defer ts.Close()
+
+	c, err := New(ts.URL, Options{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out string
+	err = c.call(context.Background(), http.MethodGet, "/big", nil, &out)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxResponseBytes)) {
+		t.Fatalf("err = %v, want one naming the %d-byte limit", err, maxResponseBytes)
+	}
+	if fault.IsTransient(err) {
+		t.Fatal("oversized body classified transient")
+	}
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("server saw %d requests for an oversized body, want 1", got)
 	}
 }
 

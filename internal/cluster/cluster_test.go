@@ -255,7 +255,7 @@ func TestCoordinatorRehashAttempts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, summary, err := co.Sweep(context.Background(), cells)
+	results, summary, err := co.Sweep(context.Background(), cells, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestCoordinatorAllPeersLostFallsBackLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, summary, err := co.Sweep(context.Background(), cells)
+	results, summary, err := co.Sweep(context.Background(), cells, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCoordinatorTerminalErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := co.Sweep(context.Background(), cells); err == nil {
+	if _, _, err := co.Sweep(context.Background(), cells, true); err == nil {
 		t.Fatal("terminal shard answer did not abort the sweep")
 	}
 }
@@ -478,5 +478,107 @@ func TestShardedSimulateByteIdentity(t *testing.T) {
 		if want, got := get(ref.URL), get(coordTS.URL); string(got) != string(want) {
 			t.Fatalf("simulate%s via coordinator differs:\n%s\nvs\n%s", query, got, want)
 		}
+	}
+}
+
+// TestShardedSweepAllModelsByteIdentity runs a sweep over every zoo
+// model and every dataflow through a 3-shard coordinator, whose shards
+// reply with report totals only, and through a single node. The JSON
+// rows, the CSV body, the ?cost=1 rows with the cost block's modeled
+// energy and latency, and the /v1/usage rows must all be
+// byte-identical.
+func TestShardedSweepAllModelsByteIdentity(t *testing.T) {
+	var models []string
+	for _, n := range nn.Zoo() {
+		models = append(models, n.Name)
+	}
+	if len(models) != 10 {
+		t.Fatalf("zoo lists %d models, want 10", len(models))
+	}
+	names, err := json.Marshal(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"dataflows":["is","ws","os","gpu"],"models":` + string(names) + `,"phases":["inference","training"]}`
+
+	ref := httptest.NewServer(serve.New(serve.Options{}).Handler())
+	t.Cleanup(ref.Close)
+	urls := make([]string, 3)
+	for i := range urls {
+		_, ts := newShard(t, shardName(i), nil)
+		urls[i] = ts.URL
+	}
+	co, err := New(Options{Peers: urls, Client: fastClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(serve.New(serve.Options{Sharder: co}).Handler())
+	t.Cleanup(coordTS.Close)
+
+	do := func(method, url, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := readBody(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	type costRows struct {
+		Cells json.RawMessage `json:"cells"`
+		Cost  struct {
+			Cells       int64   `json:"cells"`
+			CachedCells int64   `json:"cached_cells"`
+			FailedCells int64   `json:"failed_cells"`
+			SimEnergyJ  float64 `json:"sim_energy_j"`
+			SimLatencyS float64 `json:"sim_latency_s"`
+		} `json:"cost"`
+	}
+	// Each node answers the same request sequence, so cached flags and
+	// ledgers line up: JSON cold, then CSV and ?cost=1 warm.
+	bodies := func(base string) (jsonRows costRows, csv []byte, costed costRows, usage json.RawMessage) {
+		t.Helper()
+		if err := json.Unmarshal(do(http.MethodPost, base+"/v1/sweep", body), &jsonRows); err != nil {
+			t.Fatal(err)
+		}
+		csv = do(http.MethodPost, base+"/v1/sweep?format=csv", body)
+		if err := json.Unmarshal(do(http.MethodPost, base+"/v1/sweep?cost=1", body), &costed); err != nil {
+			t.Fatal(err)
+		}
+		var u struct {
+			Rows json.RawMessage `json:"rows"`
+		}
+		if err := json.Unmarshal(do(http.MethodGet, base+"/v1/usage", ""), &u); err != nil {
+			t.Fatal(err)
+		}
+		return jsonRows, csv, costed, u.Rows
+	}
+	wantJSON, wantCSV, wantCost, wantUsage := bodies(ref.URL)
+	gotJSON, gotCSV, gotCost, gotUsage := bodies(coordTS.URL)
+
+	if !strings.Contains(string(wantJSON.Cells), `"network":"ResNet50"`) || !strings.Contains(string(wantJSON.Cells), `"error":`) {
+		t.Fatalf("reference sweep lacks ResNet50 rows or an error cell: %.300s", wantJSON.Cells)
+	}
+	if string(gotJSON.Cells) != string(wantJSON.Cells) {
+		t.Fatalf("JSON rows differ from single node:\n%s\nvs\n%s", gotJSON.Cells, wantJSON.Cells)
+	}
+	if string(gotCSV) != string(wantCSV) {
+		t.Fatalf("CSV differs from single node:\n%s\nvs\n%s", gotCSV, wantCSV)
+	}
+	if string(gotCost.Cells) != string(wantCost.Cells) || gotCost.Cost != wantCost.Cost {
+		t.Fatalf("?cost=1 rows or modeled totals differ from single node: %+v vs %+v", gotCost.Cost, wantCost.Cost)
+	}
+	if wantCost.Cost.Cells != 80 || wantCost.Cost.SimEnergyJ <= 0 {
+		t.Fatalf("reference cost block = %+v, want 80 cells with modeled energy", wantCost.Cost)
+	}
+	if string(gotUsage) != string(wantUsage) {
+		t.Fatalf("/v1/usage rows differ from single node:\n%s\nvs\n%s", gotUsage, wantUsage)
 	}
 }

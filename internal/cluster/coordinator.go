@@ -108,14 +108,16 @@ type pendingCell struct {
 }
 
 // Sweep evaluates cells across the cluster: consistent-hash scatter by
-// cache key, gather of full reports, and — when a peer's dispatch
+// cache key, gather of the reports, and — when a peer's dispatch
 // exhausts the client's retries with a transient failure — a rehash of
 // its cells onto the survivor ring in the next round. Terminal failures
 // (4xx answers, context errors) abort the sweep: the request is wrong
 // or abandoned, and no amount of re-dispatching helps. When every peer
 // is lost the remaining cells run on the coordinator's own engine, so
-// the sweep still completes. results[i] answers cells[i].
-func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.Result, serve.ShardSummary, error) {
+// the sweep still completes. results[i] answers cells[i]. With layers
+// false the shards reply with totals-only reports (locally evaluated
+// cells stay full).
+func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers bool) ([]sweep.Result, serve.ShardSummary, error) {
 	summary := serve.ShardSummary{Peers: len(co.opt.Peers)}
 	out := make([]sweep.Result, len(cells))
 	seqToPending := make(map[int]*pendingCell, len(cells))
@@ -149,7 +151,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.R
 			wg.Add(1)
 			go func(peer string, part []sweep.Cell) {
 				defer wg.Done()
-				results, err := co.dispatch(ctx, peer, part)
+				results, err := co.dispatch(ctx, peer, part, layers)
 				mu.Lock()
 				defer mu.Unlock()
 				if err == nil {
@@ -226,7 +228,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.R
 // into engine results. The dispatch span nests under the coordinating
 // request; the traceparent header the client forwards makes the shard's
 // own spans children of the same trace.
-func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.Cell) ([]sweep.Result, error) {
+func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.Cell, layers bool) ([]sweep.Result, error) {
 	ctx, span := obs.StartSpan(ctx, SpanDispatch,
 		obs.String("peer", peer), obs.Int("cells", len(part)))
 	wire, err := serve.WireCells(part)
@@ -234,7 +236,7 @@ func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.C
 		span.EndWith(err)
 		return nil, err
 	}
-	resp, err := co.clients[peer].ShardSweep(ctx, serve.ShardSweepRequest{Cells: wire})
+	resp, err := co.clients[peer].ShardSweep(ctx, serve.ShardSweepRequest{Cells: wire, Totals: !layers})
 	if err != nil {
 		span.EndWith(err)
 		return nil, err

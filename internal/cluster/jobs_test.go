@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +16,9 @@ import (
 
 	"github.com/inca-arch/inca/internal/job"
 	"github.com/inca-arch/inca/internal/serve"
+	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/store"
+	"github.com/inca-arch/inca/internal/sweep"
 )
 
 // dispatchLog wraps a shard's handler and records the cells every
@@ -151,5 +155,60 @@ func TestShardedJobByteIdentityAndStoreResume(t *testing.T) {
 	}
 	if strings.Join(got, ",") != strings.Join(wantCells, ",") {
 		t.Fatalf("store-resumed job dispatched %q, want only the missing cells %q", got, wantCells)
+	}
+}
+
+// TestShardedJobStoresFullReports guards the coordinator's store: a job
+// on a store-backed coordinator gathers full reports, so every stored
+// record's layers equal a local run's, decoded from the same wire form.
+// A totals-only gather would leave the records without layers.
+func TestShardedJobStoresFullReports(t *testing.T) {
+	urls := make([]string, 3)
+	for i := range urls {
+		_, ts := newShard(t, shardName(i), nil)
+		urls[i] = ts.URL
+	}
+	co, err := New(Options{Peers: urls, Client: fastClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jm, err := job.Open("", job.Options{Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jm.Close() })
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(serve.New(serve.Options{Jobs: jm, Sharder: co, Store: st}).Handler())
+	t.Cleanup(ts.Close)
+	runJob(t, ts.URL, e2eBody)
+
+	cells, err := e2ePlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := sweep.RunCells(context.Background(), cells, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range local {
+		raw, err := json.Marshal(res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want sim.Report
+		if err := json.Unmarshal(raw, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := st.Get(cells[i].Key().String())
+		if !ok {
+			t.Fatalf("cell %s was not stored", cells[i].Key())
+		}
+		if len(want.Layers) == 0 || !reflect.DeepEqual(got.Layers, want.Layers) {
+			t.Fatalf("stored %s has %d layers, want the local run's %d", cells[i].Key(), len(got.Layers), len(want.Layers))
+		}
 	}
 }

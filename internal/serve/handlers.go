@@ -113,7 +113,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cells := []sweep.Cell{{Arch: ax, Config: ax.Base, Network: net, Phase: phase}}
 	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
 		s.admitted(w, r, func(ctx context.Context) {
-			results, _, err := s.runCells(ctx, s.opt.Sharder, cells, nil)
+			// The report is the response body (or its per-layer CSV).
+			results, _, err := s.runCells(ctx, s.opt.Sharder, cells, true, nil)
 			if err == nil && results[0].Err != nil {
 				err = results[0].Err
 			}
@@ -168,7 +169,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
 		s.admitted(w, r, func(ctx context.Context) {
-			results, shard, err := s.runCells(ctx, s.opt.Sharder, cs.cells, nil)
+			// Summary rows need only each report's totals.
+			results, shard, err := s.runCells(ctx, s.opt.Sharder, cs.cells, false, nil)
 			if err != nil {
 				s.writeError(w, statusForRunErr(err), err)
 				return
@@ -189,9 +191,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepSummary folds engine results into the /v1/sweep response body:
-// one summary row per cell, in the order given. Local and sharded runs
-// both feed it full reports, which is the heart of the cluster's
-// byte-identity guarantee.
+// one summary row per cell, in the order given. A sharded run feeds it
+// totals-only reports whose totals, utilization and derived figures are
+// bit-identical to a local run's full reports, which is the heart of
+// the cluster's byte-identity guarantee.
 func (s *Server) sweepSummary(results []sweep.Result, newStyle bool) SweepResponse {
 	resp := SweepResponse{Cells: make([]CellResult, 0, len(results)), Cache: s.cache.Stats()}
 	for _, res := range results {

@@ -416,7 +416,9 @@ func (s *Server) execJob(ctx context.Context, j *job.Job) (body []byte, err erro
 	// Only error-free cells checkpoint: they are in the result store and
 	// will replay from disk, which is what cells_done promises. A failed
 	// or cancelled cell re-runs on resume, so it stays uncounted.
-	results, _, err := s.runCells(ctx, s.jobSharder(), cs.cells, func(r sweep.Result) {
+	// Job rows need only each report's totals; a coordinator with a store
+	// still gathers full reports to persist (storeSharder).
+	results, _, err := s.runCells(ctx, s.jobSharder(), cs.cells, false, func(r sweep.Result) {
 		if r.Err == nil {
 			j.AddDone(1)
 		}
@@ -443,13 +445,14 @@ func (s *Server) jobSharder() Sharder {
 // cells the store already holds are answered from it without dispatch
 // (a recovered coordinator re-dispatches only incomplete cells), and
 // every gathered report is written back, so the next interruption
-// resumes from it too.
+// resumes from it too. It always asks for full reports, whatever the
+// caller needs: a totals-only report must never enter the store.
 type storeSharder struct {
 	Sharder
 	st *store.Store
 }
 
-func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.Result, ShardSummary, error) {
+func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell, _ bool) ([]sweep.Result, ShardSummary, error) {
 	results := make([]sweep.Result, len(cells))
 	var pending []sweep.Cell
 	var pendingIdx []int
@@ -464,7 +467,7 @@ func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.R
 	if len(pending) == 0 {
 		return results, ShardSummary{}, nil
 	}
-	gathered, summary, err := ss.Sharder.Sweep(ctx, pending)
+	gathered, summary, err := ss.Sharder.Sweep(ctx, pending, true)
 	if err != nil {
 		return nil, summary, err
 	}

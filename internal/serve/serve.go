@@ -303,8 +303,11 @@ func (s *Server) Tracer() *obs.Tracer { return s.opt.Tracer }
 // engine, through the memo cache and its store tier, and onResult (when
 // non-nil) sees each result as it completes; otherwise sh scatters them
 // across the cluster, onResult sees each gathered result in order, and
-// the returned summary describes the dispatch.
-func (s *Server) runCells(ctx context.Context, sh Sharder, cells []sweep.Cell, onResult func(sweep.Result)) ([]sweep.Result, *ShardSummary, error) {
+// the returned summary describes the dispatch. layers tells the sharder
+// whether the caller needs per-layer reports; callers that keep only
+// summary rows pass false, so shards reply with totals alone. Local
+// runs always produce full reports.
+func (s *Server) runCells(ctx context.Context, sh Sharder, cells []sweep.Cell, layers bool, onResult func(sweep.Result)) ([]sweep.Result, *ShardSummary, error) {
 	var (
 		results []sweep.Result
 		shard   *ShardSummary
@@ -320,7 +323,7 @@ func (s *Server) runCells(ctx context.Context, sh Sharder, cells []sweep.Cell, o
 		})
 	} else {
 		var summary ShardSummary
-		results, summary, err = sh.Sweep(ctx, cells)
+		results, summary, err = sh.Sweep(ctx, cells, layers)
 		shard = &summary
 		if err == nil && onResult != nil {
 			for _, r := range results {

@@ -39,11 +39,19 @@ type ShardCell struct {
 // ShardSweepRequest is the POST /v1/shard/sweep body.
 type ShardSweepRequest struct {
 	Cells []ShardCell `json:"cells"`
+	// Totals asks for each report without its per-layer rows
+	// (sim.Report.WireTotals): the coordinator sets it when the caller
+	// keeps only summary rows. Omitted, the response bytes are the
+	// full-report encoding. Shards decode the body strictly, so a shard
+	// that predates the field answers 400: coordinator and shards
+	// upgrade together.
+	Totals bool `json:"totals,omitempty"`
 }
 
-// ShardCellResult is one evaluated cell in a shard response: the full
-// report in its stable wire form (encoding to the same bytes as a local
-// run's report), or an error string for cells whose evaluation failed.
+// ShardCellResult is one evaluated cell in a shard response: the report
+// in its stable wire form (full, encoding to the same bytes as a local
+// run's report, or totals-only when the request asked for totals), or
+// an error string for cells whose evaluation failed.
 // The report is typed rather than raw JSON so each side converts it
 // once: the shard encodes it straight into the response, and the
 // coordinator's decoder fills it in the same pass that reads the body.
@@ -99,8 +107,10 @@ type ShardSummary struct {
 // client it is itself the server for.
 type Sharder interface {
 	// Sweep evaluates cells across the cluster, returning results in
-	// input order (results[i] answers cells[i]).
-	Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.Result, ShardSummary, error)
+	// input order (results[i] answers cells[i]). With layers false the
+	// reports may be totals-only (sim.Report.TotalsOnly): callers that
+	// return or persist a report pass true.
+	Sweep(ctx context.Context, cells []sweep.Cell, layers bool) ([]sweep.Result, ShardSummary, error)
 	// Health probes every peer, for readiness reporting.
 	Health(ctx context.Context) []PeerHealth
 }
@@ -177,9 +187,9 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 // handleShardSweep evaluates an explicit cell list for a cluster
 // coordinator: the gather half of scatter/gather. Cells run on the same
 // engine, cache, and retry policy as a local sweep — a shard is just an
-// inca-serve node — and each result carries the report's full stable
-// encoding so the coordinator's merged table is byte-identical to a
-// single-node run.
+// inca-serve node — and each result carries the report's stable
+// encoding, full or (when the request sets totals) without layers, so
+// the coordinator's merged table is byte-identical to a single-node run.
 func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 	var req ShardSweepRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
@@ -203,14 +213,14 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 		// A shard never re-shards: its cells run on the local engine and
 		// are charged to its own ledger, while the coordinator charges the
 		// gathered results to the request's.
-		results, _, err := s.runCells(ctx, nil, cells, nil)
+		results, _, err := s.runCells(ctx, nil, cells, true, nil)
 		if err != nil {
 			s.writeError(w, statusForRunErr(err), err)
 			return
 		}
 		s.writeJSON(w, http.StatusOK, ShardSweepResponse{
 			ShardID: s.opt.ShardID,
-			Cells:   wireResults(results),
+			Cells:   wireResults(results, !req.Totals),
 			Cache:   s.cache.Stats(),
 		})
 	})
@@ -218,15 +228,18 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 
 // wireResults lowers engine results onto a shard response's cells — the
 // inverse of ShardResults. Each cell echoes its Seq from the request
-// (cellFromWire carried it into the engine cell).
-func wireResults(results []sweep.Result) []ShardCellResult {
+// (cellFromWire carried it into the engine cell). With layers false the
+// reports go out totals-only.
+func wireResults(results []sweep.Result, layers bool) []ShardCellResult {
 	out := make([]ShardCellResult, 0, len(results))
 	for _, res := range results {
 		cr := ShardCellResult{Seq: res.Cell.Seq, Cached: res.Cached, Attempts: res.Attempts}
 		if res.Err != nil {
 			cr.Error = res.Err.Error()
-		} else {
+		} else if layers {
 			cr.Report = res.Report.Wire()
+		} else {
+			cr.Report = res.Report.WireTotals()
 		}
 		out = append(out, cr)
 	}

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 
+	"github.com/inca-arch/inca/internal/job"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
@@ -103,15 +107,35 @@ func TestShardSweepRejectsBadCells(t *testing.T) {
 }
 
 // fakeSharder implements Sharder with canned health and an engine that
-// runs cells locally, for handler tests without a real cluster.
+// runs cells locally, for handler tests without a real cluster. Its
+// results cross the shard wire types as a shard's would, totals-only
+// when the caller asks for no layers, and it records every layers
+// argument it is given.
 type fakeSharder struct {
 	peers   []PeerHealth
 	summary ShardSummary
+
+	mu     sync.Mutex
+	layers []bool
 }
 
-func (f *fakeSharder) Sweep(ctx context.Context, cells []sweep.Cell) ([]sweep.Result, ShardSummary, error) {
+func (f *fakeSharder) Sweep(ctx context.Context, cells []sweep.Cell, layers bool) ([]sweep.Result, ShardSummary, error) {
+	f.mu.Lock()
+	f.layers = append(f.layers, layers)
+	f.mu.Unlock()
 	results, err := sweep.RunCells(ctx, cells, sweep.Options{})
+	if err != nil {
+		return nil, f.summary, err
+	}
+	results, err = ShardResults(cells, ShardSweepResponse{Cells: wireResults(results, layers)})
 	return results, f.summary, err
+}
+
+// calls returns the layers argument of every Sweep call so far.
+func (f *fakeSharder) calls() []bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]bool(nil), f.layers...)
 }
 
 func (f *fakeSharder) Health(context.Context) []PeerHealth { return f.peers }
@@ -230,6 +254,64 @@ func TestRetryAfterJitter(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if got := exact.retryAfterSeconds(); got != 8 {
 			t.Fatalf("unseeded hint = %d, want exact 8", got)
+		}
+	}
+}
+
+// TestSharderLayersByCaller pins which callers ask the sharder for
+// per-layer reports. /v1/simulate returns the report and a store-backed
+// coordinator job persists it, so both ask for layers, and the simulate
+// CSV keeps its per-layer rows; /v1/sweep and a store-less job keep
+// only summary rows and ask for totals.
+func TestSharderLayersByCaller(t *testing.T) {
+	const simBody = `{"arch":"inca","model":"LeNet5","phase":"inference"}`
+	const sweepBody = `{"archs":["inca","baseline"],"models":["LeNet5"],"phases":["inference"]}`
+	runJob := func(base string) {
+		t.Helper()
+		var snap job.Snapshot
+		if err := json.Unmarshal(readAll(t, post(t, base+"/v1/jobs", sweepBody, nil)), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := waitJob(t, base, snap.ID); got.State != job.StateSucceeded {
+			t.Fatalf("job ended %s: %s", got.State, got.Error)
+		}
+	}
+
+	sh := &fakeSharder{}
+	_, ts := newTestServer(t, Options{Sharder: sh, Jobs: newJobManager(t, "", job.Options{Runners: 1})})
+	_, plainTS := newTestServer(t, Options{})
+	want := readAll(t, post(t, plainTS.URL+"/v1/simulate?format=csv", simBody, nil))
+	if got := readAll(t, post(t, ts.URL+"/v1/simulate?format=csv", simBody, nil)); !bytes.Equal(got, want) {
+		t.Fatalf("sharded simulate CSV differs from a local run's:\n%s\nvs\n%s", got, want)
+	}
+	if n := strings.Count(string(want), "\n"); n < 3 {
+		t.Fatalf("simulate CSV has %d lines, want per-layer rows:\n%s", n, want)
+	}
+	readAll(t, post(t, ts.URL+"/v1/simulate", simBody, nil))
+	readAll(t, post(t, ts.URL+"/v1/sweep", sweepBody, nil))
+	runJob(ts.URL)
+	if got, want := fmt.Sprint(sh.calls()), "[true true false false]"; got != want {
+		t.Fatalf("layers asked by simulate csv, simulate, sweep, job = %s, want %s", got, want)
+	}
+
+	stSh := &fakeSharder{}
+	_, stURL, st := newStoreServer(t, Options{Sharder: stSh, Jobs: newJobManager(t, "", job.Options{Runners: 1})})
+	runJob(stURL)
+	if got := fmt.Sprint(stSh.calls()); got != "[true]" {
+		t.Fatalf("store-backed job asked layers = %s, want [true]", got)
+	}
+	cells, err := sweep.Plan{
+		Archs:    []sweep.Arch{sweep.INCAArch(), sweep.BaselineArch()},
+		Networks: []*nn.Network{nn.LeNet5()},
+		Phases:   []sim.Phase{sim.Inference},
+	}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range runLocal(t, cells) {
+		rep, ok := st.Get(cells[i].Key().String())
+		if !ok || rep.TotalsOnly() || len(rep.Layers) == 0 || len(rep.Layers) != len(res.Report.Layers) {
+			t.Fatalf("store record for %s is not a full report (found %v)", cells[i].Key(), ok)
 		}
 	}
 }

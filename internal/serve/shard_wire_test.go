@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"regexp"
 	"testing"
 
 	"github.com/inca-arch/inca/internal/nn"
@@ -119,7 +121,7 @@ func TestShardWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := runLocal(t, cells)
-	resp := ShardSweepResponse{ShardID: "s-1", Cells: wireResults(local), Cache: sweep.CacheStats{Hits: 3, Misses: 5}}
+	resp := ShardSweepResponse{ShardID: "s-1", Cells: wireResults(local, true), Cache: sweep.CacheStats{Hits: 3, Misses: 5}}
 	raw := encodeShardResponse(t, resp)
 
 	legacy := legacyShardResponse{ShardID: resp.ShardID, Cache: resp.Cache}
@@ -194,10 +196,117 @@ func TestShardResultsRejectsEmptyCell(t *testing.T) {
 	}
 }
 
+// TestShardWireTotalsOnlyDiffersInLayers posts the same cells to two
+// fresh shards, once plain and once with totals set: the totals reply
+// is the full reply with every report's layers array replaced by null,
+// and nothing else differs.
+func TestShardWireTotalsOnlyDiffersInLayers(t *testing.T) {
+	cells, err := wirePlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := WireCells(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := func(totals bool) []byte {
+		t.Helper()
+		body, err := json.Marshal(ShardSweepRequest{Cells: wire, Totals: totals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Options{})
+		resp := post(t, ts.URL+"/v1/shard/sweep", string(body), nil)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("totals=%v: status = %d: %s", totals, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	full, totals := reply(false), reply(true)
+	// Layer objects hold no arrays, so the first ']' closes the layers.
+	layers := regexp.MustCompile(`"layers":\[[^\]]*\]`)
+	if n := len(layers.FindAll(full, -1)); n != 7 {
+		t.Fatalf("full reply carries %d layers arrays, want one per report (7)", n)
+	}
+	if want := layers.ReplaceAll(full, []byte(`"layers":null`)); !bytes.Equal(totals, want) {
+		t.Fatalf("totals reply is not the full reply with null layers:\n%s\nvs\n%s", totals, want)
+	}
+}
+
+// fuzzCells is FuzzShardResults' fixed request: a full report cell
+// (INCA LeNet5 inference) and an error cell (OS LeNet5 training).
+func fuzzCells(tb testing.TB) []sweep.Cell {
+	tb.Helper()
+	cells, err := wirePlan().Cells()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []sweep.Cell{cells[0], cells[7]}
+}
+
+// FuzzShardResults feeds arbitrary bytes to the coordinator's side of
+// the shard wire: decode as a ShardSweepResponse, then lift it against
+// a fixed cell list with ShardResults. It must never panic; every
+// accepted report re-encodes to exactly the wire form it was decoded
+// from, and a totals-only one yields the summary row its wire fields
+// state. Seeds (full, totals-only, error-cell, seq-mismatch and
+// missing-report responses) live in testdata/fuzz/FuzzShardResults.
+func FuzzShardResults(f *testing.F) {
+	cells := fuzzCells(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var resp ShardSweepResponse
+		if json.Unmarshal(raw, &resp) != nil {
+			return
+		}
+		results, err := ShardResults(cells, resp)
+		if err != nil {
+			return
+		}
+		for i, res := range results {
+			cr := resp.Cells[i]
+			if res.Err != nil {
+				continue
+			}
+			got, err := json.Marshal(res.Report.Wire())
+			if err != nil {
+				t.Fatalf("cell %d: accepted report does not re-encode: %v", i, err)
+			}
+			want, err := json.Marshal(cr.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cell %d: accepted report re-encodes differently:\n%s\nvs\n%s", i, got, want)
+			}
+			if !res.Report.TotalsOnly() {
+				continue
+			}
+			row, w := summaryRow(res, true), cr.Report
+			for _, f := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"energy_j", row.EnergyJ, w.Total.Energy.TotalJ},
+				{"latency_s", row.LatencyS, w.Total.LatencyS},
+				{"energy_per_image_j", row.EnergyPerImageJ, w.EnergyPerImageJ},
+				{"throughput_ips", row.ThroughputIPS, w.ThroughputIPS},
+				{"utilization", row.Utilization, w.Utilization},
+			} {
+				if math.Float64bits(f.got) != math.Float64bits(f.want) {
+					t.Fatalf("cell %d: totals-only row %s = %v, wire says %v", i, f.name, f.got, f.want)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkShardRoundTrip is the layer probe for the shard wire: eight
 // warm cells (reports already evaluated) lowered to the wire, encoded as
 // the shard encodes them, decoded as the coordinator's client decodes
-// them, and lifted back into engine results.
+// them, and lifted back into engine results — with full reports, as
+// /v1/simulate and store-backed jobs ask for them, and totals-only, as
+// a sharded /v1/sweep does.
 func BenchmarkShardRoundTrip(b *testing.B) {
 	cells, err := sweep.Plan{
 		Archs:    []sweep.Arch{sweep.INCAArch(), sweep.BaselineArch()},
@@ -208,16 +317,22 @@ func BenchmarkShardRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	local := runLocal(b, cells)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		raw := encodeShardResponse(b, ShardSweepResponse{ShardID: "s", Cells: wireResults(local)})
-		var decoded ShardSweepResponse
-		if err := json.Unmarshal(raw, &decoded); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ShardResults(cells, decoded); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name   string
+		layers bool
+	}{{"full", true}, {"totals", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				raw := encodeShardResponse(b, ShardSweepResponse{ShardID: "s", Cells: wireResults(local, bc.layers)})
+				var decoded ShardSweepResponse
+				if err := json.Unmarshal(raw, &decoded); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ShardResults(cells, decoded); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

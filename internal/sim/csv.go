@@ -10,8 +10,13 @@ import (
 
 // WriteCSV exports the report's per-layer trace — energies by component,
 // latency, utilization, and raw event counts — as CSV, with a final TOTAL
-// row. The format is stable for downstream analysis tooling.
+// row. The format is stable for downstream analysis tooling. A
+// totals-only report has no trace to export and fails with
+// ErrEmptyReport.
 func (r *Report) WriteCSV(w io.Writer) error {
+	if r.totalsOnly {
+		return fmt.Errorf("%w: totals-only report has no per-layer rows", ErrEmptyReport)
+	}
 	cw := csv.NewWriter(w)
 	header := []string{
 		"layer", "kind",

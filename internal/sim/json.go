@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
@@ -82,7 +83,8 @@ type layerJSON struct {
 // UnmarshalJSON go through it, and a payload that embeds a *WireReport
 // directly (the cluster shard wire) encodes to the same bytes as the
 // report itself while skipping the marshal-then-splice pass. Wire and
-// Report convert in each direction.
+// Report convert in each direction. Layers is null in the totals-only
+// form (WireTotals) and an array, possibly empty, otherwise.
 type WireReport struct {
 	Arch            string      `json:"arch"`
 	Network         string      `json:"network"`
@@ -98,7 +100,18 @@ type WireReport struct {
 // Wire builds the report's stable JSON form, with explicit units and
 // derived per-image figures. EnergyPerImageJ is zero when the batch size
 // is not positive (the error-returning accessor remains EnergyPerImage).
-func (r *Report) Wire() *WireReport {
+// A totals-only report keeps its totals-only form.
+func (r *Report) Wire() *WireReport { return r.wire(!r.totalsOnly) }
+
+// WireTotals builds the wire form without per-layer rows
+// ("layers":null); every other field is Wire's. It is for consumers
+// that keep only a report's totals, such as a sharded sweep's summary
+// rows: the form is a fraction of the full one for deep networks, and
+// Report decodes it into a totals-only report whose Utilization is the
+// wire's.
+func (r *Report) WireTotals() *WireReport { return r.wire(false) }
+
+func (r *Report) wire(layers bool) *WireReport {
 	out := &WireReport{
 		Arch:          r.Arch,
 		Network:       r.Network,
@@ -107,11 +120,14 @@ func (r *Report) Wire() *WireReport {
 		ThroughputIPS: r.Throughput(),
 		Utilization:   r.Utilization(),
 		Total:         encodeResult(r.Total),
-		Layers:        make([]layerJSON, 0, len(r.Layers)),
 	}
 	if perImage, err := r.EnergyPerImage(); err == nil {
 		out.EnergyPerImageJ = perImage
 	}
+	if !layers {
+		return out
+	}
+	out.Layers = make([]layerJSON, 0, len(r.Layers))
 	for _, lr := range r.Layers {
 		out.Layers = append(out.Layers, layerJSON{
 			Name:           lr.Layer.Name,
@@ -130,8 +146,10 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 }
 
 // decodeEnergy rebuilds the per-component tally. The wire total is
-// derived, so it is not read back; the decoded Total() recomputes it
-// from the same component values and agrees bit-for-bit.
+// derived, so it is not read back: the decoded Total() recomputes it
+// from the same component values, and a wire total that disagrees with
+// it bit for bit is rejected. Components must be non-negative and not
+// negative zero, which the tally would not keep.
 func decodeEnergy(j energyJSON) (metrics.Energy, error) {
 	var e metrics.Energy
 	for _, c := range []struct {
@@ -145,12 +163,22 @@ func decodeEnergy(j energyJSON) (metrics.Energy, error) {
 		{metrics.DAC, j.DACJ},
 		{metrics.Digital, j.DigitalJ},
 	} {
-		if c.v < 0 {
+		if math.Signbit(c.v) {
 			return e, fmt.Errorf("sim: negative %v energy %v", c.comp, c.v)
 		}
 		e.Add(c.comp, c.v)
 	}
-	return e, nil
+	return e, checkDerived("total_j", j.TotalJ, e.Total())
+}
+
+// checkDerived rejects a wire figure that disagrees with its
+// recomputation from the decoded state, compared bit for bit so that
+// re-encoding an accepted report reproduces the wire exactly.
+func checkDerived(field string, wire, recomputed float64) error {
+	if math.Float64bits(wire) != math.Float64bits(recomputed) {
+		return fmt.Errorf("sim: wire %s %v disagrees with recomputed %v", field, wire, recomputed)
+	}
+	return nil
 }
 
 func decodeResult(j resultJSON) (metrics.Result, error) {
@@ -197,10 +225,12 @@ func parseKindName(s string) (nn.Kind, error) {
 
 // Report rebuilds a report from its stable wire form — the inverse of
 // Report.Wire. Derived fields (throughput, per-image energy, the energy
-// totals) are not read back; they recompute from the decoded state and
-// agree with the wire values, so Wire → Report → Wire is exact. Layer
-// geometry is not part of the wire schema: decoded layers carry only
-// name and kind.
+// totals, utilization) are not read back: they recompute from the
+// decoded state, and a wire form whose derived figures disagree is
+// rejected, so Wire → Report → Wire is exact for every accepted input.
+// A wire form with null layers decodes as a totals-only report, whose
+// utilization is the wire's. Layer geometry is not part of the wire
+// schema: decoded layers carry only name and kind.
 func (w *WireReport) Report() (*Report, error) {
 	phase, err := parsePhaseName(w.Phase)
 	if err != nil {
@@ -211,7 +241,9 @@ func (w *WireReport) Report() (*Report, error) {
 		return nil, err
 	}
 	out := &Report{Arch: w.Arch, Network: w.Network, Phase: phase, Batch: w.Batch, Total: total}
-	if len(w.Layers) > 0 {
+	if w.Layers == nil {
+		out.totalsOnly, out.wireUtil = true, w.Utilization
+	} else if len(w.Layers) > 0 {
 		out.Layers = make([]LayerResult, 0, len(w.Layers))
 	}
 	for _, lj := range w.Layers {
@@ -229,6 +261,22 @@ func (w *WireReport) Report() (*Report, error) {
 			Utilization:    lj.Utilization,
 			AllocatedCells: lj.AllocatedCells,
 		})
+	}
+	var perImage float64
+	if p, err := out.EnergyPerImage(); err == nil {
+		perImage = p
+	}
+	for _, d := range []struct {
+		field            string
+		wire, recomputed float64
+	}{
+		{"energy_per_image_j", w.EnergyPerImageJ, perImage},
+		{"throughput_ips", w.ThroughputIPS, out.Throughput()},
+		{"utilization", w.Utilization, out.Utilization()},
+	} {
+		if err := checkDerived(d.field, d.wire, d.recomputed); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

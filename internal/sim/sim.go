@@ -70,12 +70,26 @@ type Report struct {
 	// Total includes per-layer results plus any network-level costs
 	// (pipeline fill, weight programming, update writes).
 	Total metrics.Result
+
+	// totalsOnly marks a report decoded from a wire form without layers
+	// (see WireTotals); wireUtil then holds the wire's utilization, which
+	// the missing layers can no longer recompute.
+	totalsOnly bool
+	wireUtil   float64
 }
+
+// TotalsOnly reports whether the report was decoded from a wire form
+// without per-layer rows: its totals, utilization and derived figures
+// are exact, but Layers is empty and WriteCSV refuses it.
+func (r *Report) TotalsOnly() bool { return r.totalsOnly }
 
 // Utilization returns the allocation-weighted mean utilization across
 // compute layers — the Fig. 16 metric: total useful cells over total
 // allocated cells.
 func (r *Report) Utilization() float64 {
+	if r.totalsOnly {
+		return r.wireUtil
+	}
 	var useful, alloc float64
 	for _, lr := range r.Layers {
 		if !lr.Layer.IsCompute() || lr.AllocatedCells == 0 {

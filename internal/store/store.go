@@ -342,9 +342,11 @@ func (s *Store) expiredAt(created int64, now time.Time) bool {
 // previous record for the key (the newer one wins at the index; the old
 // bytes fall away at the next compaction). Disk errors are swallowed
 // into the IOErrors counter — a failing disk must not fail the sweep
-// above it. The signature matches sweep.Tier.
+// above it. A totals-only report (sim.Report.TotalsOnly) is not
+// stored: a record must replay the full report. The signature matches
+// sweep.Tier.
 func (s *Store) Put(key string, rep *sim.Report) {
-	if rep == nil {
+	if rep == nil || rep.TotalsOnly() {
 		return
 	}
 	body, err := json.Marshal(rep)

@@ -2,8 +2,8 @@
 # cluster_smoke.sh — end-to-end smoke test for the sharded sweep
 # cluster, run by `make cluster-smoke` and CI. Boots three shard nodes,
 # a coordinator scatter/gathering across them, and a plain single-node
-# reference. Asserts: the coordinator's sweep CSV is byte-identical to
-# the reference node's; after SIGKILLing one shard the next sweep still
+# reference. Asserts: the coordinator's sweep CSV, and the cells of its
+# JSON sweep, are byte-identical to the reference node's; after SIGKILLing one shard the next sweep still
 # completes byte-identical (lost cells rehash onto survivors) and the
 # coordinator's readiness degrades without going unready; and the
 # coalescing counter family is exported. Exits nonzero on any mismatch.
@@ -72,6 +72,28 @@ cmp -s "$tmp/a-coord.csv" "$tmp/a-ref.csv" || {
 }
 [ "$(wc -l <"$tmp/a-coord.csv")" -eq 5 ] || {
     echo "cluster-smoke: sweep A returned $(wc -l <"$tmp/a-coord.csv") lines, want header + 4 cells" >&2
+    exit 1
+}
+
+# The CSV rounds utilization to 4 places; the JSON rows carry every
+# figure at full precision, so compare sweep A's "cells" array too. The
+# rest of the body (cache stats, shard summary) legitimately differs.
+cells_of() {
+    sed -n 's/^{"cells":\(\[.*\]\),"cached":.*$/\1/p' "$1"
+}
+for node in coord ref; do
+    eval "url=\$$node"
+    curl -fsS -X POST -H 'Content-Type: application/json' -d "$sweepA" \
+        "$url/v1/sweep" >"$tmp/a-$node.json"
+    cells_of "$tmp/a-$node.json" >"$tmp/a-$node.cells"
+done
+[ -s "$tmp/a-ref.cells" ] || {
+    echo "cluster-smoke: no cells array in the reference's sweep A JSON" >&2
+    exit 1
+}
+cmp -s "$tmp/a-coord.cells" "$tmp/a-ref.cells" || {
+    echo "cluster-smoke: sweep A JSON cells differ between coordinator and single node" >&2
+    diff "$tmp/a-ref.cells" "$tmp/a-coord.cells" >&2 || true
     exit 1
 }
 
