@@ -48,6 +48,12 @@ func (s ConvSpec) checkKernel(op string, h, w, kh, kw int) {
 // The result has shape [N, OH, OW]. This is the mathematical "direct
 // convolution" the INCA 2T1R array implements (paper Eq. 1).
 func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
+	return Conv2DInto(nil, x, w, spec)
+}
+
+// Conv2DInto computes Conv2D(x, w, spec) into out when out already has the
+// result's shape, and into a new tensor otherwise, and returns the result.
+func Conv2DInto(out, x, w *Tensor, spec ConvSpec) *Tensor {
 	spec.validate()
 	if x.Rank() != 3 || w.Rank() != 4 {
 		panic(fmt.Sprintf("tensor: Conv2D wants x rank 3 and w rank 4, got %v and %v", x.Dims(), w.Dims()))
@@ -58,41 +64,146 @@ func Conv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 		panic(fmt.Sprintf("tensor: Conv2D channel mismatch: x has %d, w has %d", c, wc))
 	}
 	spec.checkKernel("Conv2D", h, wd, kh, kw)
-	oh, ow := spec.OutSize(h, kh), spec.OutSize(wd, kw)
-	out := New(n, oh, ow)
-	xd, wdat, od := x.data, w.data, out.data
+	g := convGeom{c: c, h: h, w: wd, n: n, kh: kh, kw: kw,
+		oh: spec.OutSize(h, kh), ow: spec.OutSize(wd, kw), stride: spec.Stride, pad: spec.Pad}
+	out = reuse(out, n, g.oh, g.ow)
 	// Output channels are independent, so they parallelize without
 	// changing any per-element reduction order.
-	parallelFor(n, 2*int64(oh)*int64(ow)*int64(c)*int64(kh)*int64(kw), func(lo, hi int) {
-		for on := lo; on < hi; on++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					sum := 0.0
-					iy0 := oy*spec.Stride - spec.Pad
-					ix0 := ox*spec.Stride - spec.Pad
-					for ic := 0; ic < c; ic++ {
-						for ky := 0; ky < kh; ky++ {
-							iy := iy0 + ky
-							if iy < 0 || iy >= h {
-								continue
-							}
-							xrow := (ic*h + iy) * wd
-							wrow := ((on*c+ic)*kh + ky) * kw
-							for kx := 0; kx < kw; kx++ {
-								ix := ix0 + kx
-								if ix < 0 || ix >= wd {
-									continue
-								}
-								sum += xd[xrow+ix] * wdat[wrow+kx]
-							}
-						}
-					}
-					od[(on*oh+oy)*ow+ox] = sum
-				}
-			}
-		}
+	parallelFor(n, 2*int64(g.oh)*int64(g.ow)*int64(c)*int64(kh)*int64(kw), func(lo, hi int) {
+		conv2DChannels(g, x.data, w.data, out.data, lo, hi)
 	})
 	return out
+}
+
+// convGeom is the geometry of one convolution: c input channels of h×w,
+// n kernels of kh×kw, oh×ow outputs, and the spec's stride and padding.
+type convGeom struct {
+	c, h, w     int
+	n, kh, kw   int
+	oh, ow      int
+	stride, pad int
+}
+
+// taps returns the kernel taps [lo, hi) that land inside an input axis of
+// size size for a window starting at coordinate i0 (negative in padding).
+// The range is empty (lo == hi) when the window lies wholly in padding.
+func taps(i0, k, size int) (lo, hi int) {
+	lo = max(0, -i0)
+	return lo, max(lo, min(k, size-i0))
+}
+
+// interior returns the output indices [lo, hi) along one axis of out
+// outputs at stride s whose window of k taps lies wholly inside an input
+// axis of size size padded by p.
+func interior(size, k, out, s, p int) (lo, hi int) {
+	lo = min(out, (p+s-1)/s)
+	if size-k+p < 0 {
+		return lo, lo
+	}
+	return lo, max(lo, min(out, (size-k+p)/s+1))
+}
+
+// conv2DChannels computes output channels [lo, hi) of Conv2D, two at a
+// time. Outputs whose window lies wholly inside the input go in blocks of
+// four, in row-major order: a block holds its four input row segments
+// while the two kernels' rows stream past, so each input load feeds two
+// sums, each weight load feeds four, and no tap needs a bounds test. The
+// remaining outputs (windows reaching into padding, and the last partial
+// block) go one at a time over their in-bounds taps. Either way every
+// output sums its terms in (ic, ky, kx) order over exactly the in-bounds
+// taps, as the direct loop does, so results are bit-identical to it for
+// any values, NaN and Inf included.
+func conv2DChannels(g convGeom, xd, wd, od []float64, lo, hi int) {
+	oyLo, oyHi := interior(g.h, g.kh, g.oh, g.stride, g.pad)
+	oxLo, oxHi := interior(g.w, g.kw, g.ow, g.stride, g.pad)
+	inner := (oyHi - oyLo) * (oxHi - oxLo)
+	c, h, w, kh, kw := g.c, g.h, g.w, g.kh, g.kw
+	wlen, plen := c*kh*kw, g.oh*g.ow
+	for on := lo; on < hi; on += 2 {
+		// An odd last channel pairs with itself and is computed twice.
+		on1 := min(on+1, hi-1)
+		wn0, wn1 := wd[on*wlen:(on+1)*wlen], wd[on1*wlen:(on1+1)*wlen]
+		p0, p1 := od[on*plen:(on+1)*plen], od[on1*plen:(on1+1)*plen]
+		// (oy, ox) walks the interior in row-major order.
+		oy, ox := oyLo, oxLo
+		var outs, bases [4]int
+		for t := 0; t+4 <= inner; t += 4 {
+			for j := range outs {
+				outs[j] = oy*g.ow + ox
+				bases[j] = (oy*g.stride-g.pad)*w + ox*g.stride - g.pad
+				if ox++; ox == oxHi {
+					oy, ox = oy+1, oxLo
+				}
+			}
+			var a0, a1, a2, a3, b0, b1, b2, b3 float64
+			// r steps through the input rows under each kernel row k.
+			for ic, k := 0, 0; ic < c; ic++ {
+				for r := ic * h * w; r < (ic*h+kh)*w; r, k = r+w, k+kw {
+					wr := wn0[k : k+kw]
+					vr := wn1[k : k+kw][:len(wr)]
+					x0 := xd[bases[0]+r:][:len(wr)]
+					x1 := xd[bases[1]+r:][:len(wr)]
+					x2 := xd[bases[2]+r:][:len(wr)]
+					x3 := xd[bases[3]+r:][:len(wr)]
+					for kx, wv := range wr {
+						vv := vr[kx]
+						e0, e1, e2, e3 := x0[kx], x1[kx], x2[kx], x3[kx]
+						a0 += e0 * wv
+						a1 += e1 * wv
+						a2 += e2 * wv
+						a3 += e3 * wv
+						b0 += e0 * vv
+						b1 += e1 * vv
+						b2 += e2 * vv
+						b3 += e3 * vv
+					}
+				}
+			}
+			p0[outs[0]], p0[outs[1]], p0[outs[2]], p0[outs[3]] = a0, a1, a2, a3
+			p1[outs[0]], p1[outs[1]], p1[outs[2]], p1[outs[3]] = b0, b1, b2, b3
+		}
+		// The last partial block of the interior, then the border.
+		for t := inner - inner%4; t < inner; t++ {
+			p0[oy*g.ow+ox] = convPoint(g, xd, wn0, oy, ox)
+			p1[oy*g.ow+ox] = convPoint(g, xd, wn1, oy, ox)
+			if ox++; ox == oxHi {
+				oy, ox = oy+1, oxLo
+			}
+		}
+		for oy := 0; oy < g.oh; oy++ {
+			for ox := 0; ox < g.ow; ox++ {
+				if ox == oxLo && oy >= oyLo && oy < oyHi {
+					if ox = oxHi; ox == g.ow {
+						break
+					}
+				}
+				p0[oy*g.ow+ox] = convPoint(g, xd, wn0, oy, ox)
+				p1[oy*g.ow+ox] = convPoint(g, xd, wn1, oy, ox)
+			}
+		}
+	}
+}
+
+// convPoint computes one Conv2D output of the kernel wn over its
+// in-bounds taps in (ic, ky, kx) order.
+func convPoint(g convGeom, xd, wn []float64, oy, ox int) float64 {
+	iy0, ix0 := oy*g.stride-g.pad, ox*g.stride-g.pad
+	kyLo, kyHi := taps(iy0, g.kh, g.h)
+	kxLo, kxHi := taps(ix0, g.kw, g.w)
+	sum := 0.0
+	if kxLo == kxHi {
+		return sum // the window lies wholly in padding
+	}
+	for ic := 0; ic < g.c; ic++ {
+		for ky := kyLo; ky < kyHi; ky++ {
+			xo := (ic*g.h+iy0+ky)*g.w + ix0
+			xr := xd[xo+kxLo : xo+kxHi]
+			for k, wv := range wn[(ic*g.kh+ky)*g.kw+kxLo : (ic*g.kh+ky)*g.kw+kxHi] {
+				sum += xr[k] * wv
+			}
+		}
+	}
+	return sum
 }
 
 // DepthwiseConv2D convolves each input channel with its own single-channel

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // MatVec returns the matrix-vector product a [M,N] × x [N] -> [M].
 func MatVec(a, x *Tensor) *Tensor {
@@ -59,34 +62,71 @@ func Outer(x, y *Tensor) *Tensor {
 }
 
 // ConvBackwardInput computes dL/dx for a convolution y = w * x with the
-// given spec, from the output gradient delta [N,OH,OW]. Following the
-// paper's Eq. 3, this is the (dilated, padded) delta convolved with the
-// transposed, 180°-rotated kernel. inH and inW give the input spatial size.
+// given spec, from the output gradient delta [N,OH,OW]. inH and inW give
+// the input spatial size. This is paper Eq. 3, the full convolution of the
+// dilated, padded delta with the transposed, 180°-rotated kernel, computed
+// directly in scatter form: each delta element is held while its kernel
+// taps add into the input positions its window covered. Visiting (in, oy,
+// ox) in ascending order adds each input position's terms in exactly the
+// full convolution's (in, ky descending, kx descending) order, without its
+// structural zeros (dilation gaps and border padding). Input rows or
+// columns no window covered keep gradient zero.
+//
+// While w is all-finite, zero deltas are skipped too: a zero delta times a
+// finite weight is ±0, and adding ±0 to an accumulator that starts at +0
+// (and so can never become −0) changes nothing. With a NaN or Inf weight
+// every delta counts, zeros included, but the structural zeros of the
+// rotated-kernel formulation still do not: there 0×Inf would be NaN.
 func ConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
 	spec.validate()
-	wt := Rot180(w) // [C, N, KH, KW]
-	kh := w.Dim(2)
-	// Undo stride by dilating the gradient, then full-convolve:
-	// pad by (k-1) so every input position receives all contributions.
-	d := Dilate(delta, spec.Stride)
-	full := Conv2D(Pad(d, kh-1), wt, ConvSpec{Stride: 1})
-	// full has size (dilH + kh - 1) × (dilW + kw - 1); input position i
-	// corresponds to full position i + pad. When the stride does not divide
-	// the input exactly, trailing input rows/cols were never covered by any
-	// window and keep gradient zero.
-	c := wt.Dim(0)
+	if w.Rank() != 4 || delta.Rank() != 3 {
+		panic(fmt.Sprintf("tensor: ConvBackwardInput wants w rank 4 and delta rank 3, got %v and %v", w.Dims(), delta.Dims()))
+	}
+	n, c, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
+	g := convGeom{c: c, h: inH, w: inW, n: n, kh: kh, kw: kw,
+		oh: delta.Dim(1), ow: delta.Dim(2), stride: spec.Stride, pad: spec.Pad}
+	spec.checkKernel("ConvBackwardInput", inH, inW, kh, kw)
+	g.checkDelta("ConvBackwardInput", delta)
 	dx := New(c, inH, inW)
-	fh, fw := full.Dim(1), full.Dim(2)
-	copyH := min(inH, fh-spec.Pad)
-	copyW := min(inW, fw-spec.Pad)
-	for ic := 0; ic < c; ic++ {
-		for y := 0; y < copyH; y++ {
-			srcRow := (ic*fh+y+spec.Pad)*fw + spec.Pad
-			dstRow := (ic*inH + y) * inW
-			copy(dx.data[dstRow:dstRow+copyW], full.data[srcRow:srcRow+copyW])
+	skipZeros := allFinite(w.data)
+	// Each input channel owns its own dx plane.
+	parallelFor(c, 2*int64(n)*int64(g.oh)*int64(g.ow)*int64(kh)*int64(kw), func(lo, hi int) {
+		convBackwardInputChannels(g, w.data, delta.data, dx.data, skipZeros, lo, hi)
+	})
+	return dx
+}
+
+func convBackwardInputChannels(g convGeom, wd, dd, dxd []float64, skipZeros bool, lo, hi int) {
+	s, p := g.stride, g.pad
+	ksize := g.kh * g.kw
+	for ic := lo; ic < hi; ic++ {
+		plane := dxd[ic*g.h*g.w : (ic+1)*g.h*g.w]
+		for in := 0; in < g.n; in++ {
+			wk := wd[(in*g.c+ic)*ksize : (in*g.c+ic+1)*ksize]
+			drows := dd[in*g.oh*g.ow : (in+1)*g.oh*g.ow]
+			for oy := 0; oy < g.oh; oy++ {
+				iy0 := oy*s - p
+				kyLo, kyHi := taps(iy0, g.kh, g.h)
+				for ox, dv := range drows[oy*g.ow : (oy+1)*g.ow] {
+					if dv == 0 && skipZeros {
+						continue
+					}
+					ix0 := ox*s - p
+					kxLo, kxHi := taps(ix0, g.kw, g.w)
+					if kxLo == kxHi {
+						continue // the window lies wholly in padding
+					}
+					for ky := kyLo; ky < kyHi; ky++ {
+						xo := (iy0+ky)*g.w + ix0
+						dr := plane[xo+kxLo : xo+kxHi]
+						for k, wv := range wk[ky*g.kw+kxLo : ky*g.kw+kxHi] {
+							dr[k] += dv * wv
+						}
+					}
+				}
+			}
 		}
 	}
-	return dx
 }
 
 // ConvBackwardWeights computes dL/dw for y = w * x: each weight gradient is
@@ -94,40 +134,87 @@ func ConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
 // (paper Eq. 4, "errors are convolved with inputs of the layer").
 // x is [C,H,W], delta is [N,OH,OW]; the result matches w's shape
 // [N,C,KH,KW].
+//
+// Each delta element is held while it feeds every tap of every input
+// channel, so all C×KH×KW gradients of one kernel accumulate side by side.
+// Each gradient still sums its (oy, ox) terms in ascending order, padding
+// positions (x = +0) included, as the direct loop does. While x is
+// all-finite, zero deltas are skipped: their terms are ±0 and the
+// accumulator, starting at +0, can never become −0.
 func ConvBackwardWeights(x, delta *Tensor, spec ConvSpec, kh, kw int) *Tensor {
+	return ConvBackwardWeightsInto(nil, x, delta, spec, kh, kw)
+}
+
+// ConvBackwardWeightsInto computes ConvBackwardWeights into dw when dw
+// already has the result's shape, and into a new tensor otherwise, and
+// returns the result.
+func ConvBackwardWeightsInto(dw, x, delta *Tensor, spec ConvSpec, kh, kw int) *Tensor {
 	spec.validate()
-	c := x.Dim(0)
-	n, oh, ow := delta.Dim(0), delta.Dim(1), delta.Dim(2)
-	xp := Pad(x, spec.Pad)
-	dw := New(n, c, kh, kw)
-	ph, pw := xp.Dim(1), xp.Dim(2)
+	if x.Rank() != 3 || delta.Rank() != 3 {
+		panic(fmt.Sprintf("tensor: ConvBackwardWeights wants x and delta rank 3, got %v and %v", x.Dims(), delta.Dims()))
+	}
+	g := convGeom{c: x.Dim(0), h: x.Dim(1), w: x.Dim(2), n: delta.Dim(0), kh: kh, kw: kw,
+		oh: delta.Dim(1), ow: delta.Dim(2), stride: spec.Stride, pad: spec.Pad}
+	spec.checkKernel("ConvBackwardWeights", g.h, g.w, kh, kw)
+	g.checkDelta("ConvBackwardWeights", delta)
+	xp := x
+	if g.pad > 0 {
+		xp = Pad(x, g.pad)
+		g.h, g.w, g.pad = xp.Dim(1), xp.Dim(2), 0
+	}
+	dw = reuse(dw, g.n, g.c, kh, kw)
+	skipZeros := allFinite(x.data)
 	// Each output-gradient channel owns a disjoint [c, kh, kw] slab of dw.
-	parallelFor(n, 2*int64(c)*int64(kh)*int64(kw)*int64(oh)*int64(ow), func(lo, hi int) {
-		for in := lo; in < hi; in++ {
-			for ic := 0; ic < c; ic++ {
-				for ky := 0; ky < kh; ky++ {
-					for kx := 0; kx < kw; kx++ {
-						sum := 0.0
-						for oy := 0; oy < oh; oy++ {
-							iy := oy*spec.Stride + ky
-							if iy >= ph {
-								continue
-							}
-							for ox := 0; ox < ow; ox++ {
-								ix := ox*spec.Stride + kx
-								if ix >= pw {
-									continue
-								}
-								sum += xp.data[(ic*ph+iy)*pw+ix] * delta.data[(in*oh+oy)*ow+ox]
-							}
+	parallelFor(g.n, 2*int64(g.c)*int64(kh)*int64(kw)*int64(g.oh)*int64(g.ow), func(lo, hi int) {
+		convBackwardWeightsChannels(g, xp.data, delta.data, dw.data, skipZeros, lo, hi)
+	})
+	return dw
+}
+
+func convBackwardWeightsChannels(g convGeom, xd, dd, dwd []float64, skipZeros bool, lo, hi int) {
+	s := g.stride
+	slabLen := g.c * g.kh * g.kw
+	for in := lo; in < hi; in++ {
+		slab := dwd[in*slabLen : (in+1)*slabLen]
+		drows := dd[in*g.oh*g.ow : (in+1)*g.oh*g.ow]
+		for oy := 0; oy < g.oh; oy++ {
+			for ox, dv := range drows[oy*g.ow : (oy+1)*g.ow] {
+				if dv == 0 && skipZeros {
+					continue
+				}
+				for ic := 0; ic < g.c; ic++ {
+					for ky := 0; ky < g.kh; ky++ {
+						xo := (ic*g.h+oy*s+ky)*g.w + ox*s
+						xr := xd[xo : xo+g.kw]
+						ar := slab[(ic*g.kh+ky)*g.kw : (ic*g.kh+ky+1)*g.kw]
+						for kx, xv := range xr {
+							ar[kx] += xv * dv
 						}
-						dw.data[((in*c+ic)*kh+ky)*kw+kx] = sum
 					}
 				}
 			}
 		}
-	})
-	return dw
+	}
+}
+
+// checkDelta panics unless delta is [n, oh, ow] with oh×ow the output size
+// of g's kernels over its input.
+func (g convGeom) checkDelta(op string, delta *Tensor) {
+	spec := ConvSpec{Stride: g.stride, Pad: g.pad}
+	if delta.Dim(0) != g.n || g.oh != spec.OutSize(g.h, g.kh) || g.ow != spec.OutSize(g.w, g.kw) {
+		panic(fmt.Sprintf("tensor: %s delta %v does not match %d kernels %dx%d over input %dx%d (stride %d, pad %d)",
+			op, delta.Dims(), g.n, g.kh, g.kw, g.h, g.w, g.stride, g.pad))
+	}
+}
+
+// allFinite reports whether every value is neither NaN nor ±Inf.
+func allFinite(v []float64) bool {
+	for _, f := range v {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // DepthwiseBackwardInput computes dL/dx for a depthwise convolution.

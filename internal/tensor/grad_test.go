@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,19 +38,25 @@ func checkClose(t *testing.T, name string, got, want *Tensor, tol float64) {
 
 // TestConvBackwardInputNumerical verifies the analytic full-convolution
 // backward pass (Eq. 3) against central differences for several geometries,
-// including strided and padded convolutions.
+// including strided, padded and non-square kernels.
 func TestConvBackwardInputNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cases := []struct{ c, h, w, n, k, s, p int }{
-		{1, 5, 5, 1, 3, 1, 0},
-		{2, 6, 6, 3, 3, 1, 1},
-		{2, 7, 7, 2, 3, 2, 1},
-		{1, 8, 8, 2, 2, 2, 0},
-		{3, 5, 5, 2, 1, 1, 0},
+	cases := []struct{ c, h, w, n, kh, kw, s, p int }{
+		{1, 5, 5, 1, 3, 3, 1, 0},
+		{2, 6, 6, 3, 3, 3, 1, 1},
+		{2, 7, 7, 2, 3, 3, 2, 1},
+		{1, 8, 8, 2, 2, 2, 2, 0},
+		{3, 5, 5, 2, 1, 1, 1, 0},
+		{2, 6, 6, 2, 3, 2, 1, 1},
+		{2, 6, 6, 2, 2, 3, 1, 1},
+		{2, 6, 6, 2, 1, 3, 1, 1},
+		{2, 6, 6, 2, 3, 1, 1, 1},
+		{2, 7, 6, 3, 3, 2, 2, 1},
+		{1, 6, 7, 2, 1, 3, 2, 0},
 	}
 	for _, cse := range cases {
 		x := Randn(rng, 1, cse.c, cse.h, cse.w)
-		w := Randn(rng, 1, cse.n, cse.c, cse.k, cse.k)
+		w := Randn(rng, 1, cse.n, cse.c, cse.kh, cse.kw)
 		spec := ConvSpec{Stride: cse.s, Pad: cse.p}
 		// loss = sum(conv(x, w)); dL/dy = ones.
 		y := Conv2D(x, w, spec)
@@ -57,30 +64,36 @@ func TestConvBackwardInputNumerical(t *testing.T) {
 		ones.Fill(1)
 		analytic := ConvBackwardInput(w, ones, spec, cse.h, cse.w)
 		numeric := numericalGrad(x, func() *Tensor { return Conv2D(x, w, spec) })
-		checkClose(t, "ConvBackwardInput", analytic, numeric, 1e-6)
+		checkClose(t, fmt.Sprintf("ConvBackwardInput %+v", cse), analytic, numeric, 1e-6)
 	}
 }
 
 // TestConvBackwardWeightsNumerical verifies the weight-gradient convolution
-// (Eq. 4) against central differences.
+// (Eq. 4) against central differences, non-square kernels included.
 func TestConvBackwardWeightsNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	cases := []struct{ c, h, w, n, k, s, p int }{
-		{1, 5, 5, 1, 3, 1, 0},
-		{2, 6, 6, 3, 3, 1, 1},
-		{2, 7, 7, 2, 3, 2, 1},
-		{3, 4, 4, 2, 1, 1, 0},
+	cases := []struct{ c, h, w, n, kh, kw, s, p int }{
+		{1, 5, 5, 1, 3, 3, 1, 0},
+		{2, 6, 6, 3, 3, 3, 1, 1},
+		{2, 7, 7, 2, 3, 3, 2, 1},
+		{3, 4, 4, 2, 1, 1, 1, 0},
+		{2, 6, 6, 2, 3, 2, 1, 1},
+		{2, 6, 6, 2, 2, 3, 1, 1},
+		{2, 6, 6, 2, 1, 3, 1, 1},
+		{2, 6, 6, 2, 3, 1, 1, 1},
+		{2, 7, 6, 3, 3, 2, 2, 1},
+		{1, 6, 7, 2, 1, 3, 2, 0},
 	}
 	for _, cse := range cases {
 		x := Randn(rng, 1, cse.c, cse.h, cse.w)
-		w := Randn(rng, 1, cse.n, cse.c, cse.k, cse.k)
+		w := Randn(rng, 1, cse.n, cse.c, cse.kh, cse.kw)
 		spec := ConvSpec{Stride: cse.s, Pad: cse.p}
 		y := Conv2D(x, w, spec)
 		ones := New(y.Dims()...)
 		ones.Fill(1)
-		analytic := ConvBackwardWeights(x, ones, spec, cse.k, cse.k)
+		analytic := ConvBackwardWeights(x, ones, spec, cse.kh, cse.kw)
 		numeric := numericalGrad(w, func() *Tensor { return Conv2D(x, w, spec) })
-		checkClose(t, "ConvBackwardWeights", analytic, numeric, 1e-6)
+		checkClose(t, fmt.Sprintf("ConvBackwardWeights %+v", cse), analytic, numeric, 1e-6)
 	}
 }
 

@@ -131,6 +131,97 @@ func serialConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 	return out
 }
 
+// refConvBackwardInput is the former ConvBackwardInput, kept as a
+// reference: the full convolution (by the direct reference loop) of the
+// dilated delta, padded by kh-1, with the transposed, 180°-rotated
+// kernel, cropped at the spec's padding. It pads both axes by kh-1, so it
+// is only right for square kernels.
+func refConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
+	wt := Rot180(w) // [C, N, KH, KW]
+	kh := w.Dim(2)
+	full := serialConv2D(Pad(Dilate(delta, spec.Stride), kh-1), wt, ConvSpec{Stride: 1})
+	c := wt.Dim(0)
+	dx := New(c, inH, inW)
+	fh, fw := full.Dim(1), full.Dim(2)
+	copyH := min(inH, fh-spec.Pad)
+	copyW := min(inW, fw-spec.Pad)
+	for ic := 0; ic < c; ic++ {
+		for y := 0; y < copyH; y++ {
+			srcRow := (ic*fh+y+spec.Pad)*fw + spec.Pad
+			dstRow := (ic*inH + y) * inW
+			copy(dx.data[dstRow:dstRow+copyW], full.data[srcRow:srcRow+copyW])
+		}
+	}
+	return dx
+}
+
+// refConvBackwardWeights is the former ConvBackwardWeights loop, kept as a
+// reference: one serial sum per weight over the padded input.
+func refConvBackwardWeights(x, delta *Tensor, spec ConvSpec, kh, kw int) *Tensor {
+	c := x.Dim(0)
+	n, oh, ow := delta.Dim(0), delta.Dim(1), delta.Dim(2)
+	xp := Pad(x, spec.Pad)
+	dw := New(n, c, kh, kw)
+	ph, pw := xp.Dim(1), xp.Dim(2)
+	for in := 0; in < n; in++ {
+		for ic := 0; ic < c; ic++ {
+			for ky := 0; ky < kh; ky++ {
+				for kx := 0; kx < kw; kx++ {
+					sum := 0.0
+					for oy := 0; oy < oh; oy++ {
+						iy := oy*spec.Stride + ky
+						if iy >= ph {
+							continue
+						}
+						for ox := 0; ox < ow; ox++ {
+							ix := ox*spec.Stride + kx
+							if ix >= pw {
+								continue
+							}
+							sum += xp.data[(ic*ph+iy)*pw+ix] * delta.data[(in*oh+oy)*ow+ox]
+						}
+					}
+					dw.data[((in*c+ic)*kh+ky)*kw+kx] = sum
+				}
+			}
+		}
+	}
+	return dw
+}
+
+// naiveConvBackwardInput scatters every delta element, zeros included,
+// through every in-bounds kernel tap in (in, oy, ox) order. It is the
+// reference for ConvBackwardInput when w holds NaN or Inf, where the
+// rotated-kernel formulation also multiplies structural zeros by them.
+func naiveConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
+	n, c, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2), w.Dim(3)
+	oh, ow := delta.Dim(1), delta.Dim(2)
+	dx := New(c, inH, inW)
+	for in := 0; in < n; in++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				dv := delta.At(in, oy, ox)
+				for ic := 0; ic < c; ic++ {
+					for ky := 0; ky < kh; ky++ {
+						iy := oy*spec.Stride - spec.Pad + ky
+						if iy < 0 || iy >= inH {
+							continue
+						}
+						for kx := 0; kx < kw; kx++ {
+							ix := ox*spec.Stride - spec.Pad + kx
+							if ix < 0 || ix >= inW {
+								continue
+							}
+							dx.Set(dx.At(ic, iy, ix)+dv*w.At(in, ic, ky, kx), ic, iy, ix)
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
 // serialMatMul is the pre-blocking reference loop (including the av == 0
 // skip, which is part of the kernel's semantics).
 func serialMatMul(a, b *Tensor) *Tensor {

@@ -55,7 +55,13 @@ func MaxPool2D(x *Tensor, k, stride int) MaxPoolResult {
 // input positions recorded in res.ArgMax; all other elements are "dead as
 // 0" (paper §II.B.2). inputDims gives the original input shape [C,H,W].
 func MaxPoolBackward(res MaxPoolResult, delta *Tensor, inputDims []int) *Tensor {
-	dx := New(inputDims...)
+	return MaxPoolBackwardInto(nil, res, delta, inputDims)
+}
+
+// MaxPoolBackwardInto computes MaxPoolBackward into dx when dx already has
+// shape inputDims, and into a new tensor otherwise, and returns the result.
+func MaxPoolBackwardInto(dx *Tensor, res MaxPoolResult, delta *Tensor, inputDims []int) *Tensor {
+	dx = reuse(dx, inputDims...)
 	for i, src := range res.ArgMax {
 		dx.data[src] += delta.data[i]
 	}
@@ -102,11 +108,18 @@ func GlobalAvgPool2D(x *Tensor) *Tensor {
 
 // ReLU returns max(x, 0) element-wise as a new tensor.
 func ReLU(x *Tensor) *Tensor {
-	out := x.Clone()
-	for i, v := range out.data {
+	return ReLUInto(nil, x)
+}
+
+// ReLUInto computes ReLU(x) into out when out already has x's shape, and
+// into a new tensor otherwise, and returns the result.
+func ReLUInto(out, x *Tensor) *Tensor {
+	out = reuse(out, x.dims...)
+	for i, v := range x.data {
 		if v < 0 {
-			out.data[i] = 0
+			v = 0
 		}
+		out.data[i] = v
 	}
 	return out
 }
@@ -115,8 +128,15 @@ func ReLU(x *Tensor) *Tensor {
 // activation input x: delta where x > 0, else 0. This is the AND-gate
 // formulation INCA uses in hardware (paper §IV.C).
 func ReLUBackward(x, delta *Tensor) *Tensor {
+	return ReLUBackwardInto(nil, x, delta)
+}
+
+// ReLUBackwardInto computes ReLUBackward(x, delta) into out when out
+// already has x's shape, and into a new tensor otherwise, and returns the
+// result.
+func ReLUBackwardInto(out, x, delta *Tensor) *Tensor {
 	x.mustSameShape(delta)
-	out := New(x.dims...)
+	out = reuse(out, x.dims...)
 	for i := range x.data {
 		if x.data[i] > 0 {
 			out.data[i] = delta.data[i]

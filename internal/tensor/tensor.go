@@ -38,6 +38,23 @@ func New(dims ...int) *Tensor {
 	return &Tensor{dims: append([]int(nil), dims...), data: make([]float64, n)}
 }
 
+// reuse returns t zero-filled when it already has exactly the given
+// dimensions, and New(dims...) otherwise. It backs the kernels' Into
+// forms, which let a caller keep one scratch tensor per call site; the
+// destination must not share storage with the kernel's inputs.
+func reuse(t *Tensor, dims ...int) *Tensor {
+	if t == nil || len(t.dims) != len(dims) {
+		return New(dims...)
+	}
+	for i, d := range dims {
+		if t.dims[i] != d {
+			return New(dims...)
+		}
+	}
+	clear(t.data)
+	return t
+}
+
 // FromSlice builds a tensor with the given dimensions backed by a copy of
 // data. It panics if len(data) does not match the dimension product.
 func FromSlice(data []float64, dims ...int) *Tensor {

@@ -45,7 +45,9 @@ func (n NoiseTarget) String() string {
 	}
 }
 
-// Layer is one differentiable stage of the network.
+// Layer is one differentiable stage of the network. Forward and Backward
+// may return scratch that the layer overwrites on its next call of the
+// same method; Network.Forward copies such a result before returning it.
 type Layer interface {
 	// Forward consumes the previous activation and returns the next.
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -66,8 +68,9 @@ type Conv struct {
 
 	readNoise *rram.NoiseModel // transient weight read noise
 
-	x  *tensor.Tensor // cached input
-	dW *tensor.Tensor
+	x   *tensor.Tensor // cached input
+	out *tensor.Tensor // Forward's scratch result
+	dW  *tensor.Tensor
 }
 
 // NewConv builds a conv layer with He-style initialization.
@@ -92,13 +95,19 @@ func (c *Conv) effectiveW() *tensor.Tensor {
 // Forward implements Eq. 1.
 func (c *Conv) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
-	return tensor.Conv2D(x, c.effectiveW(), c.Spec)
+	c.out = tensor.Conv2DInto(c.out, x, c.effectiveW(), c.Spec)
+	return c.out
 }
 
 // Backward implements Eqs. 3 and 4 for the convolution.
 func (c *Conv) Backward(delta *tensor.Tensor) *tensor.Tensor {
-	c.dW = tensor.ConvBackwardWeights(c.x, delta, c.Spec, c.W.Dim(2), c.W.Dim(3))
-	return tensor.ConvBackwardInput(c.effectiveW(), delta, c.Spec, c.x.Dim(1), c.x.Dim(2))
+	return tensor.ConvBackwardInput(c.weightGrad(delta), delta, c.Spec, c.x.Dim(1), c.x.Dim(2))
+}
+
+// weightGrad stores dW (Eq. 4); see weightGrader.
+func (c *Conv) weightGrad(delta *tensor.Tensor) *tensor.Tensor {
+	c.dW = tensor.ConvBackwardWeightsInto(c.dW, c.x, delta, c.Spec, c.W.Dim(2), c.W.Dim(3))
+	return c.effectiveW()
 }
 
 // Step applies W -= lr·dW, with optional persistent write noise.
@@ -153,10 +162,15 @@ func (f *FC) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward computes dW = δ⊗x, dB = δ, and returns Wᵀδ reshaped to the
 // input dimensions.
 func (f *FC) Backward(delta *tensor.Tensor) *tensor.Tensor {
+	dx := tensor.MatVecT(f.weightGrad(delta), delta)
+	return dx.Reshape(f.inDims...)
+}
+
+// weightGrad stores dW and dB; see weightGrader.
+func (f *FC) weightGrad(delta *tensor.Tensor) *tensor.Tensor {
 	f.dW = tensor.Outer(delta, f.x)
 	f.dB = delta.Clone()
-	dx := tensor.MatVecT(f.effectiveW(), delta)
-	return dx.Reshape(f.inDims...)
+	return f.effectiveW()
 }
 
 // Step applies the SGD update with optional persistent write noise.
@@ -170,17 +184,22 @@ func (f *FC) Step(lr float64, writeNoise *rram.NoiseModel) {
 
 // ReLU applies the rectifier; its backward is the AND-gate masking of
 // §IV.C.
-type ReLU struct{ x *tensor.Tensor }
+type ReLU struct {
+	x       *tensor.Tensor // cached input
+	out, dx *tensor.Tensor // Forward's and Backward's scratch results
+}
 
 // Forward applies max(x, 0).
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	r.x = x
-	return tensor.ReLU(x)
+	r.out = tensor.ReLUInto(r.out, x)
+	return r.out
 }
 
 // Backward masks the gradient by the input sign.
 func (r *ReLU) Backward(delta *tensor.Tensor) *tensor.Tensor {
-	return tensor.ReLUBackward(r.x, delta)
+	r.dx = tensor.ReLUBackwardInto(r.dx, r.x, delta)
+	return r.dx
 }
 
 // Step is a no-op (no parameters).
@@ -192,6 +211,7 @@ type MaxPool struct {
 	K      int
 	res    tensor.MaxPoolResult
 	inDims []int
+	dx     *tensor.Tensor // Backward's scratch result
 }
 
 // Forward pools and records argmax positions.
@@ -203,7 +223,8 @@ func (p *MaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward scatters gradients to the recorded positions.
 func (p *MaxPool) Backward(delta *tensor.Tensor) *tensor.Tensor {
-	return tensor.MaxPoolBackward(p.res, delta, p.inDims)
+	p.dx = tensor.MaxPoolBackwardInto(p.dx, p.res, delta, p.inDims)
+	return p.dx
 }
 
 // Step is a no-op (no parameters).
@@ -244,6 +265,12 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		x = l.Forward(x)
+	}
+	if len(n.Layers) > 0 {
+		switch n.Layers[len(n.Layers)-1].(type) {
+		case *Conv, *ReLU:
+			x = x.Clone() // the layer's scratch: the caller keeps this one
+		}
 	}
 	return x
 }
@@ -324,11 +351,29 @@ func (n *Network) evalReplica() *Network {
 	return r
 }
 
-// Backward propagates the loss gradient through all layers (Eq. 3).
+// Backward propagates the loss gradient through all layers (Eq. 3). The
+// first layer's input gradient has no consumer, so a parametric first
+// layer computes only its weight gradients; it still draws the read noise
+// its input gradient would have used, so every later draw is unchanged.
 func (n *Network) Backward(delta *tensor.Tensor) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		delta = n.Layers[i].Backward(delta)
 	}
+	if len(n.Layers) == 0 {
+		return
+	}
+	if g, ok := n.Layers[0].(weightGrader); ok {
+		g.weightGrad(delta)
+	} else {
+		n.Layers[0].Backward(delta)
+	}
+}
+
+// weightGrader is a parametric layer. weightGrad stores the layer's
+// parameter gradients for the output gradient delta and returns the
+// weights its input gradient would read, drawing their read noise.
+type weightGrader interface {
+	weightGrad(delta *tensor.Tensor) *tensor.Tensor
 }
 
 // Step updates every layer's parameters (Eq. 4).

@@ -228,3 +228,18 @@ func TestTableIShape(t *testing.T) {
 		}
 	}
 }
+
+// Conv and ReLU layers return scratch they overwrite on their next call;
+// Network.Forward must still hand the caller a tensor of its own.
+func TestForwardResultSurvivesNextForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, tail := range []Layer{&ReLU{}, NewConv(rng, 3, 2, 3, tensor.ConvSpec{Stride: 1})} {
+		net := &Network{Layers: []Layer{NewConv(rng, 2, 1, 3, tensor.ConvSpec{Stride: 1}), tail}}
+		first := net.Forward(tensor.Randn(rng, 1, 1, 8, 8))
+		kept := first.Clone()
+		net.Forward(tensor.Randn(rng, 1, 1, 8, 8))
+		if !tensorsBitEqual(first, kept) {
+			t.Fatalf("network ending in %T: a later Forward overwrote an earlier result", tail)
+		}
+	}
+}
