@@ -71,7 +71,7 @@ trace:
 # run). Seed corpora live in each package's testdata/fuzz; a crash
 # writes its input there, to be fixed and kept as a regression seed.
 fuzz-smoke:
-	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/serve/ ./internal/tensor/; do \
+	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/store/ ./internal/serve/ ./internal/tensor/; do \
 		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$fz"; \
 			$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 5s -parallel 2 $$pkg || exit 1; \

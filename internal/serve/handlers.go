@@ -130,11 +130,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				}
 				return
 			}
+			// The wire form encodes to the report's bytes in one pass;
+			// the report itself would be marshaled and then compacted.
 			if wantsCost(r) {
-				s.writeJSONCost(w, http.StatusOK, rep, cost.FromContext(ctx).Snapshot())
+				s.writeJSONCost(w, http.StatusOK, rep.Wire(), cost.FromContext(ctx).Snapshot())
 				return
 			}
-			s.writeJSON(w, http.StatusOK, rep)
+			s.writeJSON(w, http.StatusOK, rep.Wire())
 		})
 	})
 }

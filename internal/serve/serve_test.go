@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -77,6 +78,10 @@ func directReport(t *testing.T, cfg arch.Config, model string, phase sim.Phase) 
 	return rep
 }
 
+// TestSimulateMatchesDirectFacade pins the /v1/simulate body to
+// json.Marshal of the directly simulated report plus a newline, across
+// archs, models and phases, and with ?cost=1 once the spliced cost block
+// is stripped.
 func TestSimulateMatchesDirectFacade(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp := post(t, ts.URL+"/v1/simulate",
@@ -90,15 +95,31 @@ func TestSimulateMatchesDirectFacade(t *testing.T) {
 	if resp.Header.Get(requestIDHeader) == "" {
 		t.Fatal("missing request id header")
 	}
-	body := readAll(t, resp)
+	readAll(t, resp)
 
-	want, err := json.Marshal(directReport(t, arch.INCA(), "ResNet18", sim.Inference))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = append(want, '\n')
-	if !bytes.Equal(body, want) {
-		t.Fatalf("served body differs from direct facade encoding:\n got %.120s...\nwant %.120s...", body, want)
+	for _, c := range []struct {
+		arch  string
+		cfg   arch.Config
+		model string
+		phase sim.Phase
+	}{
+		{"inca", arch.INCA(), "ResNet18", sim.Inference},
+		{"inca", arch.INCA(), "ResNet18", sim.Training},
+		{"baseline", arch.Baseline(), "VGG16", sim.Inference},
+		{"baseline", arch.Baseline(), "LeNet5", sim.Training},
+	} {
+		want, err := json.Marshal(directReport(t, c.cfg, c.model, c.phase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		body := fmt.Sprintf(`{"arch":%q,"model":%q,"phase":%q}`, c.arch, c.model, c.phase)
+		if got := readAll(t, post(t, ts.URL+"/v1/simulate", body, nil)); !bytes.Equal(got, want) {
+			t.Fatalf("%s: served body differs from direct facade encoding:\n got %.120s...\nwant %.120s...", body, got, want)
+		}
+		if got := stripCost(t, readAll(t, post(t, ts.URL+"/v1/simulate?cost=1", body, nil))); !bytes.Equal(got, want) {
+			t.Fatalf("%s: cost body minus its block differs from direct facade encoding:\n got %.120s...\nwant %.120s...", body, got, want)
+		}
 	}
 }
 

@@ -51,11 +51,15 @@ func TestExportConcurrentWithTTLCompaction(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	expired := make(chan struct{})
 
-	// Writer: a fresh generation appended while exports run.
+	// Writer: a fresh generation appended while exports run. It starts
+	// once the clock has moved past the old generation's TTL: a record
+	// put before that is old too, and would rightly expire with it.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		<-expired
 		for i := 0; i < 64; i++ {
 			s.Put(fmt.Sprintf("new-%02d", i), testReport(fmt.Sprintf("new-%02d", i)))
 		}
@@ -105,6 +109,7 @@ func TestExportConcurrentWithTTLCompaction(t *testing.T) {
 	// Let the machinery overlap, then expire the old generation while
 	// everything is still running.
 	clock.advance(2 * time.Hour)
+	close(expired)
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()

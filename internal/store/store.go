@@ -50,7 +50,7 @@ import (
 )
 
 // segMagic names the segment format: an internal/wal log whose payloads
-// are JSON records (see record).
+// are JSON records (see codec.go).
 const segMagic = "INCASTO1"
 
 // ErrClosed reports an operation on a closed store.
@@ -89,18 +89,6 @@ func (o Options) withDefaults() Options {
 		o.now = time.Now
 	}
 	return o
-}
-
-// record is the JSON payload of one stored result. CreatedUnixNano
-// drives TTL expiry and oldest-first eviction; Addr is the hex SHA-256
-// of Key — redundant on disk (it recomputes from Key) but kept in the
-// wire form so corpus consumers can verify content addresses without
-// re-hashing.
-type record struct {
-	Key     string          `json:"key"`
-	Addr    string          `json:"addr"`
-	Created int64           `json:"created_unix_nano"`
-	Report  json.RawMessage `json:"report"`
 }
 
 // indexEntry locates one live record: which segment, where, how long,
@@ -257,13 +245,13 @@ func Open(dir string, opt Options) (*Store, error) {
 func (s *Store) openSegment(id int) (*segment, error) {
 	path := s.segPath(id)
 	log, torn, err := wal.Open(path, segMagic, false, func(off int64, payload []byte) bool {
-		var rec record
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
+		var head recordHead
+		if err := json.Unmarshal(payload, &head); err != nil || head.Key == "" {
 			return false // framed but undecodable: stop, do not index
 		}
-		a := addr(rec.Key)
-		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: rec.Created}
-		s.keys[a] = rec.Key
+		a := addr(head.Key)
+		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: head.Created}
+		s.keys[a] = head.Key
 		return true
 	})
 	if err != nil {
@@ -320,16 +308,19 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	var rec record
-	var rep sim.Report
 	payload, err := seg.log.ReadAt(e.off, e.size)
-	if err != nil || json.Unmarshal(payload, &rec) != nil || rec.Key != key || json.Unmarshal(rec.Report, &rep) != nil {
+	var rec record
+	var rep *sim.Report
+	if err == nil {
+		rec, rep, err = decodeRecord(payload)
+	}
+	if err != nil || rec.Key != key {
 		s.ioErrs.Add(1)
 		s.misses.Add(1)
 		return nil, false
 	}
 	s.hits.Add(1)
-	return &rep, true
+	return rep, true
 }
 
 // expiredAt reports whether a record created at the given unix-nano
@@ -349,24 +340,20 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	if rep == nil || rep.TotalsOnly() {
 		return
 	}
-	body, err := json.Marshal(rep)
-	if err != nil {
-		s.ioErrs.Add(1)
-		return
-	}
 	a := addr(key)
 	created := s.opt.now().UnixNano()
-	payload, err := json.Marshal(record{Key: key, Addr: a, Created: created, Report: body})
+	fb, err := encodeRecord(key, a, created, rep.Wire())
 	if err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
+	defer fb.release()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if err := s.appendTo(&s.view, a, key, payload, created); err != nil {
+	if err := s.appendTo(&s.view, a, key, fb.frame(), created); err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
@@ -378,10 +365,11 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	}
 }
 
-// appendTo appends one payload to the view's active segment, rolling to
-// a fresh segment first when the active one is full. Callers hold s.mu.
-func (s *Store) appendTo(v *view, a, key string, payload []byte, created int64) error {
-	size := wal.HeaderLen + int64(len(payload))
+// appendTo appends one record frame (see wal.Log.AppendFrame) to the
+// view's active segment, rolling to a fresh segment first when the
+// active one is full. Callers hold s.mu.
+func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) error {
+	size := int64(len(frame))
 	if v.active == nil || v.active.log.Size()+size > s.opt.SegmentMaxBytes {
 		seg, err := s.newSegment()
 		if err != nil {
@@ -390,7 +378,7 @@ func (s *Store) appendTo(v *view, a, key string, payload []byte, created int64) 
 		v.segs[seg.id] = seg
 		v.active = seg
 	}
-	off, err := v.active.log.Append(payload)
+	off, err := v.active.log.AppendFrame(frame)
 	if err != nil {
 		return err
 	}
@@ -413,7 +401,7 @@ func (s *Store) compactLocked() error {
 	type live struct {
 		a       string
 		key     string
-		payload []byte
+		frame   []byte
 		created int64
 	}
 	now := s.opt.now()
@@ -433,7 +421,7 @@ func (s *Store) compactLocked() error {
 			s.ioErrs.Add(1)
 			continue
 		}
-		survivors = append(survivors, live{a: a, key: s.keys[a], payload: payload, created: e.created})
+		survivors = append(survivors, live{a: a, key: s.keys[a], frame: wal.Frame(payload), created: e.created})
 	}
 	// Oldest-first eviction until the survivors fit comfortably (90% of
 	// the cap, so one more Put does not immediately re-trigger).
@@ -441,17 +429,17 @@ func (s *Store) compactLocked() error {
 	budget := s.opt.MaxBytes * 9 / 10
 	var total int64
 	for _, sv := range survivors {
-		total += wal.HeaderLen + int64(len(sv.payload))
+		total += int64(len(sv.frame))
 	}
 	drop := 0
 	for drop < len(survivors) && total > budget {
-		total -= wal.HeaderLen + int64(len(survivors[drop].payload))
+		total -= int64(len(survivors[drop].frame))
 		drop++
 	}
 
 	next := newView()
 	for _, sv := range survivors[drop:] {
-		if err := s.appendTo(&next, sv.a, sv.key, sv.payload, sv.created); err != nil {
+		if err := s.appendTo(&next, sv.a, sv.key, sv.frame, sv.created); err != nil {
 			next.close(true)
 			return err
 		}
@@ -572,8 +560,12 @@ type ImportResult struct {
 // for unknown keys are appended, records for keys the store already
 // holds are skipped (the local copy wins — equal keys mean byte-
 // identical reports, so there is nothing to reconcile), and records
-// whose content address does not match their key are rejected. A line
-// longer than the record ceiling (wal.MaxRecord) fails the import.
+// whose content address does not match their key are rejected. Each
+// report is decoded as Get decodes it, so a record that Get could never
+// serve — no report, an undecodable or totals-only one — is rejected
+// too, and an accepted one is stored re-encoded exactly as Put writes
+// it. A line longer than the record ceiling (wal.MaxRecord) fails the
+// import.
 func (s *Store) Import(r io.Reader) (ImportResult, error) {
 	var res ImportResult
 	sc := bufio.NewScanner(r)
@@ -583,8 +575,8 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
+		rec, rep, err := decodeRecord(line)
+		if err != nil {
 			res.Rejected++
 			continue
 		}
@@ -593,8 +585,7 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 			res.Rejected++
 			continue
 		}
-		rec.Addr = a
-		payload, err := json.Marshal(rec)
+		fb, err := encodeRecord(rec.Key, a, rec.Created, rep.Wire())
 		if err != nil {
 			res.Rejected++
 			continue
@@ -602,14 +593,17 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
+			fb.release()
 			return res, ErrClosed
 		}
 		if _, exists := s.index[a]; exists {
 			s.mu.Unlock()
+			fb.release()
 			res.Skipped++
 			continue
 		}
-		err = s.appendTo(&s.view, a, rec.Key, payload, rec.Created)
+		err = s.appendTo(&s.view, a, rec.Key, fb.frame(), rec.Created)
+		fb.release()
 		overflow := s.view.bytes() > s.opt.MaxBytes
 		if err == nil && overflow {
 			err = s.compactLocked()

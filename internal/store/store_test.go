@@ -22,7 +22,7 @@ func testReport(name string) *sim.Report {
 	return r
 }
 
-func mustOpen(t *testing.T, dir string, opt Options) *Store {
+func mustOpen(t testing.TB, dir string, opt Options) *Store {
 	t.Helper()
 	s, err := Open(dir, opt)
 	if err != nil {

@@ -45,11 +45,22 @@ var (
 
 // Frame returns payload framed as one record.
 func Frame(payload []byte) []byte {
-	out := make([]byte, HeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(out[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[HeaderLen:], payload)
-	return out
+	frame := reserve(payload)
+	seal(frame)
+	return frame
+}
+
+// reserve copies payload behind HeaderLen bytes left for its header.
+func reserve(payload []byte) []byte {
+	return append(make([]byte, HeaderLen, HeaderLen+len(payload)), payload...)
+}
+
+// seal fills a frame's header in place with the length and CRC of the
+// payload behind it, frame[HeaderLen:].
+func seal(frame []byte) {
+	payload := frame[HeaderLen:]
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:HeaderLen], crc32.ChecksumIEEE(payload))
 }
 
 // Scan reads a log from r: the magic, then each record in order. visit
@@ -160,16 +171,26 @@ func (l *Log) Size() int64 { return l.size }
 
 // Append frames payload and writes it at the tail, returning the
 // record's offset; the record's framed length is HeaderLen+len(payload).
+// It copies payload once; a writer that can build its payload behind a
+// reserved header calls AppendFrame instead.
 func (l *Log) Append(payload []byte) (int64, error) {
-	if len(payload) == 0 || len(payload) > MaxRecord {
+	return l.AppendFrame(reserve(payload))
+}
+
+// AppendFrame writes one record at the tail and returns its offset. frame
+// is the whole record: HeaderLen reserved bytes, which AppendFrame fills
+// in place with the length and CRC, followed by the payload. The record
+// goes out in one write with no copy, and its framed length is len(frame).
+func (l *Log) AppendFrame(frame []byte) (int64, error) {
+	if len(frame) <= HeaderLen || len(frame) > HeaderLen+MaxRecord {
 		return 0, ErrRecordSize
 	}
-	framed := Frame(payload)
+	seal(frame)
 	off := l.size
-	if _, err := l.f.WriteAt(framed, off); err != nil {
+	if _, err := l.f.WriteAt(frame, off); err != nil {
 		return 0, err
 	}
-	l.size += int64(len(framed))
+	l.size += int64(len(frame))
 	return off, nil
 }
 

@@ -169,6 +169,33 @@ func TestAppendAndReadAtReject(t *testing.T) {
 	}
 }
 
+// TestAppendFrameFillsHeaderInPlace pins the in-place write path: the
+// reserved header bytes are overwritten whatever they held, the record
+// on disk equals Frame of the payload, and a frame with no payload or an
+// oversized one is refused.
+func TestAppendFrameFillsHeaderInPlace(t *testing.T) {
+	l, _, _ := openAll(t, filepath.Join(t.TempDir(), "log"), true)
+	frame := append(bytes.Repeat([]byte{0xff}, HeaderLen), "payload"...)
+	off, err := l.AppendFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Frame([]byte("payload")); !bytes.Equal(frame, want) {
+		t.Fatalf("sealed frame = % x, want % x", frame, want)
+	}
+	if p, err := l.ReadAt(off, int64(len(frame))); err != nil || string(p) != "payload" {
+		t.Fatalf("ReadAt = %q, %v", p, err)
+	}
+	for _, n := range []int{0, HeaderLen, HeaderLen + MaxRecord + 1} {
+		if _, err := l.AppendFrame(make([]byte, n)); !errors.Is(err, ErrRecordSize) {
+			t.Fatalf("AppendFrame(%d bytes) = %v, want ErrRecordSize", n, err)
+		}
+	}
+	if l.Size() != off+int64(len(frame)) {
+		t.Fatalf("refused frames moved the tail to %d", l.Size())
+	}
+}
+
 // FuzzScan feeds arbitrary bytes to Scan. It must never panic; the
 // offset it returns must lie on a record boundary within the input; and
 // the payloads it accepted, framed again behind the magic, must rebuild
