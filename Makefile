@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet race api-surface api-surface-update bench bench-pr bench-gate bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
+.PHONY: check build test vet race api-surface api-surface-update bench-gate bench-budget bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
 
 check: vet build race api-surface bench-gate
 
@@ -28,23 +28,27 @@ api-surface:
 api-surface-update:
 	GO=$(GO) sh scripts/api_surface.sh -update
 
-# Tensor-kernel serial-vs-parallel baseline, recorded in the repo root.
-bench:
-	$(GO) run ./cmd/inca-bench -o BENCH_PR2.json
+# The layer probes behind the allocation-budget gate: the go test
+# benchmarks on the paths the BENCHMARK.json workloads cross (sweep
+# engine and memo cache, result store, shard wire, the SmallCNN training
+# kernels and one noise-train trial, the disabled tracer). They run at
+# -cpu 1 because the parallel kernels' allocation counts vary with
+# goroutine scheduling at more procs.
+BENCH_PROBES = $(GO) test -run '^$$' \
+	-bench '^Benchmark(PaperSweep(Serial|Cached)|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
+	-benchmem -benchtime 20x -cpu 1 \
+	./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/
 
-# Full baseline for PR n, recorded in the repo root: the four tensor
-# kernels plus every A/B probe (store warm start, request coalescing,
-# job resume, observability overhead). `make bench-pr PR=14` writes
-# BENCH_PR14.json with "pr": 14.
-bench-pr:
-	@test -n "$(PR)" || { echo "usage: make bench-pr PR=n" >&2; exit 2; }
-	$(GO) run ./cmd/inca-bench -o BENCH_PR$(PR).json -pr $(PR)
-
-# Deterministic perf-regression gate: compares the two newest committed
-# BENCH_PR*.json baselines and fails on a >10% slowdown in any kernel
-# present in both. Override the tolerance with BENCH_GATE_TOLERANCE.
+# Allocation-budget gate: runs the probes and fails when any probe's
+# allocs/op or B/op leaves its margins in scripts/bench_budget.txt, in
+# either direction, or when the Go release differs from the recorded one
+# (see scripts/benchgate).
 bench-gate:
-	GO=$(GO) sh scripts/bench_gate.sh
+	$(BENCH_PROBES) | $(GO) run ./scripts/benchgate scripts/bench_budget.txt
+
+# Re-record scripts/bench_budget.txt after an intended allocation change.
+bench-budget:
+	{ $(GO) env GOVERSION; $(BENCH_PROBES) | grep '^Benchmark'; } > scripts/bench_budget.txt
 
 # Sweep-engine scaling benchmark (serial vs 2/4/8 workers + warm cache).
 bench-sweep:
@@ -71,17 +75,17 @@ trace:
 # run). Seed corpora live in each package's testdata/fuzz; a crash
 # writes its input there, to be fixed and kept as a regression seed.
 fuzz-smoke:
-	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/store/ ./internal/serve/ ./internal/tensor/; do \
+	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/obs/ ./internal/arch/; do \
 		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$fz"; \
 			$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 5s -parallel 2 $$pkg || exit 1; \
 		done; \
 	done
 
-# CPU profile of the kernel benchmark (the numeric hot path); inspect
-# with `go tool pprof cpu.pprof`.
+# CPU profile of one noise-train trial (the training kernels' hot path);
+# inspect with `go tool pprof train.test cpu.pprof`.
 profile:
-	$(GO) run ./cmd/inca-bench -cpuprofile cpu.pprof
+	$(GO) test -run '^$$' -bench NoiseTrial -cpuprofile cpu.pprof ./internal/train/
 
 # End-to-end smoke of the HTTP service: boot inca-serve, probe /healthz,
 # evaluate one simulate cell twice (responses must be byte-identical),

@@ -61,3 +61,33 @@ func TestLoadMissingFile(t *testing.T) {
 		t.Fatal("accepted missing file")
 	}
 }
+
+// FuzzDecodeConfig feeds arbitrary bytes to DecodeJSON: it never panics,
+// and every configuration it accepts re-decodes equal after WriteJSON.
+func FuzzDecodeConfig(f *testing.F) {
+	var good bytes.Buffer
+	if err := INCA().WriteJSON(&good); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte(`{"Name":"x","SubarrayRows":16,"CellWidth":1e-7,"Dataflow":1}`))
+	f.Add([]byte(`{"SubbarayRows":16}`))
+	f.Add([]byte(`{"SubarrayRows":-1e400}`))
+	f.Add([]byte(`{"Name":"\ud800"} trailing`))
+	f.Add([]byte(`[1,2]`))
+	f.Add([]byte(`{"Name":`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c, err := DecodeJSON(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatalf("accepted %q but cannot encode it: %v", raw, err)
+		}
+		again, err := DecodeJSON(&buf)
+		if err != nil || again != c {
+			t.Fatalf("%q decoded to %+v; re-decoded to %+v, %v", raw, c, again, err)
+		}
+	})
+}

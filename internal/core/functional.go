@@ -51,7 +51,7 @@ func FunctionalConv2D(batch []*tensor.Tensor, w *tensor.Tensor, opt FuncOptions)
 	for ic := 0; ic < c; ic++ {
 		stacks[ic] = rram.NewStack(len(batch), h, wd)
 		for p, img := range batch {
-			padded := tensor.Pad(img, opt.Pad)
+			padded := tensor.Pad(img, opt.Pad, opt.Pad)
 			channel := tensor.CropTo(padded, 0, 0, h, wd) // copy
 			// Extract channel ic as a 2D tensor.
 			plane := tensor.New(h, wd)

@@ -123,15 +123,18 @@ func (m *Machine) TrainStepBatch(net *train.Network, xs []*tensor.Tensor, labels
 	return totalLoss / float64(b)
 }
 
-// backInputBatch is the batched form of backInputOnArrays: all images'
-// dilated, padded error maps occupy the planes of one stack and the
-// rotated transposed kernels stream once for the whole batch.
+// backInputBatch computes each image's dX as the full convolution of its
+// dilated error map, padded by the kernel size less one on each axis,
+// with the 180°-rotated transposed kernels, cropped at the layer's
+// padding. All images' error maps occupy the planes of one stack, having
+// overwritten the activation cells, and the kernels stream once for the
+// whole batch.
 func (m *Machine) backInputBatch(w *tensor.Tensor, deltas []*tensor.Tensor, spec tensor.ConvSpec, inH, inW int) []*tensor.Tensor {
-	kh := w.Dim(2)
-	wt := tensor.Rot180(w)
+	kh, kw := w.Dim(2), w.Dim(3)
+	wt := tensor.Rot180(w) // [C, N, KH, KW]
 	padded := make([]*tensor.Tensor, len(deltas))
 	for p := range deltas {
-		padded[p] = tensor.Pad(tensor.Dilate(deltas[p], spec.Stride), kh-1)
+		padded[p] = tensor.Pad(tensor.Dilate(deltas[p], spec.Stride), kh-1, kw-1)
 	}
 	outs, stats := core.FunctionalConv2D(padded, wt,
 		core.FuncOptions{Stride: 1, Noise: m.opt.ActNoise})

@@ -254,13 +254,11 @@ func (m *Machine) TrainStep(net *train.Network, x *tensor.Tensor, label int, lr 
 			// Weight gradient on the arrays: the activations are still
 			// resident; the error map streams as the kernel (Fig. 4).
 			dW := m.gradOnArrays(xin, delta, t.Spec, t.W.Dim(2), t.W.Dim(3), t.W.Dim(0))
-			// Error propagation on the arrays: full convolution of the
-			// (dilated, padded) delta with the transposed kernels. The
-			// delta is first written into the planes, overwriting the
-			// activations that are no longer needed.
-			dx := m.backInputOnArrays(t.W, delta, t.Spec, xin.Dim(1), xin.Dim(2))
+			// Error propagation on the arrays: the delta overwrites the
+			// activations that are no longer needed (a batch of one).
+			dx := m.backInputBatch(t.W, []*tensor.Tensor{delta}, t.Spec, xin.Dim(1), xin.Dim(2))
 			t.W.AXPYInPlace(-lr, dW)
-			delta = dx
+			delta = dx[0]
 		}
 	}
 	return loss
@@ -276,7 +274,7 @@ func (m *Machine) gradOnArrays(x, delta *tensor.Tensor, spec tensor.ConvSpec, kh
 		delta = tensor.Dilate(delta, spec.Stride)
 	}
 	c := x.Dim(0)
-	xp := tensor.Pad(x, spec.Pad)
+	xp := tensor.Pad(x, spec.Pad, spec.Pad)
 	h, wd := xp.Dim(1), xp.Dim(2)
 	dh, dw := delta.Dim(1), delta.Dim(2)
 	out := tensor.New(outC, c, kh, kw)
@@ -313,30 +311,4 @@ func (m *Machine) gradOnArrays(x, delta *tensor.Tensor, spec tensor.ConvSpec, kh
 		m.stats = m.stats.Plus(p.Stats())
 	}
 	return out
-}
-
-// backInputOnArrays computes dX by running the full convolution of the
-// dilated, padded error with the 180°-rotated transposed kernels on the
-// planes — the errors having overwritten the activation cells.
-func (m *Machine) backInputOnArrays(w, delta *tensor.Tensor, spec tensor.ConvSpec, inH, inW int) *tensor.Tensor {
-	kh := w.Dim(2)
-	wt := tensor.Rot180(w) // [C, N, KH, KW]
-	d := tensor.Dilate(delta, spec.Stride)
-	padded := tensor.Pad(d, kh-1)
-	outs, stats := core.FunctionalConv2D([]*tensor.Tensor{padded}, wt,
-		core.FuncOptions{Stride: 1, Noise: m.opt.ActNoise})
-	m.stats = m.stats.Plus(stats)
-	full := outs[0]
-	// Crop to the input geometry (offset = original pad).
-	c := wt.Dim(0)
-	dx := tensor.New(c, inH, inW)
-	fh, fw := full.Dim(1), full.Dim(2)
-	for ic := 0; ic < c; ic++ {
-		for y := 0; y < inH && y+spec.Pad < fh; y++ {
-			for x := 0; x < inW && x+spec.Pad < fw; x++ {
-				dx.Set(full.At(ic, y+spec.Pad, x+spec.Pad), ic, y, x)
-			}
-		}
-	}
-	return dx
 }

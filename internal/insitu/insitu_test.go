@@ -34,52 +34,69 @@ func TestForwardMatchesSoftware(t *testing.T) {
 	}
 }
 
-// TestTrainStepMatchesSoftware verifies one in-situ SGD step produces the
-// same weights as the software engine's step.
+// nonSquareNet ends in a convolution with a 3×2 kernel and padding, the
+// shape that tells the rows of the error propagation from its columns.
+func nonSquareNet(seed int64) *train.Network {
+	rng := rand.New(rand.NewSource(seed))
+	return &train.Network{Layers: []train.Layer{
+		train.NewConv(rng, 2, 1, 3, tensor.ConvSpec{Stride: 1}),
+		&train.ReLU{},
+		&train.Conv{W: tensor.Randn(rng, 0.3, 2, 2, 3, 2), Spec: tensor.ConvSpec{Stride: 1, Pad: 1}},
+		&train.ReLU{},
+		train.NewFC(rng, 4, 2*10*11),
+	}}
+}
+
+// TestTrainStepMatchesSoftware verifies one in-situ SGD step, through
+// TrainStep and through a batch of one, produces the same weights as the
+// software engine's step.
 func TestTrainStepMatchesSoftware(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x := tensor.Randn(rng, 1, 1, 12, 12)
 	const label = 2
 	const lr = 0.05
 
-	hwNet := smallNet(4)
-	swNet := hwNet.Clone()
+	for _, tc := range []struct {
+		name string
+		net  *train.Network
+	}{{"SmallCNN", smallNet(4)}, {"non-square kernel", nonSquareNet(5)}} {
+		swNet := tc.net.Clone()
+		out := swNet.Forward(x)
+		swLoss, delta := train.SoftmaxCrossEntropy(out, label)
+		swNet.Backward(delta)
+		swNet.Step(lr, nil)
 
-	m := New(Options{})
-	hwLoss := m.TrainStep(hwNet, x, label, lr)
-
-	out := swNet.Forward(x)
-	swLoss, delta := train.SoftmaxCrossEntropy(out, label)
-	swNet.Backward(delta)
-	swNet.Step(lr, nil)
-
-	if math.Abs(hwLoss-swLoss) > 1e-9 {
-		t.Fatalf("loss differs: hw %v, sw %v", hwLoss, swLoss)
-	}
-	for i := range hwNet.Layers {
-		hc, ok := hwNet.Layers[i].(*train.Conv)
-		if !ok {
-			continue
-		}
-		sc := swNet.Layers[i].(*train.Conv)
-		if !hc.W.Equal(sc.W, 1e-8) {
-			t.Fatalf("conv layer %d weights diverged after one step", i)
-		}
-	}
-	for i := range hwNet.Layers {
-		hf, ok := hwNet.Layers[i].(*train.FC)
-		if !ok {
-			continue
-		}
-		sf := swNet.Layers[i].(*train.FC)
-		if !hf.W.Equal(sf.W, 1e-8) || !hf.B.Equal(sf.B, 1e-8) {
-			t.Fatalf("fc layer %d parameters diverged after one step", i)
+		for _, step := range []struct {
+			name string
+			run  func(m *Machine, net *train.Network) float64
+		}{
+			{"TrainStep", func(m *Machine, net *train.Network) float64 { return m.TrainStep(net, x, label, lr) }},
+			{"TrainStepBatch", func(m *Machine, net *train.Network) float64 {
+				return m.TrainStepBatch(net, []*tensor.Tensor{x}, []int{label}, lr)
+			}},
+		} {
+			hwNet := tc.net.Clone()
+			hwLoss := step.run(New(Options{}), hwNet)
+			if math.Abs(hwLoss-swLoss) > 1e-9 {
+				t.Errorf("%s, %s: loss differs: hw %v, sw %v", tc.name, step.name, hwLoss, swLoss)
+			}
+			for i := range hwNet.Layers {
+				switch hl := hwNet.Layers[i].(type) {
+				case *train.Conv:
+					if !hl.W.Equal(swNet.Layers[i].(*train.Conv).W, 1e-8) {
+						t.Errorf("%s, %s: conv layer %d weights diverged after one step", tc.name, step.name, i)
+					}
+				case *train.FC:
+					sf := swNet.Layers[i].(*train.FC)
+					if !hl.W.Equal(sf.W, 1e-8) || !hl.B.Equal(sf.B, 1e-8) {
+						t.Errorf("%s, %s: fc layer %d parameters diverged after one step", tc.name, step.name, i)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestInSituTrainingLearns trains a network entirely through the array
-// models and checks it learns the synthetic task — the end-to-end §IV.C
 // demonstration.
 func TestInSituTrainingLearns(t *testing.T) {
 	cfg := data.DefaultConfig()

@@ -274,6 +274,32 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent feeds arbitrary headers to ParseTraceparent: it
+// never panics, and every header it accepts names IDs that survive a
+// FormatTraceparent round trip unchanged.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(FormatTraceparent(strings.Repeat("a", 32), strings.Repeat("b", 16)))
+	f.Add(" 00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00\t")
+	f.Add("00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("b", 16) + "-01")
+	f.Add("00-abc-def-01")
+	f.Add("00-" + strings.Repeat("A", 32) + "-" + strings.Repeat("b", 16) + "-01")
+	f.Add("---")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		tid, sid, ok := ParseTraceparent(h)
+		if !ok {
+			if tid != "" || sid != "" {
+				t.Fatalf("rejected %q but returned (%q, %q)", h, tid, sid)
+			}
+			return
+		}
+		tid2, sid2, ok2 := ParseTraceparent(FormatTraceparent(tid, sid))
+		if !ok2 || tid2 != tid || sid2 != sid {
+			t.Fatalf("%q parsed to (%q, %q); its re-format parsed to (%q, %q, %v)", h, tid, sid, tid2, sid2, ok2)
+		}
+	})
+}
+
 func TestRemoteParentContinuesTrace(t *testing.T) {
 	tr := NewTracer(WithClock(newFakeClock().Now), WithRing(8), WithIDSeed(1))
 	tid := strings.Repeat("a", 32)

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 }
 
 // post sends a JSON body and returns the response.
-func post(t *testing.T, url string, body string, header http.Header) *http.Response {
+func post(t testing.TB, url string, body string, header http.Header) *http.Response {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
 	if err != nil {
@@ -47,7 +47,7 @@ func post(t *testing.T, url string, body string, header http.Header) *http.Respo
 	return resp
 }
 
-func readAll(t *testing.T, resp *http.Response) []byte {
+func readAll(t testing.TB, resp *http.Response) []byte {
 	t.Helper()
 	defer resp.Body.Close()
 	var buf bytes.Buffer

@@ -372,17 +372,19 @@ func Rot180(w *Tensor) *Tensor {
 	return out
 }
 
-// Pad returns x [C,H,W] zero-padded by p on every spatial side.
-func Pad(x *Tensor, p int) *Tensor {
-	if p == 0 {
+// Pad returns x [C,H,W] zero-padded by py rows above and below and px
+// columns left and right.
+func Pad(x *Tensor, py, px int) *Tensor {
+	if py == 0 && px == 0 {
 		return x.Clone()
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := New(c, h+2*p, w+2*p)
+	oh, ow := h+2*py, w+2*px
+	out := New(c, oh, ow)
 	for ic := 0; ic < c; ic++ {
 		for iy := 0; iy < h; iy++ {
 			src := x.data[(ic*h+iy)*w : (ic*h+iy)*w+w]
-			dstRow := (ic*(h+2*p)+iy+p)*(w+2*p) + p
+			dstRow := (ic*oh+iy+py)*ow + px
 			copy(out.data[dstRow:dstRow+w], src)
 		}
 	}

@@ -159,7 +159,7 @@ func ConvBackwardWeightsInto(dw, x, delta *Tensor, spec ConvSpec, kh, kw int) *T
 	g.checkDelta("ConvBackwardWeights", delta)
 	xp := x
 	if g.pad > 0 {
-		xp = Pad(x, g.pad)
+		xp = Pad(x, g.pad, g.pad)
 		g.h, g.w, g.pad = xp.Dim(1), xp.Dim(2), 0
 	}
 	dw = reuse(dw, g.n, g.c, kh, kw)

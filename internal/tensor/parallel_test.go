@@ -139,7 +139,7 @@ func serialConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
 func refConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
 	wt := Rot180(w) // [C, N, KH, KW]
 	kh := w.Dim(2)
-	full := serialConv2D(Pad(Dilate(delta, spec.Stride), kh-1), wt, ConvSpec{Stride: 1})
+	full := serialConv2D(Pad(Dilate(delta, spec.Stride), kh-1, kh-1), wt, ConvSpec{Stride: 1})
 	c := wt.Dim(0)
 	dx := New(c, inH, inW)
 	fh, fw := full.Dim(1), full.Dim(2)
@@ -160,7 +160,7 @@ func refConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor
 func refConvBackwardWeights(x, delta *Tensor, spec ConvSpec, kh, kw int) *Tensor {
 	c := x.Dim(0)
 	n, oh, ow := delta.Dim(0), delta.Dim(1), delta.Dim(2)
-	xp := Pad(x, spec.Pad)
+	xp := Pad(x, spec.Pad, spec.Pad)
 	dw := New(n, c, kh, kw)
 	ph, pw := xp.Dim(1), xp.Dim(2)
 	for in := 0; in < n; in++ {

@@ -248,7 +248,7 @@ func TestRot180SwapsAxes(t *testing.T) {
 
 func TestPadAndCrop(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 1, 2, 2)
-	p := Pad(x, 1)
+	p := Pad(x, 1, 1)
 	if p.Dim(1) != 4 || p.Dim(2) != 4 {
 		t.Fatalf("Pad dims = %v", p.Dims())
 	}
@@ -258,6 +258,10 @@ func TestPadAndCrop(t *testing.T) {
 	c := CropTo(p, 1, 1, 2, 2)
 	if !c.Equal(x, 0) {
 		t.Fatal("CropTo(Pad(x)) != x")
+	}
+	p = Pad(x, 2, 1)
+	if p.Dim(1) != 6 || p.Dim(2) != 4 || !CropTo(p, 2, 1, 2, 2).Equal(x, 0) {
+		t.Fatalf("Pad(x, 2, 1) = %v, want x inside 2 rows and 1 column of zeros", p.Data())
 	}
 }
 

@@ -1,131 +1,125 @@
-// Command benchgate compares two recorded benchmark baselines
-// (BENCH_PR{n}.json files written by cmd/inca-bench) and fails when any
-// kernel present in both regressed by more than the tolerance. It is
-// the regression tripwire behind `make bench-gate` and CI: baselines
-// are checked in, so the comparison is deterministic — no benchmarks
-// run at gate time.
+// Command benchgate is the allocation-budget gate behind `make
+// bench-gate` (DESIGN.md §13). It reads `go test -bench -benchmem`
+// output on stdin and compares each probe's allocs/op and B/op with the
+// budget file named by its one argument, whose first line is the Go
+// release it was recorded with and whose other lines are go test's
+// Benchmark lines. It fails when a probe is more than 2 allocs/op or 5%
+// B/op over budget, or as far under it (a stale budget, to re-record so
+// the gain stays held); when a probe has a budget but no measurement, or
+// a measurement but no budget; and when the Go major.minor differs from
+// the recorded one. `make bench-budget` re-records the file.
 //
 // Usage:
 //
-//	benchgate [-tolerance 0.10] OLD.json NEW.json
-//
-// A kernel regresses when its parallel_ns (the configuration the
-// library actually ships with) grew by more than tolerance relative to
-// the old baseline. Kernels that appear in only one file are reported
-// and skipped — new probes enter the gate one PR later, once a second
-// baseline records them. The BENCH_GATE_TOLERANCE environment variable
-// overrides the default tolerance (a fraction: 0.10 means +10%).
+//	go test -run '^$' -bench ... -benchmem | benchgate scripts/bench_budget.txt
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"bufio"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
+	"strings"
 )
 
-// kernelResult mirrors cmd/inca-bench's KernelResult JSON.
-type kernelResult struct {
-	Name       string  `json:"name"`
-	SerialNs   int64   `json:"serial_ns"`
-	ParallelNs int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"`
-}
+const (
+	allocSlack = 2    // allocs/op either side of the budget
+	byteSlack  = 0.05 // fraction of the budget's B/op either side
+)
 
-// baseline mirrors cmd/inca-bench's Baseline JSON.
-type baseline struct {
-	PR      int            `json:"pr"`
-	Reps    int            `json:"reps"`
-	Kernels []kernelResult `json:"kernels"`
-}
+// probe is one benchmark's memory profile per operation.
+type probe struct{ bytes, allocs float64 }
 
-func load(path string) (baseline, error) {
-	var b baseline
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return b, err
-	}
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return b, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(b.Kernels) == 0 {
-		return b, fmt.Errorf("%s: no kernel results", path)
-	}
-	return b, nil
-}
-
-func run(args []string, stdout, stderr *os.File) int {
-	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	tolerance := fs.Float64("tolerance", 0.10,
-		"allowed fractional slowdown before the gate fails (0.10 = +10%)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if env := os.Getenv("BENCH_GATE_TOLERANCE"); env != "" {
-		v, err := strconv.ParseFloat(env, 64)
-		if err != nil || v <= 0 {
-			fmt.Fprintf(stderr, "benchgate: bad BENCH_GATE_TOLERANCE %q\n", env)
-			return 2
-		}
-		*tolerance = v
-	}
-	if fs.NArg() != 2 {
-		fmt.Fprintln(stderr, "usage: benchgate [-tolerance 0.10] OLD.json NEW.json")
-		return 2
-	}
-	oldB, err := load(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return 2
-	}
-	newB, err := load(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintln(stderr, "benchgate:", err)
-		return 2
-	}
-
-	prev := make(map[string]kernelResult, len(oldB.Kernels))
-	for _, k := range oldB.Kernels {
-		prev[k.Name] = k
-	}
-	failed := 0
-	compared := 0
-	for _, k := range newB.Kernels {
-		base, ok := prev[k.Name]
-		if !ok {
-			fmt.Fprintf(stdout, "NEW   %-34s %12dns (no prior baseline, not gated)\n",
-				k.Name, k.ParallelNs)
+// parse collects the B/op and allocs/op ending every Benchmark result
+// line in r, in order; a failed benchmark's line has neither. A read
+// error ends the scan early, which leaves probes unmeasured or
+// unbudgeted and so fails the gate.
+func parse(r io.Reader) (names []string, probes map[string]probe) {
+	probes = map[string]probe{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		n := len(f)
+		if n < 5 || !strings.HasPrefix(f[0], "Benchmark") || f[n-3] != "B/op" || f[n-1] != "allocs/op" {
 			continue
 		}
-		delete(prev, k.Name)
-		compared++
-		ratio := float64(k.ParallelNs)/float64(base.ParallelNs) - 1
-		status := "OK   "
-		if ratio > *tolerance {
-			status = "FAIL "
-			failed++
+		bytes, err1 := strconv.ParseFloat(f[n-4], 64)
+		allocs, err2 := strconv.ParseFloat(f[n-2], 64)
+		if err1 == nil && err2 == nil {
+			names = append(names, f[0])
+			probes[f[0]] = probe{bytes, allocs}
 		}
-		fmt.Fprintf(stdout, "%s %-34s %12dns -> %12dns  %+6.1f%%\n",
-			status, k.Name, base.ParallelNs, k.ParallelNs, 100*ratio)
 	}
-	for name := range prev {
-		fmt.Fprintf(stdout, "GONE  %-34s dropped from the new baseline\n", name)
+	return names, probes
+}
+
+// verdict says what is wrong with got against budget, or "" when it is
+// within the margins.
+func verdict(budget, got probe) string {
+	switch {
+	case got.allocs > budget.allocs+allocSlack || got.bytes > budget.bytes*(1+byteSlack):
+		return "over budget"
+	case got.allocs < budget.allocs-allocSlack || got.bytes < budget.bytes*(1-byteSlack):
+		return "stale budget, re-record"
 	}
-	if compared == 0 {
-		fmt.Fprintln(stderr, "benchgate: no kernel names in common — nothing gated")
+	return ""
+}
+
+// majorMinor reduces a Go version such as go1.24.0 to go1.24.
+func majorMinor(v string) string {
+	parts := strings.SplitN(strings.TrimSpace(v), ".", 3)
+	return strings.Join(parts[:min(len(parts), 2)], ".")
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(stderr, "usage: benchgate BUDGET_FILE < go-test-bench-output")
 		return 2
 	}
-	if failed > 0 {
-		fmt.Fprintf(stderr, "benchgate: %d kernel(s) slower than the %+.0f%% tolerance\n",
-			failed, 100**tolerance)
+	raw, err := os.ReadFile(args[0])
+	if err != nil {
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
+	}
+	recorded, rest, _ := strings.Cut(string(raw), "\n")
+	if majorMinor(recorded) != majorMinor(runtime.Version()) {
+		fmt.Fprintf(stderr, "benchgate: budget recorded with %s, running %s: re-record with make bench-budget\n",
+			recorded, runtime.Version())
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchgate: ok (%d kernels within %+.0f%%)\n", compared, 100**tolerance)
+	order, budget := parse(strings.NewReader(rest))
+	measured, got := parse(stdin)
+	failed := 0
+	fail := func(name, problem string) {
+		failed++
+		fmt.Fprintf(stdout, "FAIL %-40s %s\n", name, problem)
+	}
+	for _, name := range order {
+		b := budget[name]
+		if g, ok := got[name]; !ok {
+			fail(name, "no measurement")
+		} else if v := verdict(b, g); v != "" {
+			fail(name, fmt.Sprintf("%s: %.0f allocs/op, %.0f B/op; budget %.0f allocs/op, %.0f B/op",
+				v, g.allocs, g.bytes, b.allocs, b.bytes))
+		}
+	}
+	for _, name := range measured {
+		if _, ok := budget[name]; !ok {
+			fail(name, "no budget")
+		}
+	}
+	if failed > 0 {
+		fmt.Fprintf(stderr, "benchgate: %d probe(s) off budget; re-record %s with make bench-budget only for an intended change\n",
+			failed, args[0])
+		return 1
+	}
+	fmt.Fprintf(stdout, "benchgate: ok (%d probes within %d allocs/op and %.0f%% B/op of budget)\n",
+		len(order), allocSlack, 100*byteSlack)
 	return 0
 }
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
