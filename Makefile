@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race api-surface api-surface-update bench-gate bench-budget bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
+.PHONY: check build test vet perfbench-vet race api-surface api-surface-update bench-gate bench-budget bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
 
-check: vet build race api-surface bench-gate
+check: vet perfbench-vet build race api-surface bench-gate
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# perfbench is its own module (so ./... above never sees it) but imports
+# the facade and internal packages; vetting it compiles the benchmark
+# against the working tree, so an internal API change that would break a
+# benchmark workload fails here.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # Golden `go doc` diff over every non-internal package: fails when the
 # public API surface drifts from scripts/api_surface.golden. Re-record

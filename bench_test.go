@@ -126,11 +126,11 @@ func BenchmarkAblationUnrolledIS(b *testing.B) {
 func BenchmarkAblationBatchParallel(b *testing.B) {
 	net, _ := Model("ResNet18")
 	for i := 0; i < b.N; i++ {
-		full := NewINCA(DefaultINCA()).Simulate(net, Training)
+		full := simulate(b, "is", DefaultINCA(), net, Training)
 		cfg := DefaultINCA()
 		cfg.StackedPlanes = 1
 		cfg.BatchSize = 1
-		single := NewINCA(cfg).Simulate(net, Training)
+		single := simulate(b, "is", cfg, net, Training)
 		printOnce(i, fmt.Sprintf(
 			"Ablation: 3D batch parallelism (ResNet18 training)\n  64 planes: %.3g s/image\n  1 plane:   %.3g s/image\n",
 			full.Total.Latency/float64(full.Batch),
@@ -147,7 +147,7 @@ func BenchmarkAblationADCPrecision(b *testing.B) {
 		for _, bits := range []int{4, 6, 8} {
 			cfg := DefaultINCA()
 			cfg.ADCBits = bits
-			r := NewINCA(cfg).Simulate(net, Inference)
+			r := simulate(b, "is", cfg, net, Inference)
 			s += fmt.Sprintf("  INCA %d-bit: %.3g\n", bits, r.Total.Energy.Of(metrics.ADC))
 		}
 		printOnce(i, s)
@@ -166,8 +166,8 @@ func BenchmarkAblationArraySize(b *testing.B) {
 			bcfg := DefaultBaseline()
 			bcfg.SubarrayRows, bcfg.SubarrayCols = sz, sz
 			s += fmt.Sprintf("  %3d: %.3f / %.3f\n", sz,
-				NewINCA(icfg).Simulate(net, Inference).Utilization(),
-				NewBaseline(bcfg).Simulate(net, Inference).Utilization())
+				simulate(b, "is", icfg, net, Inference).Utilization(),
+				simulate(b, "ws", bcfg, net, Inference).Utilization())
 		}
 		printOnce(i, s)
 	}
@@ -183,7 +183,7 @@ func BenchmarkAblationBufferSize(b *testing.B) {
 		for _, kb := range []int64{64, 256, 1024, 4096} {
 			cfg := DefaultBaseline()
 			cfg.Buffer.CapacityBytes = kb * 1024
-			r := NewBaseline(cfg).Simulate(net, Inference)
+			r := simulate(b, "ws", cfg, net, Inference)
 			s += fmt.Sprintf("  %4d KB: total %.3g J (DRAM %.3g J, buffer %.3g J)\n",
 				kb, r.Total.Energy.Total(),
 				r.Total.Energy.Of(metrics.DRAM), r.Total.Energy.Of(metrics.Buffer))
@@ -205,7 +205,7 @@ func BenchmarkAblationMultiLevelCells(b *testing.B) {
 			// Each extra stored bit demands ~2 more bits of converter
 			// headroom on the window sums.
 			cfg.ADCBits = 4 + 2*(cellBits-1)
-			r := NewINCA(cfg).Simulate(net, Inference)
+			r := simulate(b, "is", cfg, net, Inference)
 			s += fmt.Sprintf("  %d-bit cells (ADC %d-bit): %.3g J, %.3g s, %d arrays/value\n",
 				cellBits, cfg.ADCBits, r.Total.Energy.Total(), r.Total.Latency, cfg.ActPlanes())
 		}
@@ -218,10 +218,10 @@ func BenchmarkAblationMultiLevelCells(b *testing.B) {
 func BenchmarkAblationWriteOverlap(b *testing.B) {
 	net, _ := Model("VGG16")
 	for i := 0; i < b.N; i++ {
-		on := NewINCA(DefaultINCA()).Simulate(net, Inference)
+		on := simulate(b, "is", DefaultINCA(), net, Inference)
 		cfg := DefaultINCA()
 		cfg.WriteReadOverlap = false
-		off := NewINCA(cfg).Simulate(net, Inference)
+		off := simulate(b, "is", cfg, net, Inference)
 		printOnce(i, fmt.Sprintf(
 			"Ablation: RRAM write/read overlap (VGG16 inference)\n  overlap on:  %.3g s\n  overlap off: %.3g s\n",
 			on.Total.Latency, off.Total.Latency))
@@ -246,20 +246,26 @@ func BenchmarkBatchSweep(b *testing.B) { benchSuite(b, "ext-batch") }
 
 // BenchmarkSimulateINCAVGG16 measures one analytical INCA simulation.
 func BenchmarkSimulateINCAVGG16(b *testing.B) {
-	m := NewINCA(DefaultINCA())
-	net, _ := Model("VGG16")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Simulate(net, Training)
-	}
+	benchSimulate(b, "is", DefaultINCA())
 }
 
 // BenchmarkSimulateBaselineVGG16 measures one analytical WS simulation.
 func BenchmarkSimulateBaselineVGG16(b *testing.B) {
-	m := NewBaseline(DefaultBaseline())
+	benchSimulate(b, "ws", DefaultBaseline())
+}
+
+// benchSimulate measures one VGG16 training simulation on a machine
+// built through the registry.
+func benchSimulate(b *testing.B, dataflowID string, cfg Config) {
+	m, err := NewMachine(dataflowID, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	net, _ := Model("VGG16")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Simulate(net, Training)
+		if _, err := m.Simulate(context.Background(), net, Training); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

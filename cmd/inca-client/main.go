@@ -162,7 +162,7 @@ var errUsage = errors.New("usage")
 func runSimulate(ctx context.Context, c *inca.Client, args []string, stderr io.Writer) (any, error) {
 	fs := flag.NewFlagSet("inca-client simulate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	arch := fs.String("arch", "inca", "architecture: inca, baseline, or gpu")
+	arch := fs.String("arch", "inca", "architecture: any registered dataflow ID or alias (is/inca, ws/baseline, os, gpu, ...)")
 	model := fs.String("model", "ResNet18", "model zoo network name")
 	phase := fs.String("phase", "inference", "inference or training")
 	batch := fs.Int("batch", 0, "batch-size override (0 = architecture default)")
@@ -177,7 +177,7 @@ func runSimulate(ctx context.Context, c *inca.Client, args []string, stderr io.W
 func runSweep(ctx context.Context, c *inca.Client, args []string, stderr io.Writer) (any, error) {
 	fs := flag.NewFlagSet("inca-client sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	archs := fs.String("archs", "inca,baseline", "comma-separated architecture axis")
+	archs := fs.String("archs", "inca,baseline", "comma-separated architecture axis: any registered dataflow IDs or aliases")
 	models := fs.String("models", "LeNet5", "comma-separated model axis")
 	phases := fs.String("phases", "inference", "comma-separated phase axis")
 	batch := fs.Int("batch", 0, "batch-size override for every non-fixed arch (0 = defaults)")
@@ -219,7 +219,7 @@ func runJob(ctx context.Context, c *inca.Client, args []string, stdout, stderr i
 	case "submit":
 		fs := flag.NewFlagSet("inca-client job submit", flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		archs := fs.String("archs", "inca,baseline", "comma-separated architecture axis")
+		archs := fs.String("archs", "inca,baseline", "comma-separated architecture axis: any registered dataflow IDs or aliases")
 		models := fs.String("models", "LeNet5", "comma-separated model axis")
 		phases := fs.String("phases", "inference", "comma-separated phase axis")
 		batch := fs.Int("batch", 0, "batch-size override for every non-fixed arch (0 = defaults)")

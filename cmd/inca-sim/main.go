@@ -33,6 +33,7 @@ import (
 	"github.com/inca-arch/inca/internal/cli"
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/report"
+	"github.com/inca-arch/inca/internal/sweep"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("inca-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	model := fs.String("model", "ResNet18", "network (comma list sweeps): VGG16, VGG19, ResNet18, ResNet50, MobileNetV2, MNasNet, AlexNet, VGG16-CIFAR, ResNet18-CIFAR, LeNet5")
-	archNames := fs.String("arch", "inca", "architecture (comma list sweeps): inca, baseline, os, gpu, or any registered dataflow ID")
+	archNames := fs.String("arch", "inca", "architecture (comma list sweeps): any registered dataflow ID or alias (is/inca, ws/baseline, os, gpu, ...)")
 	tuneFlag := fs.Bool("tune", false, "run the mapping auto-tuner over -arch dataflows and print the Pareto frontier")
 	phaseNames := fs.String("phase", "inference", "phase (comma list sweeps): inference, training")
 	batch := fs.Int("batch", 64, "batch size")
@@ -58,10 +59,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	timeline := fs.Bool("timeline", false, "print an ASCII Gantt of the layer schedule (single cell only)")
 	placement := fs.Bool("placement", false, "print the layer-to-macro placement (single cell, inca arch only)")
 	csvPath := fs.String("csv", "", "write the per-layer trace to this CSV file (single cell only)")
-	configPath := fs.String("config", "", "load a custom accelerator configuration (JSON) instead of -arch defaults")
+	configPath := fs.String("config", "", "load a custom accelerator configuration (JSON) instead of -arch defaults; its own dataflow field picks the backend")
 	summary := fs.Bool("summary", false, "print the network's layer table and exit")
 	logLevel := cli.LogLevelFlag(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *batch < 1 {
+		// sweep.Resolve applies only positive batch sizes; reject the rest
+		// rather than silently running the default.
+		fmt.Fprintf(stderr, "inca-sim: invalid -batch %d (want >= 1)\n", *batch)
 		return 2
 	}
 	logger, err := cli.NewLogger(stderr, *logLevel)
@@ -142,31 +149,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var archs []inca.SweepArch
 	for _, name := range splitList(*archNames) {
-		var cfg inca.Config
-		switch name {
-		case "inca":
-			cfg = inca.DefaultINCA()
-		case "baseline":
-			cfg = inca.DefaultBaseline()
-		case "os":
-			cfg = inca.DefaultOutStationary()
-		case "gpu":
-			archs = append(archs, inca.SweepGPU())
-			continue
-		default:
-			a, err := inca.SweepDataflow(name)
-			if err != nil {
-				fmt.Fprintf(stderr, "unknown arch %q\n", name)
-				return 2
-			}
-			archs = append(archs, a)
-			continue
+		a, err := sweep.Resolve(name, nil, *batch)
+		if err == nil && custom != nil && !a.Fixed {
+			// As with the service's arch + config, the config's own
+			// dataflow picks the backend; a fixed one ignores configs.
+			a, err = sweep.Resolve("", custom, *batch)
 		}
-		if custom != nil {
-			cfg = *custom
+		if err != nil {
+			fmt.Fprintf(stderr, "unknown arch %q\n", name)
+			return 2
 		}
-		cfg.BatchSize = *batch
-		archs = append(archs, inca.SweepConfig(cfg))
+		archs = append(archs, a)
 	}
 
 	plan := inca.SweepPlan{Archs: archs, Networks: nets, Phases: phases}

@@ -75,6 +75,7 @@ func TestErrors(t *testing.T) {
 		{"-arch", "tpu"},
 		{"-phase", "sideways"},
 		{"-config", "/nonexistent/cfg.json"},
+		{"-batch", "0"},
 		{"-bogus"},
 	}
 	for _, args := range cases {
@@ -139,5 +140,40 @@ func TestSummaryFlag(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "AlexNet") || !strings.Contains(out.String(), "total:") {
 		t.Fatalf("summary output:\n%s", out.String())
+	}
+}
+
+// TestArchAliasesMatchLegacyNames pins name → machine at the CLI: every
+// spelling of a backend prints exactly what its legacy name prints,
+// with the -batch override and with a -config file alike.
+func TestArchAliasesMatchLegacyNames(t *testing.T) {
+	cfgPath := filepath.Join(t.TempDir(), "cfg.json")
+	cfg := inca.DefaultINCA()
+	cfg.Name = "MyINCA"
+	cfg.ADCBits = 6
+	if err := cfg.Save(cfgPath); err != nil {
+		t.Fatal(err)
+	}
+	runArch := func(name string, extra ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		args := append([]string{"-model", "LeNet5", "-arch", name, "-batch", "8"}, extra...)
+		if code := run(context.Background(), args, &out, &errOut); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errOut.String())
+		}
+		return out.String()
+	}
+	for legacy, aliases := range map[string][]string{
+		"inca":     {"is", "INCA", "input-stationary"},
+		"baseline": {"ws", "WS-Baseline", "weight-stationary"},
+	} {
+		for _, extra := range [][]string{nil, {"-config", cfgPath}} {
+			want := runArch(legacy, extra...)
+			for _, alias := range aliases {
+				if got := runArch(alias, extra...); got != want {
+					t.Errorf("-arch %s %v printed\n%s\nwant (as -arch %s)\n%s", alias, extra, got, legacy, want)
+				}
+			}
+		}
 	}
 }

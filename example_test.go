@@ -10,8 +10,11 @@ import (
 // Simulate a network on INCA and compare against the WS baseline.
 func ExampleCompare() {
 	net, _ := inca.Model("VGG16")
-	incaRep := inca.NewINCA(inca.DefaultINCA()).Simulate(net, inca.Inference)
-	baseRep := inca.NewBaseline(inca.DefaultBaseline()).Simulate(net, inca.Inference)
+	ctx := context.Background()
+	is, _ := inca.NewMachine("is", inca.Config{})
+	ws, _ := inca.NewMachine("ws", inca.Config{})
+	incaRep, _ := is.Simulate(ctx, net, inca.Inference)
+	baseRep, _ := ws.Simulate(ctx, net, inca.Inference)
 	cmp := inca.Compare(incaRep, baseRep)
 	fmt.Printf("INCA wins energy: %v, wins speed: %v\n",
 		cmp.EnergyRatio > 1, cmp.Speedup > 1)
@@ -31,7 +34,7 @@ func ExampleMemoryFootprint() {
 
 // Simulate through the v2 context-aware API.
 func ExampleSimulator() {
-	sim, err := inca.New(inca.DefaultINCA())
+	sim, err := inca.NewMachine("is", inca.Config{})
 	if err != nil {
 		panic(err)
 	}

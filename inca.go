@@ -160,7 +160,12 @@ func Dataflows() []DataflowInfo {
 	all := dataflow.All()
 	infos := make([]DataflowInfo, len(all))
 	for i, d := range all {
-		infos[i] = d.Capabilities()
+		// Backends share one Capabilities value per process; clone its
+		// slices so callers cannot edit registry state through them.
+		c := d.Capabilities()
+		c.Phases = slices.Clone(c.Phases)
+		c.Aliases = slices.Clone(c.Aliases)
+		infos[i] = c
 	}
 	return infos
 }
@@ -209,61 +214,6 @@ func NewMachine(dataflowID string, cfg Config, opts ...MachineOption) (Simulator
 	}
 	return d.New(cfg)
 }
-
-// New builds the simulator for a configuration, selecting the
-// input-stationary model or the WS baseline by its Dataflow field. It
-// returns an error for an invalid configuration (where the deprecated
-// constructors panic).
-//
-// Deprecated: use NewMachine(dataflow, cfg), which selects any
-// registered backend by name instead of only IS/WS by enum.
-func New(cfg Config) (Simulator, error) {
-	d, err := dataflow.Get(dataflow.FromConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return d.New(cfg)
-}
-
-// NewGPUSimulator builds the Titan RTX roofline model of Fig. 15 behind
-// the v2 interface.
-//
-// Deprecated: use NewMachine("gpu", inca.Config{}).
-func NewGPUSimulator() Simulator {
-	s, err := NewMachine("gpu", Config{})
-	if err != nil {
-		panic(err) // unreachable: the gpu backend registers at init
-	}
-	return s
-}
-
-// Machine is the legacy context-free simulation interface.
-//
-// Deprecated: use Simulator (via New / NewGPUSimulator), which accepts a
-// context and returns errors. Machine remains as a thin adapter so
-// existing callers compile; its Simulate panics on invalid
-// configurations and cannot be cancelled.
-type Machine interface {
-	Simulate(net *Network, phase Phase) *Report
-}
-
-// NewINCA builds the input-stationary accelerator simulator.
-//
-// Deprecated: use NewMachine("is", cfg), which validates cfg instead of
-// panicking and returns the context-aware Simulator.
-func NewINCA(cfg Config) Machine { return core.New(cfg) }
-
-// NewBaseline builds the weight-stationary baseline simulator.
-//
-// Deprecated: use NewMachine("ws", cfg), which validates cfg instead of
-// panicking and returns the context-aware Simulator.
-func NewBaseline(cfg Config) Machine { return baseline.New(cfg) }
-
-// NewGPU builds the Titan RTX roofline model of Fig. 15.
-//
-// Deprecated: use NewMachine("gpu", inca.Config{}), which returns the
-// context-aware Simulator.
-func NewGPU() Machine { return gpu.New(gpu.TitanRTX()) }
 
 // GPUArea returns the GPU die area (mm²) for iso-area comparisons.
 func GPUArea() float64 { return gpu.TitanRTX().AreaMM2 }
@@ -405,16 +355,6 @@ func SetKernelParallelism(n int) int { return tensor.SetParallelism(n) }
 // KernelParallelism reports the current tensor-kernel worker budget.
 func KernelParallelism() int { return tensor.Parallelism() }
 
-// NewNoiseModel returns a device nonideality model of relative strength
-// sigma.
-//
-// Deprecated: use BuildNoiseModel(WithNoise(sigma), WithSeed(seed)) —
-// the functional-option constructor reads at call sites and gains knobs
-// without signature breaks.
-func NewNoiseModel(sigma float64, seed int64) *NoiseModel {
-	return rram.NewNoiseModel(sigma, seed)
-}
-
 // Option configures the functional-option constructors BuildClassifier
 // and BuildNoiseModel. Options irrelevant to a constructor are ignored,
 // so one option list can configure a whole experiment.
@@ -477,15 +417,6 @@ func DefaultDataConfig() DataConfig { return data.DefaultConfig() }
 
 // SyntheticDataset generates the deterministic grating dataset.
 func SyntheticDataset(cfg DataConfig) *Dataset { return data.Generate(cfg) }
-
-// NewClassifier builds the compact CNN used by the accuracy experiments.
-//
-// Deprecated: use BuildClassifier(WithSeed(seed), WithInputShape(inC,
-// inH, inW), WithClasses(classes)) — the functional-option constructor
-// names each argument at the call site.
-func NewClassifier(seed int64, inC, inH, inW, classes int) *Classifier {
-	return train.SmallCNN(rand.New(rand.NewSource(seed)), inC, inH, inW, classes)
-}
 
 // ClassifierAccuracy evaluates top-1 accuracy (percent).
 func ClassifierAccuracy(net *Classifier, ds *Dataset) float64 {

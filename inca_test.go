@@ -3,11 +3,29 @@ package inca
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"github.com/inca-arch/inca/internal/nn"
+	"github.com/inca-arch/inca/internal/rram"
+	"github.com/inca-arch/inca/internal/train"
 )
+
+// simulate runs one analytical simulation on a machine built through
+// the registry, failing tb on any error.
+func simulate(tb testing.TB, dataflowID string, cfg Config, net *Network, phase Phase) *Report {
+	tb.Helper()
+	m, err := NewMachine(dataflowID, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rep, err := m.Simulate(context.Background(), net, phase)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep
+}
 
 func TestFacadeModels(t *testing.T) {
 	if len(Models()) != 6 {
@@ -45,8 +63,8 @@ func TestFacadeModelIsPrivateCopy(t *testing.T) {
 
 func TestFacadeSimulateAndCompare(t *testing.T) {
 	net, _ := Model("ResNet18")
-	inca := NewINCA(DefaultINCA()).Simulate(net, Inference)
-	base := NewBaseline(DefaultBaseline()).Simulate(net, Inference)
+	inca := simulate(t, "is", DefaultINCA(), net, Inference)
+	base := simulate(t, "ws", DefaultBaseline(), net, Inference)
 	cmp := Compare(inca, base)
 	if cmp.EnergyRatio <= 1 || cmp.Speedup <= 1 {
 		t.Fatalf("INCA should win both: %+v", cmp)
@@ -58,7 +76,7 @@ func TestFacadeSimulateAndCompare(t *testing.T) {
 
 func TestFacadeGPU(t *testing.T) {
 	net, _ := Model("VGG16")
-	rep := NewGPU().Simulate(net, Training)
+	rep := simulate(t, "gpu", Config{}, net, Training)
 	if rep.Total.Latency <= 0 || rep.Total.Energy.Total() <= 0 {
 		t.Fatal("GPU simulation empty")
 	}
@@ -110,7 +128,7 @@ func TestFacadeTrainingAPIs(t *testing.T) {
 	if ds.Len() != 80 {
 		t.Fatalf("dataset len = %d", ds.Len())
 	}
-	net := NewClassifier(1, 1, cfg.H, cfg.W, cfg.Classes)
+	net := BuildClassifier(WithSeed(1), WithInputShape(1, cfg.H, cfg.W), WithClasses(cfg.Classes))
 	acc := ClassifierAccuracy(net, ds)
 	if acc < 0 || acc > 100 {
 		t.Fatalf("accuracy out of range: %v", acc)
@@ -132,7 +150,7 @@ func TestFacadeFunctionalConvsAgree(t *testing.T) {
 }
 
 func TestFacadeInSitu(t *testing.T) {
-	net := NewClassifier(2, 1, 12, 12, 3)
+	net := BuildClassifier(WithSeed(2), WithInputShape(1, 12, 12), WithClasses(3))
 	m := NewInSitu(InSituOptions{})
 	x := RandnTensor(3, 1, 1, 12, 12)
 	hw := m.Forward(net, x)
@@ -172,7 +190,7 @@ func TestFacadeLoadConfig(t *testing.T) {
 
 func TestFacadeTimeline(t *testing.T) {
 	net, _ := Model("LeNet5")
-	base := NewBaseline(DefaultBaseline()).Simulate(net, Inference)
+	base := simulate(t, "ws", DefaultBaseline(), net, Inference)
 	g, err := Timeline(base, 4, 80)
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +198,12 @@ func TestFacadeTimeline(t *testing.T) {
 	if len(g) < 100 || g == "(empty schedule)\n" {
 		t.Fatalf("timeline too small:\n%s", g)
 	}
-	inca := NewINCA(DefaultINCA()).Simulate(net, Inference)
+	inca := simulate(t, "is", DefaultINCA(), net, Inference)
 	gi, err := Timeline(inca, 4, 80)
 	if err != nil || gi == g {
 		t.Fatalf("INCA and baseline timelines should differ (err %v)", err)
 	}
-	trn := NewBaseline(DefaultBaseline()).Simulate(net, Training)
+	trn := simulate(t, "ws", DefaultBaseline(), net, Training)
 	gt, err := Timeline(trn, 2, 80)
 	if err != nil || gt == g {
 		t.Fatalf("training timeline should differ from inference (err %v)", err)
@@ -200,7 +218,7 @@ func TestFacadeErrorSentinels(t *testing.T) {
 		t.Fatalf("Timeline(layerless) err = %v, want ErrEmptyReport", err)
 	}
 	net, _ := Model("LeNet5")
-	rep := NewINCA(DefaultINCA()).Simulate(net, Inference)
+	rep := simulate(t, "is", DefaultINCA(), net, Inference)
 	zeroBatch := *rep
 	zeroBatch.Batch = 0
 	if _, err := Timeline(&zeroBatch, 4, 80); !errors.Is(err, ErrZeroBatch) {
@@ -219,7 +237,7 @@ func TestFacadeErrorSentinels(t *testing.T) {
 
 func TestFacadeSimulatorV2(t *testing.T) {
 	ctx := context.Background()
-	s, err := New(DefaultINCA())
+	s, err := NewMachine("is", DefaultINCA())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +246,7 @@ func TestFacadeSimulatorV2(t *testing.T) {
 	if err != nil || rep.Arch != "INCA" {
 		t.Fatalf("Simulate = %v, %v", rep, err)
 	}
-	// The v2 path must agree byte-for-byte with the deprecated adapter.
-	if rep.String() != NewINCA(DefaultINCA()).Simulate(net, Inference).String() {
-		t.Fatal("v2 and legacy INCA reports disagree")
-	}
-	ws, err := New(DefaultBaseline())
+	ws, err := NewMachine("ws", DefaultBaseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +254,11 @@ func TestFacadeSimulatorV2(t *testing.T) {
 	if err != nil || wsRep.Arch != "WS-Baseline" {
 		t.Fatalf("baseline Simulate = %v, %v", wsRep, err)
 	}
-	if _, err := NewGPUSimulator().Simulate(ctx, net, Training); err != nil {
+	gpu, err := NewMachine("gpu", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gpu.Simulate(ctx, net, Training); err != nil {
 		t.Fatalf("gpu Simulate err = %v", err)
 	}
 
@@ -257,23 +275,23 @@ func TestFacadeSimulatorV2(t *testing.T) {
 	}
 	bad := DefaultINCA()
 	bad.BatchSize = 0
-	if _, err := New(bad); err == nil {
+	if _, err := NewMachine("is", bad); err == nil {
 		t.Fatal("invalid config should error instead of panicking")
 	}
 }
 
 func TestFacadeFunctionalOptions(t *testing.T) {
-	// Option-built and positional constructors must agree exactly.
+	// Each option reaches the constructor it configures.
 	a := BuildClassifier(WithSeed(7), WithInputShape(1, 12, 12), WithClasses(3))
-	b := NewClassifier(7, 1, 12, 12, 3)
+	b := train.SmallCNN(rand.New(rand.NewSource(7)), 1, 12, 12, 3)
 	x := RandnTensor(5, 1, 1, 12, 12)
 	if !a.Forward(x).Equal(b.Forward(x), 0) {
-		t.Fatal("BuildClassifier disagrees with NewClassifier at equal settings")
+		t.Fatal("BuildClassifier ignores its options")
 	}
 	n1 := BuildNoiseModel(WithNoise(0.02), WithSeed(3))
-	n2 := NewNoiseModel(0.02, 3)
+	n2 := rram.NewNoiseModel(0.02, 3)
 	if n1.Perturb(1, 1) != n2.Perturb(1, 1) {
-		t.Fatal("BuildNoiseModel disagrees with NewNoiseModel at equal settings")
+		t.Fatal("BuildNoiseModel ignores its options")
 	}
 	// Defaults pair with the synthetic dataset.
 	ds := SyntheticDataset(DefaultDataConfig())

@@ -5,7 +5,6 @@ import (
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 )
@@ -20,16 +19,18 @@ type wsDataflow struct{}
 
 func (wsDataflow) ID() string { return DataflowID }
 
-func (wsDataflow) Capabilities() dataflow.Capabilities {
-	return dataflow.Capabilities{
-		ID:           DataflowID,
-		Name:         "Weight-stationary",
-		Description:  "ISAAC/PipeLayer-style 2D crossbars: weights resident, inputs stream bit-serially",
-		Phases:       []sim.Phase{sim.Inference, sim.Training},
-		Configurable: true,
-		Aliases:      []string{"baseline", "weight-stationary"},
-	}
+// wsCaps is shared by every Capabilities call, so resolving this backend
+// allocates nothing; callers must not modify its slices.
+var wsCaps = dataflow.Capabilities{
+	ID:           DataflowID,
+	Name:         "Weight-stationary",
+	Description:  "ISAAC/PipeLayer-style 2D crossbars: weights resident, inputs stream bit-serially",
+	Phases:       []sim.Phase{sim.Inference, sim.Training},
+	Configurable: true,
+	Aliases:      []string{"baseline", "weight-stationary"},
 }
+
+func (wsDataflow) Capabilities() dataflow.Capabilities { return wsCaps }
 
 func (wsDataflow) DefaultConfig() arch.Config { return arch.Baseline() }
 
@@ -41,26 +42,6 @@ func (wsDataflow) New(cfg arch.Config) (sim.Simulator, error) {
 }
 
 func (wsDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }
-
-// LayerCost prices one compute layer per batch: WS repeats the forward
-// pass for every image; training adds the activation round-trip plus
-// the transposed and gradient passes.
-func (wsDataflow) LayerCost(cfg arch.Config, l nn.Layer, phase sim.Phase) (metrics.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return metrics.Result{}, err
-	}
-	m := New(cfg)
-	if !l.IsCompute() {
-		return m.postProcess(l), nil
-	}
-	b := float64(cfg.BatchSize)
-	r := scale(m.forwardLayer(l), b)
-	if phase == sim.Training {
-		r = r.Plus(scale(m.backwardLayer(l), b))
-		r = r.Plus(scale(m.gradientLayer(l), b))
-	}
-	return r, nil
-}
 
 // Mapping space: square crossbar sizes. Larger crossbars amortize
 // periphery but scan more columns per shared ADC; the legal points are

@@ -8,7 +8,6 @@ import (
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 
@@ -73,9 +72,6 @@ func (stubDataflow) New(arch.Config) (sim.Simulator, error) {
 	return sim.WrapID(panicMachine{}, "stub"), nil
 }
 func (stubDataflow) Area(arch.Config) float64 { return 1 }
-func (stubDataflow) LayerCost(arch.Config, nn.Layer, sim.Phase) (metrics.Result, error) {
-	return metrics.Result{}, nil
-}
 func (stubDataflow) Mappings(arch.Config, *nn.Network) []dataflow.Mapping {
 	return []dataflow.Mapping{{}}
 }

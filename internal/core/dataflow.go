@@ -5,7 +5,6 @@ import (
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 )
@@ -20,16 +19,18 @@ type isDataflow struct{}
 
 func (isDataflow) ID() string { return DataflowID }
 
-func (isDataflow) Capabilities() dataflow.Capabilities {
-	return dataflow.Capabilities{
-		ID:           DataflowID,
-		Name:         "Input-stationary",
-		Description:  "INCA 3D-stacked arrays: activations resident, weights stream (the paper's contribution)",
-		Phases:       []sim.Phase{sim.Inference, sim.Training},
-		Configurable: true,
-		Aliases:      []string{"inca", "input-stationary"},
-	}
+// isCaps is shared by every Capabilities call, so resolving this backend
+// allocates nothing; callers must not modify its slices.
+var isCaps = dataflow.Capabilities{
+	ID:           DataflowID,
+	Name:         "Input-stationary",
+	Description:  "INCA 3D-stacked arrays: activations resident, weights stream (the paper's contribution)",
+	Phases:       []sim.Phase{sim.Inference, sim.Training},
+	Configurable: true,
+	Aliases:      []string{"inca", "input-stationary"},
 }
+
+func (isDataflow) Capabilities() dataflow.Capabilities { return isCaps }
 
 func (isDataflow) DefaultConfig() arch.Config { return arch.INCA() }
 
@@ -41,24 +42,6 @@ func (isDataflow) New(cfg arch.Config) (sim.Simulator, error) {
 }
 
 func (isDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }
-
-// LayerCost prices one compute layer per batch: the streamed-weight
-// forward pass, plus the transposed and gradient passes when training.
-func (d isDataflow) LayerCost(cfg arch.Config, l nn.Layer, phase sim.Phase) (metrics.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return metrics.Result{}, err
-	}
-	m := New(cfg)
-	if !l.IsCompute() {
-		return m.postProcess(l), nil
-	}
-	r := m.forwardLayer(l)
-	if phase == sim.Training {
-		r = r.Plus(m.backwardLayer(l))
-		r = r.Plus(m.updateLayer(l))
-	}
-	return r, nil
-}
 
 // Mapping space: square subarray planes of growing size crossed with
 // stacking depths. The legal points are bounded by two capacities:

@@ -52,12 +52,11 @@ func FunctionalConv2D(batch []*tensor.Tensor, w *tensor.Tensor, opt FuncOptions)
 		stacks[ic] = rram.NewStack(len(batch), h, wd)
 		for p, img := range batch {
 			padded := tensor.Pad(img, opt.Pad, opt.Pad)
-			channel := tensor.CropTo(padded, 0, 0, h, wd) // copy
 			// Extract channel ic as a 2D tensor.
 			plane := tensor.New(h, wd)
 			for y := 0; y < h; y++ {
 				for x := 0; x < wd; x++ {
-					plane.Set(channel.At(ic, y, x), y, x)
+					plane.Set(padded.At(ic, y, x), y, x)
 				}
 			}
 			if opt.Noise != nil {

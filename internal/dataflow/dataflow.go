@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 )
@@ -45,7 +44,8 @@ type Dataflow interface {
 	// sweep cache keys.
 	ID() string
 
-	// Capabilities describes what the backend can simulate.
+	// Capabilities describes what the backend can simulate. Its slices
+	// may be shared across calls; callers must not modify them.
 	Capabilities() Capabilities
 
 	// DefaultConfig returns the backend's reference configuration (the
@@ -75,12 +75,6 @@ type Dataflow interface {
 	// Area reports the silicon area in mm² of the machine cfg describes
 	// (fixed backends ignore cfg and report their device's die area).
 	Area(cfg arch.Config) float64
-
-	// LayerCost prices one layer on the machine cfg describes — the
-	// per-layer hook the auto-tuner uses to rank mapping candidates
-	// before full sweep evaluation. Training includes the backward and
-	// update passes; costs are per batch.
-	LayerCost(cfg arch.Config, l nn.Layer, phase sim.Phase) (metrics.Result, error)
 }
 
 // Capabilities describes one backend's envelope: display metadata, the

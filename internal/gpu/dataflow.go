@@ -3,7 +3,6 @@ package gpu
 import (
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 )
@@ -21,16 +20,18 @@ type gpuDataflow struct{}
 
 func (gpuDataflow) ID() string { return DataflowID }
 
-func (gpuDataflow) Capabilities() dataflow.Capabilities {
-	return dataflow.Capabilities{
-		ID:           DataflowID,
-		Name:         "GPU roofline",
-		Description:  "Titan RTX datasheet roofline (Table II): peak FLOPs vs memory bandwidth",
-		Phases:       []sim.Phase{sim.Inference, sim.Training},
-		Configurable: false,
-		Aliases:      []string{"titan-rtx", "roofline"},
-	}
+// gpuCaps is shared by every Capabilities call, so resolving this backend
+// allocates nothing; callers must not modify its slices.
+var gpuCaps = dataflow.Capabilities{
+	ID:           DataflowID,
+	Name:         "GPU roofline",
+	Description:  "Titan RTX datasheet roofline (Table II): peak FLOPs vs memory bandwidth",
+	Phases:       []sim.Phase{sim.Inference, sim.Training},
+	Configurable: false,
+	Aliases:      []string{"titan-rtx", "roofline"},
 }
+
+func (gpuDataflow) Capabilities() dataflow.Capabilities { return gpuCaps }
 
 // DefaultConfig carries only the display name — the roofline has no
 // crossbar geometry, and New ignores its argument entirely.
@@ -43,30 +44,6 @@ func (gpuDataflow) New(arch.Config) (sim.Simulator, error) {
 }
 
 func (gpuDataflow) Area(arch.Config) float64 { return TitanRTX().AreaMM2 }
-
-// LayerCost prices one layer with the same roofline as Simulate,
-// applied to the layer's MAC volume alone.
-func (gpuDataflow) LayerCost(cfg arch.Config, l nn.Layer, phase sim.Phase) (metrics.Result, error) {
-	spec := TitanRTX()
-	macs := float64(l.MACs()) * float64(spec.BatchSize)
-	if phase == sim.Training {
-		macs *= 3
-	}
-	var r metrics.Result
-	if macs == 0 {
-		return r, nil
-	}
-	flops := 2 * macs
-	computeTime := flops / (spec.PeakFLOPs * spec.Efficiency)
-	memTime := macs * spec.BytesPerMAC / spec.MemoryBandwidth
-	t := computeTime
-	if memTime > t {
-		t = memTime
-	}
-	r.Latency = t
-	r.Energy.Add(metrics.Digital, spec.Power*t)
-	return r, nil
-}
 
 func (gpuDataflow) Mappings(arch.Config, *nn.Network) []dataflow.Mapping {
 	return []dataflow.Mapping{{}}

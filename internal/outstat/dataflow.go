@@ -5,7 +5,6 @@ import (
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
-	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 )
@@ -20,16 +19,18 @@ type osDataflow struct{}
 
 func (osDataflow) ID() string { return DataflowID }
 
-func (osDataflow) Capabilities() dataflow.Capabilities {
-	return dataflow.Capabilities{
-		ID:           DataflowID,
-		Name:         "Output-stationary",
-		Description:  "MAC-DO-style in-array accumulators: outputs resident, inputs and weights both stream (inference only)",
-		Phases:       []sim.Phase{sim.Inference},
-		Configurable: true,
-		Aliases:      []string{"outstat", "output-stationary", "mac-do"},
-	}
+// osCaps is shared by every Capabilities call, so resolving this backend
+// allocates nothing; callers must not modify its slices.
+var osCaps = dataflow.Capabilities{
+	ID:           DataflowID,
+	Name:         "Output-stationary",
+	Description:  "MAC-DO-style in-array accumulators: outputs resident, inputs and weights both stream (inference only)",
+	Phases:       []sim.Phase{sim.Inference},
+	Configurable: true,
+	Aliases:      []string{"outstat", "output-stationary", "mac-do"},
 }
+
+func (osDataflow) Capabilities() dataflow.Capabilities { return osCaps }
 
 func (osDataflow) DefaultConfig() arch.Config { return arch.OutStationary() }
 
@@ -41,21 +42,6 @@ func (osDataflow) New(cfg arch.Config) (sim.Simulator, error) {
 }
 
 func (osDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }
-
-// LayerCost prices one compute layer per batch (inference only).
-func (osDataflow) LayerCost(cfg arch.Config, l nn.Layer, phase sim.Phase) (metrics.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return metrics.Result{}, err
-	}
-	if phase != sim.Inference {
-		return metrics.Result{}, fmt.Errorf("%w: %s cannot simulate %s", dataflow.ErrUnsupportedPhase, DataflowID, phase)
-	}
-	m := New(cfg)
-	if !l.IsCompute() {
-		return m.postProcess(l), nil
-	}
-	return scale(m.forwardLayer(l), float64(cfg.BatchSize)), nil
-}
 
 // Mapping space: iso-capacity aspect reshapes of the accumulator
 // crossbar. Rows bound the output-position tile and columns the

@@ -3,8 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"github.com/inca-arch/inca/internal/arch"
+	"github.com/inca-arch/inca/internal/nn"
+	"github.com/inca-arch/inca/internal/sim"
+	"github.com/inca-arch/inca/internal/sweep"
 )
 
 // TestSimulateExplicitDataflow pins the new wire field: an explicit
@@ -170,5 +176,123 @@ func TestModelsListDataflows(t *testing.T) {
 				t.Errorf("%s: missing dataflow %q in %v", m.Name, want, m.Dataflows)
 			}
 		}
+	}
+}
+
+// TestArchSpellings pins name → axis on every request path: each
+// spelling of a backend in a sweep's "archs" and "dataflows" and in
+// /v1/simulate's "arch" and "dataflow" resolves to the same axis and
+// cache key. Sweeps run at batch 8 (the GPU ignores it), simulates at
+// the default batch.
+func TestArchSpellings(t *testing.T) {
+	batched := func(cfg arch.Config, n int) arch.Config {
+		cfg.BatchSize = n
+		return cfg
+	}
+	gpu := wantAxis{"TitanRTX", "gpu", arch.Config{Name: "TitanRTX"}, true, "TitanRTX/gpu/fixed/LeNet5/inference"}
+	for _, b := range []struct {
+		spellings       []string
+		sweep, simulate wantAxis
+	}{
+		{[]string{"inca", "INCA", "is", "input-stationary", "Input-stationary"},
+			wantAxis{"INCA", "is", batched(arch.INCA(), 8), false, "INCA/is/1cfae3426c8ce366/LeNet5/inference"},
+			wantAxis{"INCA", "is", arch.INCA(), false, "INCA/is/aa9f13f3d5b2fffc/LeNet5/inference"}},
+		{[]string{"baseline", "WS-Baseline", "ws", "weight-stationary"},
+			wantAxis{"WS-Baseline", "ws", batched(arch.Baseline(), 8), false, "WS-Baseline/ws/5eb0c8b459124f23/LeNet5/inference"},
+			wantAxis{"WS-Baseline", "ws", arch.Baseline(), false, "WS-Baseline/ws/4d2c1b1630cd1703/LeNet5/inference"}},
+		{[]string{"gpu", "TitanRTX", "titan-rtx", "roofline"}, gpu, gpu},
+		{[]string{"os", "OS-Baseline", "outstat", "mac-do"},
+			wantAxis{"OS-Baseline", "os", batched(arch.OutStationary(), 8), false, "OS-Baseline/os/e155909e23f20625/LeNet5/inference"},
+			wantAxis{"OS-Baseline", "os", arch.OutStationary(), false, "OS-Baseline/os/2385c19862967f9d/LeNet5/inference"}},
+	} {
+		for _, s := range b.spellings {
+			for _, field := range []string{"archs", "dataflows"} {
+				req := SweepRequest{Models: []string{"LeNet5"}, Phases: []string{"inference"}, Batch: 8}
+				if field == "archs" {
+					req.Archs = []string{s}
+				} else {
+					req.Dataflows = []string{s}
+				}
+				cs, err := compileSweep(req)
+				if err != nil {
+					t.Fatalf("%s %q: %v", field, s, err)
+				}
+				checkAxis(t, field+" "+s, cs.cells[0], b.sweep)
+			}
+			for _, field := range []string{"arch", "dataflow"} {
+				name, id := s, ""
+				if field == "dataflow" {
+					name, id = "", s
+				}
+				checkSimulateAxis(t, field+" "+s, name, id, 0, nil, b.simulate)
+			}
+		}
+	}
+
+	// Custom configs at batch 16. Without a dataflow the config's own
+	// Dataflow field picks the backend; a nameless config takes the
+	// backend's display name.
+	custom := func(cfg arch.Config, name string) arch.Config {
+		cfg.Name = name
+		return cfg
+	}
+	for _, c := range []struct {
+		arch, dataflow string
+		cfg            arch.Config
+		want           wantAxis
+	}{
+		{"inca", "", custom(arch.INCA(), ""),
+			wantAxis{"Input-stationary", "is", custom(batched(arch.INCA(), 16), ""), false, "Input-stationary/is/a3ef1c133994c08c/LeNet5/inference"}},
+		{"inca", "", custom(arch.INCA(), "MyINCA"),
+			wantAxis{"MyINCA", "is", custom(batched(arch.INCA(), 16), "MyINCA"), false, "MyINCA/is/1188ff60eeeb493b/LeNet5/inference"}},
+		{"gpu", "", custom(arch.Baseline(), ""),
+			wantAxis{"Weight-stationary", "ws", custom(batched(arch.Baseline(), 16), ""), false, "Weight-stationary/ws/a6a3de06a4472b28/LeNet5/inference"}},
+		{"", "is", custom(arch.INCA(), ""),
+			wantAxis{"Input-stationary", "is", custom(batched(arch.INCA(), 16), ""), false, "Input-stationary/is/a3ef1c133994c08c/LeNet5/inference"}},
+		{"", "ws", custom(arch.Baseline(), "MyWS"),
+			wantAxis{"MyWS", "ws", custom(batched(arch.Baseline(), 16), "MyWS"), false, "MyWS/ws/992665c3a2707f80/LeNet5/inference"}},
+		{"", "gpu", custom(arch.INCA(), ""),
+			wantAxis{"GPU roofline", "gpu", custom(arch.INCA(), ""), true, "GPU roofline/gpu/fixed/LeNet5/inference"}},
+	} {
+		var buf bytes.Buffer
+		if err := c.cfg.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := json.RawMessage(buf.Bytes())
+		checkSimulateAxis(t, fmt.Sprintf("arch %q dataflow %q config %q", c.arch, c.dataflow, c.cfg.Name),
+			c.arch, c.dataflow, 16, &raw, c.want)
+	}
+}
+
+// wantAxis is the resolved axis a spelling must give, with its cell's
+// LeNet5 inference cache key.
+type wantAxis struct {
+	name, dataflow string
+	base           arch.Config
+	fixed          bool
+	key            string
+}
+
+// checkSimulateAxis resolves a /v1/simulate selection as the handler
+// does and checks the axis of its one cell.
+func checkSimulateAxis(t *testing.T, what, name, id string, batch int, raw *json.RawMessage, want wantAxis) {
+	t.Helper()
+	ax, err := buildArch(name, id, batch, raw)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	checkAxis(t, what, sweep.Cell{Arch: ax, Config: ax.Base, Network: nn.LeNet5(), Phase: sim.Inference}, want)
+}
+
+func checkAxis(t *testing.T, what string, c sweep.Cell, want wantAxis) {
+	t.Helper()
+	a := c.Arch
+	if a.Name != want.name || a.Dataflow != want.dataflow || a.Fixed != want.fixed || a.Base != want.base {
+		t.Errorf("%s: axis {%q %q fixed=%v base %q batch %d}, want {%q %q fixed=%v base %q batch %d}", what,
+			a.Name, a.Dataflow, a.Fixed, a.Base.Name, a.Base.BatchSize,
+			want.name, want.dataflow, want.fixed, want.base.Name, want.base.BatchSize)
+	}
+	if got := c.Key().String(); got != want.key {
+		t.Errorf("%s: key %q, want %q", what, got, want.key)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,7 +9,6 @@ import (
 	"strings"
 
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/obs/cost"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
@@ -288,72 +288,21 @@ func parsePhase(name string) (sim.Phase, error) {
 
 // buildArch resolves an architecture selection (legacy arch name or
 // explicit dataflow ID, plus optional batch override and custom
-// configuration) into a sweep axis. The custom configuration is
-// validated here so a bad request fails with 400 before admission.
+// configuration) into a sweep axis through sweep.Resolve. A custom
+// configuration sent without a dataflow picks its backend by its own
+// Dataflow field, whatever the arch name; it is validated here so a bad
+// request fails with 400 before admission.
 func buildArch(name, dataflowID string, batch int, rawCfg *json.RawMessage) (sweep.Arch, error) {
-	if dataflowID != "" {
-		return buildDataflowArch(dataflowID, batch, rawCfg)
-	}
+	id := dataflowID
+	var custom *arch.Config
 	if rawCfg != nil {
-		cfg, err := arch.ReadJSON(strings.NewReader(string(*rawCfg)))
+		cfg, err := arch.ReadJSON(bytes.NewReader(*rawCfg))
 		if err != nil {
 			return sweep.Arch{}, err
 		}
-		if batch > 0 {
-			cfg.BatchSize = batch
-		}
-		return sweep.ConfigArch(cfg), nil
+		custom = &cfg
+	} else if id == "" {
+		id = name
 	}
-	var cfg arch.Config
-	switch name {
-	case "inca":
-		cfg = arch.INCA()
-	case "baseline":
-		cfg = arch.Baseline()
-	case "gpu":
-		return sweep.GPUArch(), nil
-	default:
-		// Registry fallback: arch names that are dataflow IDs or aliases
-		// ("os", "is", legacy "WS-Baseline", ...) normalize server-side.
-		if id, ok := dataflow.Normalize(name); ok {
-			return buildDataflowArch(id, batch, nil)
-		}
-		return sweep.Arch{}, fmt.Errorf("unknown arch %q (want inca, baseline, gpu, or a registered dataflow ID)", name)
-	}
-	if batch > 0 {
-		cfg.BatchSize = batch
-	}
-	return sweep.ConfigArch(cfg), nil
-}
-
-// buildDataflowArch resolves an explicit dataflow selection: the named
-// backend's default configuration, or the caller's custom configuration
-// constructed on that backend.
-func buildDataflowArch(id string, batch int, rawCfg *json.RawMessage) (sweep.Arch, error) {
-	d, err := dataflow.Get(id)
-	if err != nil {
-		return sweep.Arch{}, err
-	}
-	caps := d.Capabilities()
-	cfg := d.DefaultConfig()
-	if rawCfg != nil {
-		cfg, err = arch.ReadJSON(strings.NewReader(string(*rawCfg)))
-		if err != nil {
-			return sweep.Arch{}, err
-		}
-	}
-	if batch > 0 && caps.Configurable {
-		cfg.BatchSize = batch
-	}
-	name := cfg.Name
-	if name == "" {
-		name = caps.Name
-	}
-	return sweep.Arch{
-		Name:     name,
-		Dataflow: d.ID(),
-		Base:     cfg,
-		Build:    d.New,
-		Fixed:    !caps.Configurable,
-	}, nil
+	return sweep.Resolve(id, custom, batch)
 }

@@ -7,7 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"slices"
 
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/job"
@@ -116,20 +118,17 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 		return cs, nil
 	}
 	cs.newStyle = len(req.Dataflows) > 0
-	var archs []sweep.Arch
-	for _, name := range req.Archs {
-		ax, err := buildArch(name, "", req.Batch, nil)
-		if err != nil {
-			return cs, err
-		}
-		archs = append(archs, ax)
+	if err := checkPlanSize(len(req.Archs)+len(req.Dataflows), len(req.Overrides), len(cs.nets), len(phases)); err != nil {
+		return cs, err
 	}
-	for _, id := range req.Dataflows {
-		ax, err := buildDataflowArch(id, req.Batch, nil)
+	ids := slices.Concat(req.Archs, req.Dataflows)
+	archs := make([]sweep.Arch, len(ids))
+	for i, id := range ids {
+		ax, err := sweep.Resolve(id, nil, req.Batch)
 		if err != nil {
 			return cs, err
 		}
-		archs = append(archs, ax)
+		archs[i] = ax
 	}
 	var overrides []sweep.Override
 	for _, spec := range req.Overrides {
@@ -142,6 +141,31 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 	}
 	cs.cells = cells
 	return cs, nil
+}
+
+// maxSweepCells bounds the cells one sweep plan may expand to. A plan's
+// size is the product of its axis lengths, so a body far below
+// MaxBodyBytes can name hundreds of thousands of cells; at about 728 B a
+// cell, the cap keeps one compiled plan near 7 MiB.
+const maxSweepCells = 10000
+
+// checkPlanSize rejects a plan of more than maxSweepCells cells before
+// any cell is built. An empty override axis still yields one cell per
+// arch, network and phase; the product saturates instead of
+// overflowing.
+func checkPlanSize(archs, overrides, nets, phases int) error {
+	n := 1
+	for _, k := range []int{archs, max(overrides, 1), nets, phases} {
+		if k > 0 && n > math.MaxInt/k {
+			n = math.MaxInt
+		} else {
+			n *= k
+		}
+	}
+	if n > maxSweepCells {
+		return fmt.Errorf("sweep plan expands to %d cells, over the limit of %d", n, maxSweepCells)
+	}
+	return nil
 }
 
 // canonicalJobSpec validates a request and returns its canonical bytes:

@@ -500,3 +500,39 @@ func TestTuneJobFrontiersMatchSyncSweep(t *testing.T) {
 		t.Fatalf("tune job (failed %d) %s\nvs sync sweep (failed %d) %s", async.Failed, async.Frontiers, sync.Failed, sync.Frontiers)
 	}
 }
+
+// TestSweepPlanSizeCap pins the plan bound: a plan one cell over
+// maxSweepCells fails before expansion, on /v1/sweep and on job
+// submission alike, and a plan exactly at the cap still compiles.
+func TestSweepPlanSizeCap(t *testing.T) {
+	t.Parallel()
+	plan := func(archs, models int) SweepRequest {
+		req := SweepRequest{Phases: []string{"inference"}}
+		for i := 0; i < archs; i++ {
+			req.Archs = append(req.Archs, "is")
+		}
+		for i := 0; i < models; i++ {
+			req.Models = append(req.Models, "LeNet5")
+		}
+		return req
+	}
+	over := plan(73, 137) // 10,001 cells
+	jm := newJobManager(t, "", job.Options{Runners: 1})
+	s, ts := newTestServer(t, Options{Jobs: jm})
+	body, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, ts.URL+"/v1/sweep", string(body), nil)
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "10001 cells, over the limit of 10000") {
+		t.Fatalf("over-cap sweep: status %d, body %.200s", resp.StatusCode, raw)
+	}
+	if _, err := s.SubmitJob(over); err == nil {
+		t.Fatal("over-cap job submitted")
+	}
+	cs, err := compileSweep(plan(100, 100))
+	if err != nil || len(cs.cells) != maxSweepCells {
+		t.Fatalf("at-cap plan: %d cells, %v", len(cs.cells), err)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
@@ -162,18 +161,15 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 	}
-	ax := sweep.Arch{Name: wc.Arch, Dataflow: wc.Dataflow, Base: cfg, Fixed: wc.Fixed}
-	if wc.Dataflow != "" {
-		d, err := dataflow.Get(wc.Dataflow)
-		if err != nil {
-			return sweep.Cell{}, fmt.Errorf("cell %d: %w", wc.Seq, err)
-		}
-		ax.Build = d.New
-	} else {
-		// Pre-registry axis: route by the config's own dataflow field,
-		// exactly like sweep.ConfigArch.
-		ax.Build = sweep.ConfigArch(cfg).Build
+	// The backend comes from the registry (a pre-registry axis, with no
+	// dataflow on the wire, routes by its config's Dataflow field); the
+	// name, dataflow and fixed flag ride the wire verbatim so the cell
+	// keeps its key.
+	ax, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
+	if err != nil {
+		return sweep.Cell{}, fmt.Errorf("cell %d: %w", wc.Seq, err)
 	}
+	ax.Name, ax.Dataflow, ax.Fixed = wc.Arch, wc.Dataflow, wc.Fixed
 	return sweep.Cell{
 		Seq:      wc.Seq,
 		Arch:     ax,

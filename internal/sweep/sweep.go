@@ -57,73 +57,68 @@ type Arch struct {
 }
 
 // INCAArch returns the paper's INCA accelerator as a sweep axis.
-func INCAArch() Arch {
-	cfg := arch.INCA()
-	return Arch{Name: cfg.Name, Dataflow: dataflow.FromConfig(cfg), Base: cfg, Build: buildConfigured}
-}
+func INCAArch() Arch { return mustResolve("is", nil) }
 
 // BaselineArch returns the 2D WS baseline as a sweep axis.
-func BaselineArch() Arch {
-	cfg := arch.Baseline()
-	return Arch{Name: cfg.Name, Dataflow: dataflow.FromConfig(cfg), Base: cfg, Build: buildConfigured}
-}
+func BaselineArch() Arch { return mustResolve("ws", nil) }
 
 // OutStatArch returns the output-stationary comparison point as a sweep
 // axis (inference only — training cells fail with
 // dataflow.ErrUnsupportedPhase).
-func OutStatArch() Arch {
-	cfg := arch.OutStationary()
-	return Arch{Name: cfg.Name, Dataflow: dataflow.FromConfig(cfg), Base: cfg, Build: buildConfigured}
-}
+func OutStatArch() Arch { return mustResolve("os", nil) }
 
 // GPUArch returns the Titan RTX roofline model as a sweep axis.
-func GPUArch() Arch {
-	a, err := DataflowArch("gpu")
-	if err != nil {
-		// The gpu package is linked in above; its registration cannot be
-		// missing.
-		panic(err)
-	}
-	return a
-}
+func GPUArch() Arch { return mustResolve("gpu", nil) }
 
 // ConfigArch wraps an explicit configuration (e.g. one loaded from JSON)
 // as a sweep axis, selecting the backend by its Dataflow field.
-func ConfigArch(cfg arch.Config) Arch {
-	return Arch{Name: cfg.Name, Dataflow: dataflow.FromConfig(cfg), Base: cfg, Build: buildConfigured}
-}
+func ConfigArch(cfg arch.Config) Arch { return mustResolve("", &cfg) }
 
 // DataflowArch resolves a registered dataflow backend — by ID or any
 // alias Normalize accepts — into a sweep axis running its default
 // configuration.
-func DataflowArch(id string) (Arch, error) {
+func DataflowArch(id string) (Arch, error) { return Resolve(id, nil, 0) }
+
+// Resolve is the one place a backend selection becomes a sweep axis.
+// id is a registry ID or alias (case-insensitive; the legacy names
+// "inca" and "baseline" and the display names "INCA", "WS-Baseline" and
+// "TitanRTX" are aliases). An empty id with a custom config lets the
+// config's own Dataflow field pick the backend. A custom config replaces
+// the backend's default one, and batch > 0 sets the batch size on
+// configurable backends only. The axis is named after its config, or
+// after the backend when the config has no name; it builds with the
+// backend's New and is Fixed when the backend is not configurable.
+func Resolve(id string, custom *arch.Config, batch int) (Arch, error) {
+	if id == "" && custom != nil {
+		id = dataflow.FromConfig(*custom)
+	}
 	d, err := dataflow.Get(id)
 	if err != nil {
 		return Arch{}, err
 	}
 	caps := d.Capabilities()
 	cfg := d.DefaultConfig()
+	if custom != nil {
+		cfg = *custom
+	}
+	if batch > 0 && caps.Configurable {
+		cfg.BatchSize = batch
+	}
 	name := cfg.Name
 	if name == "" {
 		name = caps.Name
 	}
-	return Arch{
-		Name:     name,
-		Dataflow: d.ID(),
-		Base:     cfg,
-		Build:    d.New,
-		Fixed:    !caps.Configurable,
-	}, nil
+	return Arch{Name: name, Dataflow: d.ID(), Base: cfg, Build: d.New, Fixed: !caps.Configurable}, nil
 }
 
-// buildConfigured routes a configuration to its registered backend by
-// Dataflow field. Validation happens inside the backend's constructor.
-func buildConfigured(cfg arch.Config) (sim.Simulator, error) {
-	d, err := dataflow.Get(dataflow.FromConfig(cfg))
+// mustResolve resolves a backend this package links in (see the imports
+// above), so the lookup cannot fail.
+func mustResolve(id string, custom *arch.Config) Arch {
+	a, err := Resolve(id, custom, 0)
 	if err != nil {
-		return nil, err
+		panic(err)
 	}
-	return d.New(cfg)
+	return a
 }
 
 // Override is one named configuration transform of the sweep's config

@@ -206,55 +206,6 @@ func convPoint(g convGeom, xd, wn []float64, oy, ox int) float64 {
 	return sum
 }
 
-// DepthwiseConv2D convolves each input channel with its own single-channel
-// kernel (paper Fig. 3b, "depthwise convolution": no accumulation across
-// input channels).
-//
-//	x: [C, H, W]
-//	w: [C, KH, KW]
-//
-// Result: [C, OH, OW].
-func DepthwiseConv2D(x, w *Tensor, spec ConvSpec) *Tensor {
-	spec.validate()
-	if x.Rank() != 3 || w.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D wants rank-3 x and w, got %v and %v", x.Dims(), w.Dims()))
-	}
-	c, h, wd := x.Dim(0), x.Dim(1), x.Dim(2)
-	if w.Dim(0) != c {
-		panic(fmt.Sprintf("tensor: DepthwiseConv2D channel mismatch: x has %d, w has %d", c, w.Dim(0)))
-	}
-	kh, kw := w.Dim(1), w.Dim(2)
-	spec.checkKernel("DepthwiseConv2D", h, wd, kh, kw)
-	oh, ow := spec.OutSize(h, kh), spec.OutSize(wd, kw)
-	out := New(c, oh, ow)
-	// Channels never interact in a depthwise convolution, so they are the
-	// natural parallel axis.
-	parallelFor(c, 2*int64(oh)*int64(ow)*int64(kh)*int64(kw), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					sum := 0.0
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*spec.Stride - spec.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*spec.Stride - spec.Pad + kx
-							if ix < 0 || ix >= wd {
-								continue
-							}
-							sum += x.data[(ic*h+iy)*wd+ix] * w.data[(ic*kh+ky)*kw+kx]
-						}
-					}
-					out.data[(ic*oh+oy)*ow+ox] = sum
-				}
-			}
-		}
-	})
-	return out
-}
-
 // Im2Col unrolls the sliding windows of x into a matrix of shape
 // [C*KH*KW, OH*OW]. Column j holds the window that produces output position
 // j; this is the "GEMM-based convolution" unrolling used by WS accelerators
@@ -407,22 +358,6 @@ func Dilate(x *Tensor, stride int) *Tensor {
 			for ix := 0; ix < w; ix++ {
 				out.data[(ic*oh+iy*stride)*ow+ix*stride] = x.data[(ic*h+iy)*w+ix]
 			}
-		}
-	}
-	return out
-}
-
-// CropTo crops x [C,H,W] to [C,h,w] starting at the origin offset (oy, ox).
-func CropTo(x *Tensor, oy, ox, h, w int) *Tensor {
-	c, ih, iw := x.Dim(0), x.Dim(1), x.Dim(2)
-	if oy+h > ih || ox+w > iw {
-		panic(fmt.Sprintf("tensor: crop [%d+%d, %d+%d] exceeds input [%d, %d]", oy, h, ox, w, ih, iw))
-	}
-	out := New(c, h, w)
-	for ic := 0; ic < c; ic++ {
-		for y := 0; y < h; y++ {
-			src := (ic*ih+oy+y)*iw + ox
-			copy(out.data[(ic*h+y)*w:(ic*h+y)*w+w], x.data[src:src+w])
 		}
 	}
 	return out

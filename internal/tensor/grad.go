@@ -216,69 +216,3 @@ func allFinite(v []float64) bool {
 	}
 	return true
 }
-
-// DepthwiseBackwardInput computes dL/dx for a depthwise convolution.
-// w is [C,KH,KW], delta is [C,OH,OW].
-func DepthwiseBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
-	c, kh, kw := w.Dim(0), w.Dim(1), w.Dim(2)
-	dx := New(c, inH, inW)
-	oh, ow := delta.Dim(1), delta.Dim(2)
-	// Depthwise gradients scatter within a single channel's dx plane only.
-	parallelFor(c, 2*int64(oh)*int64(ow)*int64(kh)*int64(kw), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := delta.data[(ic*oh+oy)*ow+ox]
-					if g == 0 {
-						continue
-					}
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*spec.Stride - spec.Pad + ky
-						if iy < 0 || iy >= inH {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*spec.Stride - spec.Pad + kx
-							if ix < 0 || ix >= inW {
-								continue
-							}
-							dx.data[(ic*inH+iy)*inW+ix] += g * w.data[(ic*kh+ky)*kw+kx]
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
-}
-
-// DepthwiseBackwardWeights computes dL/dw for a depthwise convolution.
-func DepthwiseBackwardWeights(x, delta *Tensor, spec ConvSpec, kh, kw int) *Tensor {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh, ow := delta.Dim(1), delta.Dim(2)
-	dw := New(c, kh, kw)
-	parallelFor(c, 2*int64(kh)*int64(kw)*int64(oh)*int64(ow), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					sum := 0.0
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*spec.Stride - spec.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*spec.Stride - spec.Pad + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							sum += x.data[(ic*h+iy)*w+ix] * delta.data[(ic*oh+oy)*ow+ox]
-						}
-					}
-					dw.data[(ic*kh+ky)*kw+kx] = sum
-				}
-			}
-		}
-	})
-	return dw
-}

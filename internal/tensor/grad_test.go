@@ -97,31 +97,6 @@ func TestConvBackwardWeightsNumerical(t *testing.T) {
 	}
 }
 
-func TestDepthwiseBackwardNumerical(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cases := []struct{ c, h, w, k, s, p int }{
-		{2, 6, 6, 3, 1, 1},
-		{3, 7, 7, 3, 2, 1},
-		{1, 5, 5, 5, 1, 2},
-	}
-	for _, cse := range cases {
-		x := Randn(rng, 1, cse.c, cse.h, cse.w)
-		w := Randn(rng, 1, cse.c, cse.k, cse.k)
-		spec := ConvSpec{Stride: cse.s, Pad: cse.p}
-		y := DepthwiseConv2D(x, w, spec)
-		ones := New(y.Dims()...)
-		ones.Fill(1)
-
-		dx := DepthwiseBackwardInput(w, ones, spec, cse.h, cse.w)
-		numX := numericalGrad(x, func() *Tensor { return DepthwiseConv2D(x, w, spec) })
-		checkClose(t, "DepthwiseBackwardInput", dx, numX, 1e-6)
-
-		dw := DepthwiseBackwardWeights(x, ones, spec, cse.k, cse.k)
-		numW := numericalGrad(w, func() *Tensor { return DepthwiseConv2D(x, w, spec) })
-		checkClose(t, "DepthwiseBackwardWeights", dw, numW, 1e-6)
-	}
-}
-
 func TestFCBackwardNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := Randn(rng, 1, 4, 6) // weights [out, in]

@@ -7,8 +7,8 @@ import (
 
 // Kernel parallelism
 //
-// Every parallel kernel in this package (Conv2D, DepthwiseConv2D, Im2Col,
-// MatMul and the backward kernels) draws its workers from one shared,
+// Every parallel kernel in this package (Conv2D, Im2Col, MatMul,
+// ConvBackwardInput and ConvBackwardWeights) draws its workers from one shared,
 // process-wide budget. The budget is a token pool holding budget-1 tokens:
 // a kernel call always runs on its calling goroutine and additionally
 // takes as many tokens as it can use without blocking, returning them when

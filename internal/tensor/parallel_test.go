@@ -293,10 +293,8 @@ func TestKernelsBitIdenticalAcrossBudgets(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	x := Randn(rng, 1, 6, 15, 15)
 	w := Randn(rng, 1, 10, 6, 3, 3)
-	dw := Randn(rng, 1, 6, 3, 3)
 	spec := ConvSpec{Stride: 2, Pad: 1}
 	delta := Randn(rng, 1, 10, 8, 8)
-	ddelta := Randn(rng, 1, 6, 8, 8)
 
 	type result struct {
 		name string
@@ -305,13 +303,10 @@ func TestKernelsBitIdenticalAcrossBudgets(t *testing.T) {
 	compute := func() []result {
 		return []result{
 			{"Conv2D", Conv2D(x, w, spec)},
-			{"DepthwiseConv2D", DepthwiseConv2D(x, dw, spec)},
 			{"Im2Col", Im2Col(x, 3, 3, spec)},
 			{"Conv2DIm2Col", Conv2DIm2Col(x, w, spec)},
 			{"ConvBackwardInput", ConvBackwardInput(w, delta, spec, 15, 15)},
 			{"ConvBackwardWeights", ConvBackwardWeights(x, delta, spec, 3, 3)},
-			{"DepthwiseBackwardInput", DepthwiseBackwardInput(dw, ddelta, spec, 15, 15)},
-			{"DepthwiseBackwardWeights", DepthwiseBackwardWeights(x, ddelta, spec, 3, 3)},
 		}
 	}
 	var serial []result
@@ -387,9 +382,6 @@ func TestKernelLargerThanPaddedInputRejected(t *testing.T) {
 	wBig := New(3, 2, 7, 7) // 7 > 4 + 2*1
 	spec := ConvSpec{Stride: 1, Pad: 1}
 	mustPanicContaining(t, "larger than padded input", func() { Conv2D(x, wBig, spec) })
-	mustPanicContaining(t, "larger than padded input", func() {
-		DepthwiseConv2D(x, New(2, 7, 7), spec)
-	})
 	mustPanicContaining(t, "larger than padded input", func() { Im2Col(x, 7, 7, spec) })
 	mustPanicContaining(t, "larger than padded input", func() { Conv2DIm2Col(x, wBig, spec) })
 	mustPanicContaining(t, "at least 1x1", func() { Im2Col(x, 0, 3, spec) })

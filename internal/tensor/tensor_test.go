@@ -166,22 +166,6 @@ func TestConv2DChannelAccumulation(t *testing.T) {
 	}
 }
 
-func TestDepthwiseConvNoChannelAccumulation(t *testing.T) {
-	x := FromSlice([]float64{
-		1, 2, 3, 4,
-		10, 20, 30, 40,
-	}, 2, 2, 2)
-	w := FromSlice([]float64{
-		1, 1, 1, 1,
-		2, 2, 2, 2,
-	}, 2, 2, 2)
-	y := DepthwiseConv2D(x, w, ConvSpec{Stride: 1})
-	want := FromSlice([]float64{10, 200}, 2, 1, 1)
-	if !y.Equal(want, 1e-12) {
-		t.Fatalf("DepthwiseConv2D = %v, want %v", y, want)
-	}
-}
-
 // TestConvDirectEqualsIm2Col is the core equivalence the INCA design rests
 // on: direct convolution (2T1R array) and GEMM-based convolution (WS
 // unrolling) must compute identical results.
@@ -255,14 +239,28 @@ func TestPadAndCrop(t *testing.T) {
 	if p.At(0, 0, 0) != 0 || p.At(0, 1, 1) != 1 || p.At(0, 2, 2) != 4 {
 		t.Fatal("Pad misplaced data")
 	}
-	c := CropTo(p, 1, 1, 2, 2)
-	if !c.Equal(x, 0) {
-		t.Fatal("CropTo(Pad(x)) != x")
+	if !holds(p, x, 1, 1) {
+		t.Fatal("Pad(x, 1, 1) does not hold x at offset (1, 1)")
 	}
 	p = Pad(x, 2, 1)
-	if p.Dim(1) != 6 || p.Dim(2) != 4 || !CropTo(p, 2, 1, 2, 2).Equal(x, 0) {
+	if p.Dim(1) != 6 || p.Dim(2) != 4 || !holds(p, x, 2, 1) {
 		t.Fatalf("Pad(x, 2, 1) = %v, want x inside 2 rows and 1 column of zeros", p.Data())
 	}
+}
+
+// holds reports whether p contains x's rows and columns starting at
+// offset (oy, ox) in every channel.
+func holds(p, x *Tensor, oy, ox int) bool {
+	for c := 0; c < x.Dim(0); c++ {
+		for y := 0; y < x.Dim(1); y++ {
+			for xx := 0; xx < x.Dim(2); xx++ {
+				if p.At(c, oy+y, ox+xx) != x.At(c, y, xx) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 func TestDilate(t *testing.T) {

@@ -136,22 +136,11 @@ func Search(ctx context.Context, net *nn.Network, opt Options) ([]Frontier, erro
 		}
 		for _, m := range mappings {
 			cfg := d.Apply(base, m)
-			name := cfg.Name
-			if name == "" {
-				name = caps.Name
+			ax, err := sweep.Resolve(d.ID(), &cfg, 0)
+			if err != nil {
+				return nil, err
 			}
-			cands = append(cands, candidate{
-				arch: sweep.Arch{
-					Name:     name,
-					Dataflow: d.ID(),
-					Base:     cfg,
-					Build:    d.New,
-					Fixed:    !caps.Configurable,
-				},
-				mapping: m,
-				area:    d.Area(cfg),
-				phases:  caps.Phases,
-			})
+			cands = append(cands, candidate{arch: ax, mapping: m, area: d.Area(cfg), phases: caps.Phases})
 		}
 	}
 	if len(cands) == 0 {

@@ -1,57 +1,10 @@
 package inca
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"testing"
 )
-
-// TestNewMachineMatchesDeprecatedPath pins the redesign's byte-identity
-// promise: a machine built through the registry produces exactly the
-// report the deprecated constructors did.
-func TestNewMachineMatchesDeprecatedPath(t *testing.T) {
-	ctx := context.Background()
-	net, err := Model("LeNet5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		dataflow string
-		cfg      Config
-	}{
-		{"is", DefaultINCA()},
-		{"ws", DefaultBaseline()},
-	}
-	for _, c := range cases {
-		newStyle, err := NewMachine(c.dataflow, c.cfg)
-		if err != nil {
-			t.Fatalf("NewMachine(%s): %v", c.dataflow, err)
-		}
-		oldStyle, err := New(c.cfg)
-		if err != nil {
-			t.Fatalf("New(%s): %v", c.dataflow, err)
-		}
-		a, err := newStyle.Simulate(ctx, net, Inference)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := oldStyle.Simulate(ctx, net, Inference)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ab, bb bytes.Buffer
-		if err := a.WriteCSV(&ab); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteCSV(&bb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
-			t.Errorf("%s: registry path diverges from deprecated path", c.dataflow)
-		}
-	}
-}
 
 func TestNewMachineDefaultsAndOptions(t *testing.T) {
 	ctx := context.Background()
@@ -112,6 +65,13 @@ func TestDataflowsListing(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("registry missing %q (have %v)", want, infos)
 		}
+	}
+	// The listing is the caller's copy: editing it leaves the registry's
+	// shared capabilities untouched.
+	phase := infos[0].Phases[0]
+	infos[0].Phases[0] = Phase(99)
+	if got := Dataflows()[0].Phases[0]; got != phase {
+		t.Errorf("editing Dataflows() changed the registry: phase %v, want %v", got, phase)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestServiceHandlerMatchesDirectFacade(t *testing.T) {
 	ts := httptest.NewServer(inca.NewServiceHandler(inca.ServiceOptions{}))
 	defer ts.Close()
 
-	sm, err := inca.New(inca.DefaultINCA())
+	sm, err := inca.NewMachine("is", inca.DefaultINCA())
 	if err != nil {
 		t.Fatal(err)
 	}
