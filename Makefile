@@ -73,7 +73,7 @@ chaos:
 # the traced sim/sweep/serve paths (deterministic step clocks pin every
 # timestamp), kernel-stats counters, and the admission-gauge invariants.
 trace:
-	$(GO) test -race -run 'Trace|Traced|KernelStats|Stats|QueuedGauge|Prometheus|LatencyBuckets|Pprof' \
+	$(GO) test -race -run 'Trace|Traced|KernelStats|Stats|QueuedGauge|Prometheus|LatencyHistogram|Pprof' \
 		./internal/obs/ ./internal/sim/ ./internal/sweep/ \
 		./internal/serve/ ./internal/tensor/
 
@@ -82,7 +82,7 @@ trace:
 # run). Seed corpora live in each package's testdata/fuzz; a crash
 # writes its input there, to be fixed and kept as a regression seed.
 fuzz-smoke:
-	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/obs/ ./internal/arch/; do \
+	@for pkg in ./internal/fixed/ ./internal/wal/ ./internal/store/ ./internal/job/ ./internal/serve/ ./internal/tensor/ ./internal/obs/ ./internal/arch/; do \
 		for fz in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz-smoke: $$pkg $$fz"; \
 			$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime 5s -parallel 2 $$pkg || exit 1; \

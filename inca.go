@@ -716,9 +716,9 @@ type (
 	// per retained trace, most recently active first.
 	ServiceTraceIndex = serve.TraceIndexResponse
 	// CostSummary is one request's (or job's) cost-attribution rollup:
-	// wall/CPU time, cell and cache counters, kernel deltas, and the
-	// simulated energy/latency totals. Servers append it to responses on
-	// the ?cost=1 opt-in.
+	// wall time, cell counts (cached, failed, attempts, retries),
+	// coalesced replays, and the simulated energy/latency totals.
+	// Servers append it to responses on the ?cost=1 opt-in.
 	CostSummary = cost.Summary
 )
 
@@ -900,8 +900,8 @@ type (
 	Tracer = obs.Tracer
 	// TracerOption configures NewTracer.
 	TracerOption = obs.TracerOption
-	// TraceSpan is a live span; annotate with SetAttr/Count/Event and
-	// finish with End or EndWith.
+	// TraceSpan is a live span; annotate with SetAttr/Event and finish
+	// with End or EndWith.
 	TraceSpan = obs.Span
 	// TraceSpanData is the immutable record of a completed span — what
 	// sinks receive and TraceRing stores.
@@ -947,7 +947,7 @@ func WithTracer(ctx context.Context, t *Tracer, name string, attrs ...TraceAttr)
 }
 
 // TraceDump renders one trace from the tracer's ring as an indented
-// span tree with durations, attributes, and counters — the quick
+// span tree with durations and attributes — the quick
 // human-readable view (the service's GET /v1/trace/{id}?format=text
 // serves the same rendering).
 func TraceDump(t *Tracer, traceID string) string {

@@ -1,45 +1,37 @@
 // Package cost is the per-request cost accountant of the observability
 // plane: one Tally rides each request (or job) context from the serve
-// layer down through the sweep engine, and every layer that spends a
-// resource charges it — the sweep engine charges evaluated cells,
-// attempts, and the simulator's own energy/latency totals; the memo
-// cache charges memory, disk, and coalesced hits; the serve layer
-// closes the books with wall time, process CPU time, and tensor-kernel
-// deltas. The resulting Summary is the "cost" block on /v1/simulate,
-// /v1/sweep, and /v1/jobs/{id} responses, the currency of the
-// GET /v1/usage rollup, and the source of the inca_cost_* Prometheus
-// families.
+// layer down, and the serve layer charges it once per materialized
+// sweep result (cells, attempts, and the simulator's own energy/latency
+// totals) and once per coalesced replay. The resulting Summary is the
+// "cost" block on /v1/simulate, /v1/sweep, and /v1/jobs/{id} responses,
+// the currency of the GET /v1/usage rollup, and the source of the
+// inca_cost_* Prometheus families.
 //
 // Units follow the repo's simulation currency: energy in joules and
 // latency in seconds (the paper's nJ/cycles figures are the same
-// quantities before unit normalization — see DESIGN §16). Two fields
-// are process-scoped approximations attributed at request boundaries,
-// because the resources themselves have no request identity: CPU time
-// (getrusage deltas) and kernel invocations/chunks (tensor.KernelStats
-// deltas) overlap across concurrent requests.
+// quantities before unit normalization — see DESIGN §16). Every field
+// belongs to the one request it describes, so summaries add: figures
+// measured for the whole process (CPU time, tensor-kernel activity,
+// memo-cache traffic) are not charged here but exported once, as
+// process counters on /metrics.
 package cost
 
 import (
 	"context"
 	"sync"
 	"time"
-
-	"github.com/inca-arch/inca/internal/tensor"
 )
 
-// Summary is one request's (or job's, or the server-lifetime's) rolled
-// up cost. All fields are plain sums, so summaries add: the /v1/usage
-// totals are exactly the sum of every finalized per-request Summary.
-type Summary struct {
-	// WallS is wall-clock seconds from tally creation to snapshot.
-	WallS float64 `json:"wall_s"`
-	// CPUS is process CPU seconds (user+system, getrusage delta) spent
-	// while this tally was open — an attribution, not an isolation:
-	// concurrent requests overlap.
-	CPUS float64 `json:"cpu_s"`
-	// Cells counts simulation cells attributed to this request,
-	// including cached ones; CachedCells and FailedCells partition the
-	// interesting subsets out of it.
+// CellCounts is the classification of materialized sweep results: how
+// many cells, how many of them came from a cache tier or failed, the
+// engine attempts spent on them, and the simulator totals of the
+// successful ones. The serve layer derives one value per result and
+// adds it to both the request's Summary and the usage row of the
+// cell's model×dataflow.
+type CellCounts struct {
+	// Cells counts simulation cells, including cached and failed ones;
+	// CachedCells and FailedCells partition the interesting subsets out
+	// of it.
 	Cells       int64 `json:"cells"`
 	CachedCells int64 `json:"cached_cells"`
 	FailedCells int64 `json:"failed_cells"`
@@ -47,71 +39,79 @@ type Summary struct {
 	// when retries fire); Retries = Attempts beyond each cell's first.
 	Attempts int64 `json:"attempts"`
 	Retries  int64 `json:"retries"`
-	// Cache traffic charged by sweep.Cache.Do / the coalescer.
-	CacheHits     int64 `json:"cache_hits"`
-	CacheMisses   int64 `json:"cache_misses"`
-	CacheDiskHits int64 `json:"cache_disk_hits"`
-	CacheExpired  int64 `json:"cache_expired"`
-	CoalescedHits int64 `json:"coalesced_hits"`
-	// Tensor-kernel work observed while the tally was open
-	// (tensor.KernelStats deltas — process-scoped, see package doc).
-	KernelInvocations int64 `json:"kernel_invocations"`
-	KernelChunks      int64 `json:"kernel_chunks"`
-	// Simulator totals summed over this request's successful cells:
-	// modeled energy in joules and modeled latency in seconds, matching
-	// the simulation reports exactly.
+	// Simulator totals summed over the successful cells: modeled energy
+	// in joules and modeled latency in seconds, matching the simulation
+	// reports exactly.
 	SimEnergyJ  float64 `json:"sim_energy_j"`
 	SimLatencyS float64 `json:"sim_latency_s"`
+}
+
+// Cell classifies one materialized result: the attempts the engine
+// spent on it and, for a successful cell, the simulator's modeled
+// energy/latency totals.
+func Cell(cached, failed bool, attempts int, energyJ, latencyS float64) CellCounts {
+	c := CellCounts{Cells: 1}
+	if cached {
+		c.CachedCells = 1
+	}
+	if attempts > 0 {
+		c.Attempts = int64(attempts)
+		c.Retries = int64(attempts - 1)
+	}
+	if failed {
+		c.FailedCells = 1
+	} else {
+		c.SimEnergyJ, c.SimLatencyS = energyJ, latencyS
+	}
+	return c
+}
+
+// Add accumulates o into c field by field.
+func (c *CellCounts) Add(o CellCounts) {
+	c.Cells += o.Cells
+	c.CachedCells += o.CachedCells
+	c.FailedCells += o.FailedCells
+	c.Attempts += o.Attempts
+	c.Retries += o.Retries
+	c.SimEnergyJ += o.SimEnergyJ
+	c.SimLatencyS += o.SimLatencyS
+}
+
+// Summary is one request's (or job's, or the server-lifetime's) rolled
+// up cost. All fields are plain sums, so summaries add: the /v1/usage
+// totals are exactly the sum of every finalized per-request Summary.
+type Summary struct {
+	// WallS is wall-clock seconds from tally creation to snapshot.
+	WallS float64 `json:"wall_s"`
+	CellCounts
+	// CoalescedHits counts whole requests answered by replaying another
+	// caller's in-flight execution (0 or 1 per request).
+	CoalescedHits int64 `json:"coalesced_hits"`
 }
 
 // Add accumulates o into s field by field.
 func (s *Summary) Add(o Summary) {
 	s.WallS += o.WallS
-	s.CPUS += o.CPUS
-	s.Cells += o.Cells
-	s.CachedCells += o.CachedCells
-	s.FailedCells += o.FailedCells
-	s.Attempts += o.Attempts
-	s.Retries += o.Retries
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.CacheDiskHits += o.CacheDiskHits
-	s.CacheExpired += o.CacheExpired
+	s.CellCounts.Add(o.CellCounts)
 	s.CoalescedHits += o.CoalescedHits
-	s.KernelInvocations += o.KernelInvocations
-	s.KernelChunks += o.KernelChunks
-	s.SimEnergyJ += o.SimEnergyJ
-	s.SimLatencyS += o.SimLatencyS
 }
 
-// Tally accumulates one request's cost. Construct with NewTally (which
-// baselines wall/CPU/kernel counters), thread through the context with
-// NewContext, and charge from any layer via FromContext. All methods
-// are safe for concurrent use and nil-safe, so deep layers charge
-// unconditionally — an untallied context costs one nil check.
+// Tally accumulates one request's cost. Construct with NewContext,
+// which starts the wall clock, and charge from any layer via
+// FromContext. All methods are safe for concurrent use and nil-safe, so
+// callers charge unconditionally — an untallied context costs one nil
+// check.
 type Tally struct {
-	mu       sync.Mutex
-	start    time.Time
-	cpu0     float64
-	kernels0 tensor.StatsSnapshot
-	s        Summary
-}
-
-// NewTally opens a tally: wall clock, CPU clock, and kernel counters
-// are baselined now, so a later Snapshot charges only the interval.
-func NewTally() *Tally {
-	return &Tally{
-		start:    time.Now(),
-		cpu0:     cpuSeconds(),
-		kernels0: tensor.StatsHook().Snapshot(),
-	}
+	mu    sync.Mutex
+	start time.Time
+	s     Summary
 }
 
 type ctxKey struct{}
 
 // NewContext returns ctx carrying a fresh tally, and the tally.
 func NewContext(ctx context.Context) (context.Context, *Tally) {
-	t := NewTally()
+	t := &Tally{start: time.Now()}
 	return context.WithValue(ctx, ctxKey{}, t), t
 }
 
@@ -122,57 +122,30 @@ func FromContext(ctx context.Context) *Tally {
 	return t
 }
 
-// AddCell charges one evaluated simulation cell: its cached/failed
-// classification, the attempts the engine spent on it, and — for
-// successful cells — the simulator's modeled energy/latency totals.
-func (t *Tally) AddCell(cached, failed bool, attempts int, energyJ, latencyS float64) {
+// AddCells charges classified sweep results.
+func (t *Tally) AddCells(c CellCounts) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.s.Cells++
-	if cached {
-		t.s.CachedCells++
-	}
-	if failed {
-		t.s.FailedCells++
-	}
-	if attempts > 0 {
-		t.s.Attempts += int64(attempts)
-		t.s.Retries += int64(attempts - 1)
-	}
-	if !failed {
-		t.s.SimEnergyJ += energyJ
-		t.s.SimLatencyS += latencyS
-	}
+	t.s.CellCounts.Add(c)
 	t.mu.Unlock()
 }
 
-// CacheHit / CacheMiss / CacheDiskHit / CacheExpired / CoalescedHit
-// charge one cache event each; sweep.Cache.Do calls them next to its
-// span counters, the serve coalescer charges CoalescedHit per replay.
-func (t *Tally) CacheHit()     { t.bump(func(s *Summary) { s.CacheHits++ }) }
-func (t *Tally) CacheMiss()    { t.bump(func(s *Summary) { s.CacheMisses++ }) }
-func (t *Tally) CacheDiskHit() { t.bump(func(s *Summary) { s.CacheDiskHits++ }) }
-func (t *Tally) CacheExpired() { t.bump(func(s *Summary) { s.CacheExpired++ }) }
-func (t *Tally) CoalescedHit() { t.bump(func(s *Summary) { s.CoalescedHits++ }) }
-
-// bump applies one locked mutation; the field is named inside the
-// closure (not passed as a pointer) so a nil receiver never evaluates
-// &t.s.<field> before the guard.
-func (t *Tally) bump(f func(*Summary)) {
+// CoalescedHit charges one coalesced replay; the serve coalescer calls
+// it for each joiner it answers from a leader's recording.
+func (t *Tally) CoalescedHit() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	f(&t.s)
+	t.s.CoalescedHits++
 	t.mu.Unlock()
 }
 
-// Snapshot closes the interval books (wall, CPU, kernel deltas are
-// measured now) and returns the summary. It may be called more than
-// once — each call re-measures the interval against the same baseline,
-// so the last call before the response is written wins.
+// Snapshot measures the wall clock now and returns the summary. It may
+// be called more than once — each call re-measures against the same
+// start, so the last call before the response is written wins.
 func (t *Tally) Snapshot() Summary {
 	if t == nil {
 		return Summary{}
@@ -181,17 +154,5 @@ func (t *Tally) Snapshot() Summary {
 	defer t.mu.Unlock()
 	s := t.s
 	s.WallS = time.Since(t.start).Seconds()
-	if cpu := cpuSeconds() - t.cpu0; cpu > 0 {
-		s.CPUS = cpu
-	}
-	k := tensor.StatsHook().Snapshot()
-	s.KernelInvocations = k.Invocations - t.kernels0.Invocations
-	s.KernelChunks = k.Chunks - t.kernels0.Chunks
-	if s.KernelInvocations < 0 { // stats hook swapped mid-request
-		s.KernelInvocations = 0
-	}
-	if s.KernelChunks < 0 {
-		s.KernelChunks = 0
-	}
 	return s
 }

@@ -6,16 +6,12 @@ import (
 	"testing"
 )
 
-// TestNilTallyIsInert pins the deep-layer contract: every charge method
-// tolerates a nil receiver, so sweep/cache code charges unconditionally
-// on contexts that never saw NewContext.
+// TestNilTallyIsInert pins the charging contract: every charge method
+// tolerates a nil receiver, so callers charge unconditionally on
+// contexts that never saw NewContext.
 func TestNilTallyIsInert(t *testing.T) {
 	var nilTally *Tally
-	nilTally.AddCell(true, false, 3, 1, 2)
-	nilTally.CacheHit()
-	nilTally.CacheMiss()
-	nilTally.CacheDiskHit()
-	nilTally.CacheExpired()
+	nilTally.AddCells(Cell(true, false, 3, 1, 2))
 	nilTally.CoalescedHit()
 	if s := nilTally.Snapshot(); s != (Summary{}) {
 		t.Fatalf("nil tally snapshot = %+v, want zero", s)
@@ -25,22 +21,17 @@ func TestNilTallyIsInert(t *testing.T) {
 	}
 }
 
-// TestTallyAccounting pins the cell/cache arithmetic: cached and failed
-// cells partition out of the total, retries are attempts beyond each
-// cell's first, and failed cells contribute no energy.
+// TestTallyAccounting pins the cell arithmetic: cached and failed cells
+// partition out of the total, retries are attempts beyond each cell's
+// first, and failed cells contribute no energy.
 func TestTallyAccounting(t *testing.T) {
 	ctx, tally := NewContext(context.Background())
 	if FromContext(ctx) != tally {
 		t.Fatal("context does not round-trip its tally")
 	}
-	tally.AddCell(false, false, 1, 10, 0.5) // clean cell
-	tally.AddCell(true, false, 1, 20, 1.0)  // cached cell
-	tally.AddCell(false, true, 3, 99, 99)   // failed after 3 attempts
-	tally.CacheHit()
-	tally.CacheMiss()
-	tally.CacheMiss()
-	tally.CacheDiskHit()
-	tally.CacheExpired()
+	tally.AddCells(Cell(false, false, 1, 10, 0.5)) // clean cell
+	tally.AddCells(Cell(true, false, 1, 20, 1.0))  // cached cell
+	tally.AddCells(Cell(false, true, 3, 99, 99))   // failed after 3 attempts
 	tally.CoalescedHit()
 
 	s := tally.Snapshot()
@@ -53,8 +44,8 @@ func TestTallyAccounting(t *testing.T) {
 	if s.SimEnergyJ != 30 || s.SimLatencyS != 1.5 {
 		t.Fatalf("energy=%g latency=%g: failed cell leaked into sim totals", s.SimEnergyJ, s.SimLatencyS)
 	}
-	if s.CacheHits != 1 || s.CacheMisses != 2 || s.CacheDiskHits != 1 || s.CacheExpired != 1 || s.CoalescedHits != 1 {
-		t.Fatalf("cache counters = %+v", s)
+	if s.CoalescedHits != 1 {
+		t.Fatalf("coalesced hits = %d, want 1", s.CoalescedHits)
 	}
 	if s.WallS <= 0 {
 		t.Fatalf("wall=%g, want > 0", s.WallS)
@@ -70,16 +61,17 @@ func TestTallyAccounting(t *testing.T) {
 // TestSummaryAdd pins that summaries are plain sums — the invariant the
 // /v1/usage totals depend on.
 func TestSummaryAdd(t *testing.T) {
-	a := Summary{WallS: 1, Cells: 2, Attempts: 3, SimEnergyJ: 4, CacheHits: 5}
-	b := Summary{WallS: 10, Cells: 20, Attempts: 30, SimEnergyJ: 40, CacheHits: 50}
+	a := Summary{WallS: 1, CellCounts: CellCounts{Cells: 2, Attempts: 3, SimEnergyJ: 4}, CoalescedHits: 5}
+	b := Summary{WallS: 10, CellCounts: CellCounts{Cells: 20, Attempts: 30, SimEnergyJ: 40}, CoalescedHits: 50}
 	a.Add(b)
-	if a.WallS != 11 || a.Cells != 22 || a.Attempts != 33 || a.SimEnergyJ != 44 || a.CacheHits != 55 {
+	if a.WallS != 11 || a.Cells != 22 || a.Attempts != 33 || a.SimEnergyJ != 44 || a.CoalescedHits != 55 {
 		t.Fatalf("sum = %+v", a)
 	}
 }
 
 // TestSummaryJSONShape pins the wire field names the spliced "cost"
-// block and the usage endpoint serve.
+// block and the usage endpoint serve: exactly these keys, none of them
+// a process-wide figure.
 func TestSummaryJSONShape(t *testing.T) {
 	b, err := json.Marshal(Summary{})
 	if err != nil {
@@ -89,14 +81,16 @@ func TestSummaryJSONShape(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{
-		"wall_s", "cpu_s", "cells", "cached_cells", "failed_cells",
-		"attempts", "retries", "cache_hits", "cache_misses",
-		"cache_disk_hits", "cache_expired", "coalesced_hits",
-		"kernel_invocations", "kernel_chunks", "sim_energy_j", "sim_latency_s",
-	} {
+	want := []string{
+		"wall_s", "cells", "cached_cells", "failed_cells", "attempts",
+		"retries", "coalesced_hits", "sim_energy_j", "sim_latency_s",
+	}
+	for _, key := range want {
 		if _, ok := m[key]; !ok {
 			t.Errorf("summary JSON missing %q: %s", key, b)
 		}
+	}
+	if len(m) != len(want) {
+		t.Errorf("summary JSON has %d keys, want exactly %v: %s", len(m), want, b)
 	}
 }

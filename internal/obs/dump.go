@@ -82,16 +82,6 @@ func DumpSpans(all []SpanData, traceID string) string {
 		for _, a := range sd.Attrs {
 			fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
 		}
-		if len(sd.Counters) > 0 {
-			keys := make([]string, 0, len(sd.Counters))
-			for k := range sd.Counters {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				fmt.Fprintf(&b, " %s=%d", k, sd.Counters[k])
-			}
-		}
 		b.WriteByte('\n')
 		kids := children[sd.SpanID]
 		byStart(kids)

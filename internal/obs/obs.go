@@ -2,7 +2,7 @@
 // subsystem behind the repo's observability layer. A Tracer produces
 // nested spans — one per HTTP request, sweep cell, retry attempt, and
 // simulated layer — with an injectable monotonic clock so tests pin
-// exact durations, a lock-cheap per-span attribute/event/counter API,
+// exact durations, a lock-cheap per-span attribute/event API,
 // and pluggable sinks: a bounded in-memory ring (queryable by trace ID,
 // the substrate of GET /v1/trace/{id}) and a JSONL writer for offline
 // analysis.
@@ -66,16 +66,15 @@ type Event struct {
 // SpanData is the immutable record of a completed span — what sinks
 // receive and the ring stores. Times come from the tracer's clock.
 type SpanData struct {
-	TraceID   string           `json:"trace_id"`
-	SpanID    string           `json:"span_id"`
-	ParentID  string           `json:"parent_id,omitempty"`
-	Name      string           `json:"name"`
-	Start     time.Time        `json:"start"`
-	End       time.Time        `json:"end"`
-	DurationS float64          `json:"duration_s"`
-	Attrs     []Attr           `json:"attrs,omitempty"`
-	Events    []Event          `json:"events,omitempty"`
-	Counters  map[string]int64 `json:"counters,omitempty"`
+	TraceID   string    `json:"trace_id"`
+	SpanID    string    `json:"span_id"`
+	ParentID  string    `json:"parent_id,omitempty"`
+	Name      string    `json:"name"`
+	Start     time.Time `json:"start"`
+	End       time.Time `json:"end"`
+	DurationS float64   `json:"duration_s"`
+	Attrs     []Attr    `json:"attrs,omitempty"`
+	Events    []Event   `json:"events,omitempty"`
 }
 
 // Attr returns the value of the named attribute and whether it is set
@@ -309,23 +308,6 @@ func (s *Span) SetAttr(attrs ...Attr) {
 	s.mu.Lock()
 	if !s.ended {
 		s.data.Attrs = append(s.data.Attrs, attrs...)
-	}
-	s.mu.Unlock()
-}
-
-// Count adds delta to the span's named counter — the lock-cheap tally
-// API for cache hits, retries, and kernel invocations (one short
-// critical section per call, no allocation after the first).
-func (s *Span) Count(name string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		if s.data.Counters == nil {
-			s.data.Counters = make(map[string]int64, 4)
-		}
-		s.data.Counters[name] += delta
 	}
 	s.mu.Unlock()
 }

@@ -110,7 +110,6 @@ func TestStartSpanWithoutParentIsInert(t *testing.T) {
 	}
 	// All methods on the nil span are no-ops.
 	span.SetAttr(String("k", "v"))
-	span.Count("c", 1)
 	span.Event("e")
 	span.EndWith(errors.New("x"))
 	span.End()
@@ -133,20 +132,17 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 }
 
-func TestAttrsEventsCounters(t *testing.T) {
+func TestAttrsAndEvents(t *testing.T) {
 	clk := newFakeClock()
 	tr := newTestTracer(clk)
 	_, span := tr.Start(context.Background(), "s", String("init", "yes"))
 	span.SetAttr(Int("n", 7), Float64("f", 1.5), Bool("b", true))
 	span.SetAttr(Int("n", 9)) // later write wins
-	span.Count("hits", 2)
-	span.Count("hits", 3)
 	clk.Advance(time.Second)
 	span.Event("retry", Int("attempt", 2))
 	span.End()
 	// Post-End mutations are dropped.
 	span.SetAttr(String("late", "x"))
-	span.Count("hits", 100)
 	span.Event("late")
 
 	sd := tr.Ring().Spans()[0]
@@ -164,9 +160,6 @@ func TestAttrsEventsCounters(t *testing.T) {
 	}
 	if _, ok := sd.Attr("late"); ok {
 		t.Error("post-End attr landed")
-	}
-	if sd.Counters["hits"] != 5 {
-		t.Errorf("hits = %d, want 5", sd.Counters["hits"])
 	}
 	if len(sd.Events) != 1 || sd.Events[0].Name != "retry" {
 		t.Fatalf("events = %+v", sd.Events)
@@ -323,12 +316,12 @@ func TestDumpRendersTree(t *testing.T) {
 	_, layer := StartSpan(cctx, "sim/layer", String("layer", "conv1"))
 	clk.Advance(time.Millisecond)
 	layer.End()
-	cell.Count("cache.miss", 1)
+	cell.SetAttr(Bool("cached", false))
 	cell.End()
 	root.End()
 
 	out := Dump(tr.Ring(), root.TraceID())
-	for _, want := range []string{"trace " + root.TraceID(), "http POST /v1/simulate", "  sweep/cell", "    sim/layer", "key=k", "cache.miss=1"} {
+	for _, want := range []string{"trace " + root.TraceID(), "http POST /v1/simulate", "  sweep/cell", "    sim/layer", "key=k", "cached=false"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -351,7 +344,6 @@ func TestConcurrentSpansRaceClean(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
 				_, s := StartSpan(ctx, "child")
-				s.Count("n", 1)
 				s.SetAttr(Int("j", j))
 				s.End()
 			}

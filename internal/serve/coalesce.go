@@ -33,22 +33,12 @@ type CoalesceOptions struct {
 	// execution is still running and, after it lands, as a bounded-
 	// staleness replay. <= 0 means 250ms.
 	MaxWait time.Duration
-	// MaxJoiners bounds how many callers may ride one flight beyond the
-	// leader; arrivals past the cap execute normally (and typically hit
-	// the memo cache). <= 0 means 1024.
-	MaxJoiners int
 }
 
-// withDefaults resolves unset coalescing knobs.
-func (o CoalesceOptions) withDefaults() CoalesceOptions {
-	if o.MaxWait <= 0 {
-		o.MaxWait = 250 * time.Millisecond
-	}
-	if o.MaxJoiners <= 0 {
-		o.MaxJoiners = 1024
-	}
-	return o
-}
+// maxJoiners bounds how many callers may ride one flight beyond the
+// leader; arrivals past the cap execute normally (and typically hit the
+// memo cache).
+const maxJoiners = 1024
 
 // flight is one coalesced execution: the leader runs the handler against
 // a recorder and closes done; joiners wait on done and replay the
@@ -63,13 +53,16 @@ type flight struct {
 // coalescer holds the in-flight (and recently-landed, within MaxWait)
 // flights by canonical request key.
 type coalescer struct {
-	opt     CoalesceOptions
+	maxWait time.Duration
 	mu      sync.Mutex
 	flights map[string]*flight
 }
 
 func newCoalescer(opt CoalesceOptions) *coalescer {
-	return &coalescer{opt: opt.withDefaults(), flights: make(map[string]*flight)}
+	if opt.MaxWait <= 0 {
+		opt.MaxWait = 250 * time.Millisecond
+	}
+	return &coalescer{maxWait: opt.MaxWait, flights: make(map[string]*flight)}
 }
 
 // responseRecorder captures a handler's full response so it can be
@@ -169,20 +162,19 @@ func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, body any, exe
 
 	c.mu.Lock()
 	f := c.flights[key]
-	if f != nil && time.Since(f.start) > c.opt.MaxWait {
+	if f != nil && time.Since(f.start) > c.maxWait {
 		// Window closed: the entry is a stale recording (or a hung
 		// flight past its joinable life). Replace it; existing waiters
 		// hold their own pointer and are unaffected.
 		f = nil
 	}
-	if f != nil && f.joiners < c.opt.MaxJoiners {
+	if f != nil && f.joiners < maxJoiners {
 		f.joiners++
 		c.mu.Unlock()
 		select {
 		case <-f.done:
 			f.rec.replay(w)
 			s.cache.AddCoalesced(1)
-			s.metrics.coalesced.Add(1)
 			cost.FromContext(r.Context()).CoalescedHit()
 		case <-r.Context().Done():
 			// The joiner gave up before the flight landed: it received
@@ -209,7 +201,7 @@ func (s *Server) coalesced(w http.ResponseWriter, r *http.Request, body any, exe
 		// (bounded-staleness replay for near-simultaneous arrivals),
 		// then drop it so the flight map tracks concurrency, not
 		// history.
-		remain := c.opt.MaxWait - time.Since(f.start)
+		remain := c.maxWait - time.Since(f.start)
 		drop := func() {
 			c.mu.Lock()
 			if c.flights[key] == f {

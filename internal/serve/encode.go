@@ -219,14 +219,16 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
 	s.writeError(w, http.StatusServiceUnavailable, err)
 }
 
-// wantsCSV reports whether the request negotiated CSV output, either via
-// the Accept header or a ?format=csv query parameter.
-func wantsCSV(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "csv" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/csv")
+// negotiated is the service's one content-negotiation rule: the request
+// asks for a representation with ?format=<format>, or with an Accept
+// header that contains its MIME type (parameters such as charset and
+// other listed types are allowed).
+func negotiated(r *http.Request, format, mime string) bool {
+	return r.URL.Query().Get("format") == format || strings.Contains(r.Header.Get("Accept"), mime)
 }
+
+// wantsCSV reports whether the request negotiated CSV output.
+func wantsCSV(r *http.Request) bool { return negotiated(r, "csv", "text/csv") }
 
 // costHeader is the header form of the cost opt-in (?cost=1 works too).
 const costHeader = "X-Inca-Cost"

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/job"
@@ -310,8 +309,8 @@ type experimentResponse struct {
 	Output string `json:"output"`
 }
 
-// handleExperiment renders one suite experiment. Accept: text/plain
-// negotiates the raw table text.
+// handleExperiment renders one suite experiment. ?format=text or
+// Accept: text/plain negotiates the raw table text.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	exp, err := suite.ByID(r.PathValue("id"))
 	if err != nil {
@@ -324,8 +323,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, statusForRunErr(err), err)
 			return
 		}
-		if r.URL.Query().Get("format") == "text" ||
-			(r.Header.Get("Accept") != "" && r.Header.Get("Accept") == "text/plain") {
+		if negotiated(r, "text", "text/plain") {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			io.WriteString(w, out)
 			return
@@ -352,8 +350,7 @@ type livenessResponse struct {
 func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request) {
 	build := buildInfo()
 	w.Header().Set("X-Inca-Version", build.Version)
-	if r.URL.Query().Get("format") == "json" ||
-		strings.Contains(r.Header.Get("Accept"), "application/json") {
+	if negotiated(r, "json", "application/json") {
 		s.writeJSON(w, http.StatusOK, livenessResponse{Status: "ok", Build: build})
 		return
 	}
@@ -439,8 +436,7 @@ func (s *Server) handleReadiness(w http.ResponseWriter, r *http.Request) {
 // text/plain or ?format=prometheus.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
-	if r.URL.Query().Get("format") == "prometheus" ||
-		strings.Contains(r.Header.Get("Accept"), "text/plain") {
+	if negotiated(r, "prometheus", "text/plain") {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := writePrometheus(w, snap); err != nil {
 			s.log.Error("writing prometheus metrics", "err", err)

@@ -18,62 +18,33 @@ import (
 	"github.com/inca-arch/inca/internal/tensor"
 )
 
-// defaultLatencyBounds are the histogram bucket upper bounds in seconds;
-// the final implicit bucket is +Inf. Simulations of the analytical models
-// run in microseconds-to-milliseconds; sweeps and experiments in the
-// hundreds of milliseconds.
-var defaultLatencyBounds = []float64{
+// latencyBounds are the request-latency histogram's bucket upper bounds
+// in seconds; the final implicit bucket is +Inf. Simulations of the
+// analytical models run in microseconds-to-milliseconds; sweeps and
+// experiments in the hundreds of milliseconds.
+var latencyBounds = [...]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// DefaultLatencyBuckets returns a copy of the default request-latency
-// histogram bounds (seconds, ascending, +Inf overflow implied).
-func DefaultLatencyBuckets() []float64 {
-	out := make([]float64, len(defaultLatencyBounds))
-	copy(out, defaultLatencyBounds)
-	return out
 }
 
 // Metrics is the server's expvar-style counter set. All fields are
 // atomics; Snapshot renders a consistent-enough JSON view for /metrics.
+// Each event has one counter: finished requests are counted by the
+// latency buckets alone (the histogram count is their sum), and
+// coalesced replays by the cache's CoalescedHits.
 type Metrics struct {
 	start time.Time
 
-	requests  atomic.Int64 // HTTP requests received
-	rejected  atomic.Int64 // 503s from admission (saturated or abandoned)
-	inflight  atomic.Int64 // requests holding an execution slot
-	queued    atomic.Int64 // requests waiting for a slot
-	coalesced atomic.Int64 // requests served from another caller's flight
+	requests atomic.Int64 // HTTP requests received
+	rejected atomic.Int64 // 503s from admission (saturated or abandoned)
+	inflight atomic.Int64 // requests holding an execution slot
+	queued   atomic.Int64 // requests waiting for a slot
 
 	status2xx atomic.Int64
 	status4xx atomic.Int64
 	status5xx atomic.Int64
 
-	latencyCount atomic.Int64
 	latencySumNS atomic.Int64
-	latencyBnds  []float64      // bucket upper bounds, ascending
-	latencyBkts  []atomic.Int64 // len(latencyBnds)+1; last is +Inf
-}
-
-// newMetrics builds the counter set with the given histogram bounds
-// (nil means the defaults). Bounds are sanitized to a strictly
-// ascending positive sequence; out-of-order or duplicate entries are
-// dropped rather than silently misbinning observations.
-func newMetrics(bounds []float64) *Metrics {
-	if bounds == nil {
-		bounds = defaultLatencyBounds
-	}
-	clean := make([]float64, 0, len(bounds))
-	for _, b := range bounds {
-		if b > 0 && (len(clean) == 0 || b > clean[len(clean)-1]) {
-			clean = append(clean, b)
-		}
-	}
-	return &Metrics{
-		start:       time.Now(),
-		latencyBnds: clean,
-		latencyBkts: make([]atomic.Int64, len(clean)+1),
-	}
+	latencyBkts  [len(latencyBounds) + 1]atomic.Int64 // last is +Inf
 }
 
 // observe records one completed HTTP exchange.
@@ -86,11 +57,10 @@ func (m *Metrics) observe(status int, d time.Duration) {
 	default:
 		m.status2xx.Add(1)
 	}
-	m.latencyCount.Add(1)
 	m.latencySumNS.Add(int64(d))
 	s := d.Seconds()
-	b := len(m.latencyBnds) // +Inf bucket
-	for i, bound := range m.latencyBnds {
+	b := len(latencyBounds) // +Inf bucket
+	for i, bound := range latencyBounds {
 		if s <= bound {
 			b = i
 			break
@@ -101,7 +71,7 @@ func (m *Metrics) observe(status int, d time.Duration) {
 
 // Histogram is the JSON form of the request-latency histogram:
 // cumulative-free per-bucket counts with explicit upper bounds (the last
-// count is the +Inf overflow bucket).
+// count is the +Inf overflow bucket). Count is the sum of Counts.
 type Histogram struct {
 	BoundsS []float64 `json:"bounds_s"`
 	Counts  []int64   `json:"counts"`
@@ -117,6 +87,9 @@ type RuntimeStats struct {
 	HeapSysB     uint64  `json:"heap_sys_bytes"`
 	GCCycles     uint32  `json:"gc_cycles"`
 	GCPauseTotal float64 `json:"gc_pause_total_s"`
+	// CPUSeconds is the process's cumulative user+system CPU time
+	// (getrusage); 0 off unix.
+	CPUSeconds float64 `json:"cpu_seconds_total"`
 }
 
 func readRuntimeStats() RuntimeStats {
@@ -128,6 +101,7 @@ func readRuntimeStats() RuntimeStats {
 		HeapSysB:     ms.HeapSys,
 		GCCycles:     ms.NumGC,
 		GCPauseTotal: time.Duration(ms.PauseTotalNs).Seconds(),
+		CPUSeconds:   cpuSeconds(),
 	}
 }
 
@@ -166,8 +140,8 @@ type Snapshot struct {
 	Inflight int64   `json:"inflight"`
 	Queued   int64   `json:"queued"`
 	// Coalesced counts whole requests answered from another caller's
-	// in-flight execution by the coalescing layer; zero when the layer
-	// is disabled.
+	// in-flight execution by the coalescing layer (Cache.CoalescedHits);
+	// zero when the layer is disabled.
 	Coalesced   int64 `json:"coalesced_total"`
 	MaxInflight int   `json:"max_inflight"`
 	QueueDepth  int   `json:"queue_depth"`
@@ -224,16 +198,19 @@ type Snapshot struct {
 func (s *Server) snapshot() Snapshot {
 	m := s.metrics
 	counts := make([]int64, len(m.latencyBkts))
+	var count int64
 	for i := range m.latencyBkts {
 		counts[i] = m.latencyBkts[i].Load()
+		count += counts[i]
 	}
+	cache := s.cache.Stats()
 	snap := Snapshot{
 		UptimeS:        time.Since(m.start).Seconds(),
 		Requests:       m.requests.Load(),
 		Rejected:       m.rejected.Load(),
 		Inflight:       m.inflight.Load(),
 		Queued:         m.queued.Load(),
-		Coalesced:      m.coalesced.Load(),
+		Coalesced:      cache.CoalescedHits,
 		MaxInflight:    s.opt.MaxInflight,
 		QueueDepth:     s.opt.QueueDepth,
 		Status2xx:      m.status2xx.Load(),
@@ -242,12 +219,12 @@ func (s *Server) snapshot() Snapshot {
 		KernelBudget:   tensor.Parallelism(),
 		RequestWorkers: s.requestWorkers(),
 		Latency: Histogram{
-			BoundsS: m.latencyBnds,
+			BoundsS: latencyBounds[:],
 			Counts:  counts,
-			Count:   m.latencyCount.Load(),
+			Count:   count,
 			SumS:    time.Duration(m.latencySumNS.Load()).Seconds(),
 		},
-		Cache:      s.cache.Stats(),
+		Cache:      cache,
 		SuiteCache: suite.CacheStats(),
 		Runtime:    readRuntimeStats(),
 		Kernels:    tensor.StatsHook().Snapshot(),
@@ -374,6 +351,7 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 	scalar("inca_runtime_heap_sys_bytes", "gauge", "Heap memory obtained from the OS.", snap.Runtime.HeapSysB)
 	scalar("inca_runtime_gc_cycles_total", "counter", "Completed GC cycles.", snap.Runtime.GCCycles)
 	scalar("inca_runtime_gc_pause_seconds_total", "counter", "Cumulative GC stop-the-world pause.", snap.Runtime.GCPauseTotal)
+	scalar("inca_runtime_cpu_seconds_total", "counter", "Process user+system CPU time.", snap.Runtime.CPUSeconds)
 
 	scalar("inca_trace_spans", "gauge", "Spans retained in the trace ring.", snap.TraceSpans)
 	scalar("inca_trace_spans_total", "counter", "Spans emitted through the trace ring.", snap.TraceSpansTotal)
@@ -393,9 +371,6 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 	scalar("inca_cost_retries_total", "counter", "Evaluation attempts beyond each cell's first.", snap.Cost.Retries)
 	scalar("inca_cost_coalesced_hits_total", "counter", "Coalesced replays attributed to joiner requests.", snap.Cost.CoalescedHits)
 	scalar("inca_cost_wall_seconds_total", "counter", "Wall-clock seconds summed over attributed requests and jobs.", snap.Cost.WallS)
-	scalar("inca_cost_cpu_seconds_total", "counter", "Process CPU seconds attributed at request boundaries.", snap.Cost.CPUS)
-	scalar("inca_cost_kernel_invocations_total", "counter", "Tensor-kernel invocations attributed at request boundaries.", snap.Cost.KernelInvocations)
-	scalar("inca_cost_kernel_chunks_total", "counter", "Tensor-kernel chunks attributed at request boundaries.", snap.Cost.KernelChunks)
 	scalar("inca_cost_sim_energy_joules_total", "counter", "Modeled accelerator energy summed over attributed cells.", snap.Cost.SimEnergyJ)
 	scalar("inca_cost_sim_latency_seconds_total", "counter", "Modeled accelerator latency summed over attributed cells.", snap.Cost.SimLatencyS)
 

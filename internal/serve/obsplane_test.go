@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/inca-arch/inca/internal/job"
 	"github.com/inca-arch/inca/internal/obs"
 	"github.com/inca-arch/inca/internal/obs/cost"
+	"github.com/inca-arch/inca/internal/wal"
 )
 
 // stripCost removes the spliced `"cost":{...}` member from a response
@@ -219,6 +221,109 @@ func TestJobCostJournaledAcrossRestart(t *testing.T) {
 	replayed := readAll(t, get(t, ts2.URL+"/v1/jobs/"+snap.ID+"?cost=1", nil))
 	if got := costBlock(t, replayed); got != sum {
 		t.Fatalf("replayed cost %+v differs from journaled %+v", got, sum)
+	}
+}
+
+// TestJobCostReplaysOlderBlob pins journal compatibility: a cost blob
+// journaled by an older release, still carrying the process-wide fields
+// (cpu_s, kernel_*) and the per-request cache counters since removed,
+// replays, and GET /v1/jobs/{id}?cost=1 serves it without those keys.
+func TestJobCostReplaysOlderBlob(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	spec := `{"archs":["inca"],"models":["LeNet5"],"phases":["inference"]}`
+	id := job.DeriveID([]byte(spec))
+	blob := `{"wall_s":0.5,"cpu_s":0.25,"cells":2,"cached_cells":1,"failed_cells":0,` +
+		`"attempts":1,"retries":0,"cache_hits":1,"cache_misses":1,"cache_disk_hits":0,` +
+		`"cache_expired":0,"coalesced_hits":0,"kernel_invocations":7,"kernel_chunks":9,` +
+		`"sim_energy_j":0.125,"sim_latency_s":0.0625}`
+	// The job journal as an older release wrote it: an INCAJNL1 wal log
+	// of JSON records.
+	jnl, err := wal.Create(filepath.Join(dir, "journal.log"), "INCAJNL1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []map[string]any{
+		{"op": "submit", "id": id, "spec": spec, "created_unix_nano": 1},
+		{"op": "run", "id": id, "attempt": 1},
+		{"op": "cost", "id": id, "cost": blob},
+		{"op": "done", "id": id, "state": "succeeded", "body": "{}\n"},
+	} {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := jnl.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Options{Jobs: newJobManager(t, dir, job.Options{Runners: 1})})
+	raw := readAll(t, get(t, ts.URL+"/v1/jobs/"+id+"?cost=1", nil))
+	for _, gone := range []string{"cpu_s", "cache_hits", "cache_misses", "kernel_"} {
+		if bytes.Contains(raw, []byte(gone)) {
+			t.Errorf("replayed cost block still carries %q: %s", gone, raw)
+		}
+	}
+	want := cost.Summary{WallS: 0.5, CellCounts: cost.CellCounts{
+		Cells: 2, CachedCells: 1, Attempts: 1, SimEnergyJ: 0.125, SimLatencyS: 0.0625,
+	}}
+	if got := costBlock(t, raw); got != want {
+		t.Fatalf("replayed cost %+v, want %+v", got, want)
+	}
+}
+
+// TestCostMatchesProcessCounters pins the one-count-per-event rule: a
+// request's cost block and the process counters on /metrics are two
+// views of the same events. On a fresh server, a cold and then a warm
+// sweep each move the memo cache's hits+disk_hits by the block's
+// cached_cells and its misses by the cells it did not find cached; the
+// latency histogram's count is both the sum of its buckets and the
+// number of responses by status class.
+func TestCostMatchesProcessCounters(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Options{})
+	metrics := func() Snapshot {
+		var snap Snapshot
+		// Finished requests are observed after their response is
+		// written; wait until every request but this one has been.
+		waitFor(t, func() bool {
+			snap = Snapshot{}
+			getJSON(t, ts.URL+"/metrics", &snap)
+			return snap.Latency.Count == snap.Requests-1
+		})
+		return snap
+	}
+	body := `{"archs":["inca","baseline"],"models":["LeNet5"],"phases":["inference","training"]}`
+	for _, pass := range []string{"cold", "warm"} {
+		before := metrics()
+		sum := costBlock(t, readAll(t, post(t, ts.URL+"/v1/sweep?cost=1", body, nil)))
+		after := metrics()
+		served := (after.Cache.Hits + after.Cache.DiskHits) - (before.Cache.Hits + before.Cache.DiskHits)
+		if sum.Cells != 4 || sum.CachedCells != served {
+			t.Errorf("%s: cost cells %d, cached_cells %d; cache hits+disk_hits moved by %d",
+				pass, sum.Cells, sum.CachedCells, served)
+		}
+		if ran := after.Cache.Misses - before.Cache.Misses; sum.Cells-sum.CachedCells != ran {
+			t.Errorf("%s: cost cells-cached_cells = %d; cache misses moved by %d",
+				pass, sum.Cells-sum.CachedCells, ran)
+		}
+		if pass == "warm" && sum.CachedCells != sum.Cells {
+			t.Errorf("warm pass: %d of %d cells cached", sum.CachedCells, sum.Cells)
+		}
+
+		var buckets int64
+		for _, c := range after.Latency.Counts {
+			buckets += c
+		}
+		responses := after.Status2xx + after.Status4xx + after.Status5xx
+		if after.Latency.Count != buckets || after.Latency.Count != responses {
+			t.Errorf("%s: latency count %d, bucket sum %d, responses %d",
+				pass, after.Latency.Count, buckets, responses)
+		}
 	}
 }
 

@@ -109,10 +109,6 @@ type Options struct {
 	// default: profiles expose internals and cost CPU, so production
 	// servers opt in explicitly (the -pprof flag in cmd/inca-serve).
 	EnablePprof bool
-	// LatencyBuckets overrides the request-latency histogram's bucket
-	// upper bounds (seconds, ascending; a +Inf overflow bucket is always
-	// appended). nil means DefaultLatencyBuckets.
-	LatencyBuckets []float64
 	// SweepRetry is the per-cell retry policy threaded into every
 	// request's sweep run, so transient faults (opt.Inject chaos, flaky
 	// cells) retry server-side instead of failing the request.
@@ -190,9 +186,6 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if o.LatencyBuckets == nil {
-		o.LatencyBuckets = DefaultLatencyBuckets()
-	}
 	return o
 }
 
@@ -228,7 +221,7 @@ func New(opt Options) *Server {
 		log:     opt.Logger,
 		cache:   opt.Cache,
 		admit:   newAdmission(opt.MaxInflight, opt.QueueDepth),
-		metrics: newMetrics(opt.LatencyBuckets),
+		metrics: &Metrics{start: time.Now()},
 		usage:   newUsageAccount(),
 	}
 	if opt.SLO.enabled() {

@@ -294,6 +294,45 @@ func TestModelsEndpoint(t *testing.T) {
 	}
 }
 
+// TestContentNegotiation pins the one negotiation rule every endpoint
+// with alternative representations shares: ?format=X, or an Accept
+// header that contains the MIME type among other types or parameters.
+func TestContentNegotiation(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	sweepBody := `{"archs":["inca"],"models":["LeNet5"],"phases":["inference"]}`
+	cases := []struct {
+		name, method, path, body, format, accept, marker string
+	}{
+		{"experiment", http.MethodGet, "/v1/experiments/table5", "", "text", "text/plain", "(mm²)\ncomponent"},
+		{"metrics", http.MethodGet, "/metrics", "", "prometheus", "text/plain", "# TYPE inca_uptime_seconds gauge"},
+		{"liveness", http.MethodGet, "/healthz/live", "", "json", "application/json", `"build":`},
+		{"sweep", http.MethodPost, "/v1/sweep", sweepBody, "csv", "text/csv", "arch,"},
+	}
+	fetch := func(method, url, body string, hdr http.Header) string {
+		if method == http.MethodPost {
+			return string(readAll(t, post(t, url, body, hdr)))
+		}
+		return string(readAll(t, get(t, url, hdr)))
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if out := fetch(c.method, ts.URL+c.path, c.body, nil); strings.Contains(out, c.marker) {
+				t.Fatalf("default representation already carries %q:\n%.200s", c.marker, out)
+			}
+			if out := fetch(c.method, ts.URL+c.path+"?format="+c.format, c.body, nil); !strings.Contains(out, c.marker) {
+				t.Errorf("?format=%s: missing %q:\n%.200s", c.format, c.marker, out)
+			}
+			for _, accept := range []string{c.accept, c.accept + "; charset=utf-8", "application/xml, " + c.accept + ";q=0.9"} {
+				hdr := http.Header{}
+				hdr.Set("Accept", accept)
+				if out := fetch(c.method, ts.URL+c.path, c.body, hdr); !strings.Contains(out, c.marker) {
+					t.Errorf("Accept: %s: missing %q:\n%.200s", accept, c.marker, out)
+				}
+			}
+		})
+	}
+}
+
 func TestExperimentEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	resp, err := http.Get(ts.URL + "/v1/experiments/table5")

@@ -375,25 +375,18 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestCustomLatencyBuckets pins the configurable histogram: the
-// snapshot reports the configured bounds (sanitized ascending) and bins
-// observations against them.
-func TestCustomLatencyBuckets(t *testing.T) {
-	s, ts := newTestServer(t, Options{LatencyBuckets: []float64{0.5, 0.1, 1, 1, 5}})
-	// Out-of-order and duplicate entries are dropped: 0.5, 1, 5 remain.
-	want := []float64{0.5, 1, 5}
+// TestLatencyHistogramBins pins the histogram's fixed bounds: the
+// snapshot reports them with one +Inf overflow count, the count is the
+// buckets' sum, and observations bin against the bounds.
+func TestLatencyHistogramBins(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
 	readAll(t, get(t, ts.URL+"/healthz", nil))
 	snap := s.snapshot()
-	if len(snap.Latency.BoundsS) != len(want) {
-		t.Fatalf("bounds = %v, want %v", snap.Latency.BoundsS, want)
+	if len(snap.Latency.BoundsS) != len(latencyBounds) || snap.Latency.BoundsS[11] != 2.5 {
+		t.Fatalf("bounds = %v, want %v", snap.Latency.BoundsS, latencyBounds)
 	}
-	for i := range want {
-		if snap.Latency.BoundsS[i] != want[i] {
-			t.Fatalf("bounds = %v, want %v", snap.Latency.BoundsS, want)
-		}
-	}
-	if len(snap.Latency.Counts) != len(want)+1 {
-		t.Fatalf("counts length %d, want %d (+Inf)", len(snap.Latency.Counts), len(want)+1)
+	if len(snap.Latency.Counts) != len(latencyBounds)+1 {
+		t.Fatalf("counts length %d, want %d (+Inf)", len(snap.Latency.Counts), len(latencyBounds)+1)
 	}
 	var total int64
 	for _, c := range snap.Latency.Counts {
@@ -403,15 +396,16 @@ func TestCustomLatencyBuckets(t *testing.T) {
 		t.Fatalf("bucket counts sum %d, series count %d", total, snap.Latency.Count)
 	}
 
-	// Direct observe: a 2s latency lands in the le=5 bucket (index 2).
-	m := newMetrics([]float64{0.5, 1, 5})
+	// Direct observe: a 2s latency lands in the le=2.5 bucket, a 20s one
+	// in +Inf.
+	m := &Metrics{}
 	m.observe(200, 2*time.Second)
-	if m.latencyBkts[2].Load() != 1 {
-		t.Fatal("2s observation missed the le=5 bucket")
+	if m.latencyBkts[11].Load() != 1 {
+		t.Fatal("2s observation missed the le=2.5 bucket")
 	}
-	m.observe(200, 10*time.Second)
-	if m.latencyBkts[3].Load() != 1 {
-		t.Fatal("10s observation missed the +Inf bucket")
+	m.observe(200, 20*time.Second)
+	if m.latencyBkts[len(latencyBounds)].Load() != 1 {
+		t.Fatal("20s observation missed the +Inf bucket")
 	}
 }
 
@@ -419,7 +413,7 @@ func TestCustomLatencyBuckets(t *testing.T) {
 // counted in queued and inflight (or queued and rejected) at once, and
 // all gauges return to zero after an abandoned acquire.
 func TestQueuedGaugeConsistency(t *testing.T) {
-	m := newMetrics(nil)
+	m := &Metrics{}
 	a := newAdmission(1, 1)
 
 	// Fill the only slot.

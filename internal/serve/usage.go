@@ -18,6 +18,10 @@ import (
 //     cell at a time, so the paper's IS/WS/OS comparisons are readable
 //     as operational cost, not just as offline experiment output.
 //
+// Both books add the same cost.CellCounts values (accountResults
+// classifies each result once), so the rows' cell figures sum to the
+// totals'.
+//
 // Cells evaluated on remote shards are attributed on the node that
 // gathered them (the coordinator) and on the shard that ran them —
 // each node's ledger describes its own view of the traffic.
@@ -35,15 +39,7 @@ type usageKey struct{ model, dataflow string }
 type UsageRow struct {
 	Model    string `json:"model"`
 	Dataflow string `json:"dataflow"`
-	// Cells includes cached and failed ones; Attempts counts engine
-	// evaluation attempts.
-	Cells       int64 `json:"cells"`
-	CachedCells int64 `json:"cached_cells"`
-	FailedCells int64 `json:"failed_cells"`
-	Attempts    int64 `json:"attempts"`
-	// Simulator totals over the row's successful cells (joules/seconds).
-	SimEnergyJ  float64 `json:"sim_energy_j"`
-	SimLatencyS float64 `json:"sim_latency_s"`
+	cost.CellCounts
 }
 
 // UsageResponse is the GET /v1/usage body.
@@ -75,8 +71,8 @@ func (u *usageAccount) addTotals(s cost.Summary, job bool) {
 	u.mu.Unlock()
 }
 
-// addCell attributes one evaluated cell to its model×dataflow row.
-func (u *usageAccount) addCell(model, dataflow string, r sweep.Result) {
+// addCell attributes one classified cell to its model×dataflow row.
+func (u *usageAccount) addCell(model, dataflow string, c cost.CellCounts) {
 	u.mu.Lock()
 	k := usageKey{model, dataflow}
 	row := u.rows[k]
@@ -84,19 +80,7 @@ func (u *usageAccount) addCell(model, dataflow string, r sweep.Result) {
 		row = &UsageRow{Model: model, Dataflow: dataflow}
 		u.rows[k] = row
 	}
-	row.Cells++
-	if r.Cached {
-		row.CachedCells++
-	}
-	if r.Attempts > 0 {
-		row.Attempts += int64(r.Attempts)
-	}
-	if r.Err != nil {
-		row.FailedCells++
-	} else if r.Report != nil {
-		row.SimEnergyJ += r.Report.Total.Energy.Total()
-		row.SimLatencyS += r.Report.Total.Latency
-	}
+	row.Add(c)
 	u.mu.Unlock()
 }
 
@@ -126,7 +110,8 @@ func (u *usageAccount) snapshot() UsageResponse {
 // cost tally and to the server's usage ledger. runCells calls it for
 // every run, local or sharded, so the tally's cell counts and
 // energy/latency sums match the response's simulation reports exactly,
-// whichever node or path produced them.
+// whichever node or path produced them. Each result is classified once;
+// the tally and its usage row add the same value.
 func (s *Server) accountResults(t *cost.Tally, results []sweep.Result) {
 	for _, r := range results {
 		var energy, latency float64
@@ -134,7 +119,8 @@ func (s *Server) accountResults(t *cost.Tally, results []sweep.Result) {
 			energy = r.Report.Total.Energy.Total()
 			latency = r.Report.Total.Latency
 		}
-		t.AddCell(r.Cached, r.Err != nil, r.Attempts, energy, latency)
+		c := cost.Cell(r.Cached, r.Err != nil, r.Attempts, energy, latency)
+		t.AddCells(c)
 		model := ""
 		if r.Cell.Network != nil {
 			model = r.Cell.Network.Name
@@ -143,6 +129,6 @@ func (s *Server) accountResults(t *cost.Tally, results []sweep.Result) {
 		if dataflow == "" {
 			dataflow = r.Cell.Arch.Name
 		}
-		s.usage.addCell(model, dataflow, r)
+		s.usage.addCell(model, dataflow, c)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/inca-arch/inca/internal/obs"
-	"github.com/inca-arch/inca/internal/obs/cost"
 	"github.com/inca-arch/inca/internal/sim"
 )
 
@@ -92,7 +90,10 @@ func (c *Cache) SetTier(t Tier) {
 // neither hit nor miss — it is tallied by Expired instead (the flight it
 // abandoned may still land for future callers). Hits() therefore counts
 // only calls that actually received a result without running eval, and
-// Misses() only calls that ran eval.
+// Misses() only calls that ran eval. These counters are the one record
+// of each lookup's outcome: a request sees its own share through the
+// returned cached flag, a trace through the cell span's cached
+// attribute.
 //
 // An eval that panics is recovered and surfaced as ErrEvalPanic: the
 // waiters coalesced onto the flight observe the error and unblock, and
@@ -102,12 +103,6 @@ func (c *Cache) SetTier(t Tier) {
 // Callers must treat the returned report as immutable: cache hits alias
 // the same *sim.Report.
 func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error)) (rep *sim.Report, cached bool, err error) {
-	// Trace tally: the same hit/miss/expired classification the global
-	// counters record, attributed to the span (if any) and the cost
-	// tally (if any) this call runs under — one nil check per call each
-	// when untraced/untallied.
-	span := obs.FromContext(ctx)
-	tally := cost.FromContext(ctx)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -116,21 +111,15 @@ func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error
 		select {
 		case <-e.ready:
 			c.hits.Add(1)
-			span.Count("cache.hit", 1)
-			tally.CacheHit()
 			return e.rep, true, e.err
 		default:
 		}
 		select {
 		case <-e.ready:
 			c.hits.Add(1)
-			span.Count("cache.hit", 1)
-			tally.CacheHit()
 			return e.rep, true, e.err
 		case <-ctx.Done():
 			c.expired.Add(1)
-			span.Count("cache.expired", 1)
-			tally.CacheExpired()
 			return nil, false, ctx.Err()
 		}
 	}
@@ -157,16 +146,12 @@ func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error
 	if tier != nil {
 		if stored, ok := tier.Get(key.String()); ok {
 			c.diskHits.Add(1)
-			span.Count("cache.disk_hit", 1)
-			tally.CacheDiskHit()
 			e.rep = stored
 			return e.rep, true, nil
 		}
 	}
 
 	c.misses.Add(1)
-	span.Count("cache.miss", 1)
-	tally.CacheMiss()
 	func() {
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -193,7 +178,10 @@ type CacheStats struct {
 	// request-level analogue of Hits. The counter lives here, next to
 	// the per-cell dedup counters, so batching efficacy is observable
 	// alongside disk_hits in every stats surface; the cache itself never
-	// increments it (the coalescer calls AddCoalesced).
+	// increments it (the coalescer calls AddCoalesced). It is the only
+	// count of coalesced replays: the HTTP service's coalesced_total
+	// reads it, so a cache shared by two servers reports both servers'
+	// replays.
 	CoalescedHits int64 `json:"coalesced_hits"`
 	Entries       int   `json:"entries"`
 }

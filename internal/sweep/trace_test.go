@@ -40,9 +40,9 @@ func smallPlan() Plan {
 // TestTracedSweepCellSpans pins the sweep layer's span contract under
 // injected faults: every cell gets a sweep/cell span whose attempts
 // attribute matches the Result, each attempt appears as a sweep/attempt
-// child (failed ones carrying the attempt's error), cache counters land
-// on the attempt spans, and queue_wait_s is present and non-negative on
-// the deterministic clock.
+// child (failed ones carrying the attempt's error), every attempt is one
+// cache miss, and queue_wait_s is present and non-negative on the
+// deterministic clock.
 func TestTracedSweepCellSpans(t *testing.T) {
 	clk := &traceClock{now: time.Unix(1000, 0), tick: time.Millisecond}
 	tr := obs.NewTracer(obs.WithClock(clk.Now), obs.WithRing(1024), obs.WithIDSeed(7))
@@ -50,9 +50,11 @@ func TestTracedSweepCellSpans(t *testing.T) {
 	inj := fault.New(11)
 	inj.Add(fault.Rule{Site: "sweep/cell/*", Kind: fault.KindError, Prob: 0.5})
 
+	cache := NewCache()
 	ctx, root := tr.Start(context.Background(), "test/sweep")
 	results, err := Run(ctx, smallPlan(), Options{
 		Workers: 2,
+		Cache:   cache,
 		Retry:   retryOpts(11),
 		Inject:  inj,
 	})
@@ -87,6 +89,7 @@ func TestTracedSweepCellSpans(t *testing.T) {
 	}
 
 	sawRetry := false
+	var attempts int64
 	for _, cs := range cellSpans {
 		if cs.ParentID != root.SpanID() {
 			t.Errorf("cell span parent = %s, want root %s", cs.ParentID, root.SpanID())
@@ -131,7 +134,6 @@ func TestTracedSweepCellSpans(t *testing.T) {
 			}
 			seen[n.(int64)] = k
 		}
-		misses := int64(0)
 		for i := int64(1); i <= int64(res.Attempts); i++ {
 			k, ok := seen[i]
 			if !ok {
@@ -144,15 +146,10 @@ func TestTracedSweepCellSpans(t *testing.T) {
 			if i == int64(res.Attempts) && hasErr {
 				t.Errorf("cell %v final attempt unexpectedly carries an error", keyV)
 			}
-			misses += k.Counters["cache.miss"]
 		}
+		attempts += int64(res.Attempts)
 		if res.Attempts > 1 {
 			sawRetry = true
-			// Each retried attempt re-enters the cache as a fresh miss
-			// (failures are forgotten), so misses accumulate per attempt.
-			if misses != int64(res.Attempts) {
-				t.Errorf("cell %v cache.miss total = %d across %d attempts", keyV, misses, res.Attempts)
-			}
 		}
 		// Every attempt span nests inside [cell start, cell end] on the
 		// deterministic clock, and the cell nests inside the root.
@@ -172,11 +169,21 @@ func TestTracedSweepCellSpans(t *testing.T) {
 	if !sawRetry {
 		t.Fatal("probability-0.5 faults never forced a retry; attempt-span error checks did not exercise")
 	}
+	// Each retried attempt re-enters the cache as a fresh miss (failures
+	// are forgotten), so the cache's misses are the attempts summed over
+	// the cells, and nothing was served from it.
+	if m := cache.Misses(); m != attempts {
+		t.Errorf("cache misses = %d across %d attempts", m, attempts)
+	}
+	if h := cache.Hits(); h != 0 {
+		t.Errorf("cache hits = %d on a cold run, want 0", h)
+	}
 }
 
 // TestTracedCacheHitSpans pins that a duplicate cell served from the
-// cache produces a span with cached=true and a cache.hit counter on its
-// single attempt.
+// cache produces a span with cached=true over a single attempt, and
+// moves the cache's hit counter by exactly one and its miss counter not
+// at all.
 func TestTracedCacheHitSpans(t *testing.T) {
 	clk := &traceClock{now: time.Unix(2000, 0), tick: time.Millisecond}
 	tr := obs.NewTracer(obs.WithClock(clk.Now), obs.WithRing(256), obs.WithIDSeed(3))
@@ -186,6 +193,7 @@ func TestTracedCacheHitSpans(t *testing.T) {
 	if _, err := Run(context.Background(), smallPlan(), Options{Workers: 1, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
+	hits0, misses0 := cache.Hits(), cache.Misses()
 	ctx, root := tr.Start(context.Background(), "test/sweep")
 	results, err := Run(ctx, smallPlan(), Options{Workers: 1, Cache: cache})
 	if err != nil {
@@ -195,23 +203,27 @@ func TestTracedCacheHitSpans(t *testing.T) {
 	if len(results) != 1 || !results[0].Cached {
 		t.Fatalf("second run should be fully cached: %+v", results)
 	}
+	if d := cache.Hits() - hits0; d != 1 {
+		t.Fatalf("cache hits moved by %d, want 1", d)
+	}
+	if d := cache.Misses() - misses0; d != 0 {
+		t.Fatalf("cached run moved cache misses by %d, want 0", d)
+	}
 
-	var hitCount int64
+	var cells, attempts int
 	for _, sd := range tr.Ring().Trace(root.TraceID()) {
 		switch sd.Name {
 		case SpanCell:
+			cells++
 			if v, _ := sd.Attr("cached"); v != true {
 				t.Errorf("cached cell span has cached = %v", v)
 			}
 		case SpanAttempt:
-			hitCount += sd.Counters["cache.hit"]
-			if sd.Counters["cache.miss"] != 0 {
-				t.Error("cached run recorded a cache.miss on its attempt span")
-			}
+			attempts++
 		}
 	}
-	if hitCount != 1 {
-		t.Fatalf("cache.hit total = %d, want 1", hitCount)
+	if cells != 1 || attempts != 1 {
+		t.Fatalf("cached run traced %d cell and %d attempt spans, want 1 and 1", cells, attempts)
 	}
 }
 
