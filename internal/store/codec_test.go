@@ -3,14 +3,19 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
@@ -72,55 +77,57 @@ func simulate(t testing.TB, dataflows []string, nets []*nn.Network, phases []sim
 }
 
 // replayClock returns a store clock that hands out the given times in
-// order, one per call.
+// order, one per call, and then keeps returning the last one.
 func replayClock(times []int64) func() time.Time {
 	return func() time.Time {
 		now := time.Unix(0, times[0])
-		times = times[1:]
+		if len(times) > 1 {
+			times = times[1:]
+		}
 		return now
 	}
 }
 
-// TestRecordCodecMatchesTwoPass pins the one-pass codec to the two-pass
-// encoding byte for byte, over every backend the paper compares, deep
-// and shallow networks, both phases, and keys that encoding/json escapes
-// (<, >, &, U+2028 and U+2029). It also pins a segment file written by Put to
-// the magic followed by the two-pass records, framed.
+// TestRecordCodecMatchesTwoPass pins the one-pass JSON codec to the
+// two-pass encoding byte for byte, over every backend the paper
+// compares, deep and shallow networks, both phases, and keys that
+// encoding/json escapes (<, >, &, U+2028 and U+2029). It also pins the
+// corpus a store exports after Put to the two-pass records, one per
+// line in key order: the segment bytes are v2 records now, and the
+// export is the format that stays frozen.
 func TestRecordCodecMatchesTwoPass(t *testing.T) {
 	cells := simulate(t, []string{"is", "ws", "gpu"},
 		[]*nn.Network{nn.ResNet50(), nn.VGG16(), nn.LeNet5()},
 		[]sim.Phase{sim.Inference, sim.Training})
 	const created = 1_700_000_000_123_456_789
 	var times []int64
-	want := []byte(segMagic)
+	var lines []string
 	for _, c := range cells {
 		for _, key := range []string{c.key, c.key + "|<b>&</b>", "line\u2028sep\u2029" + c.key} {
-			fb, err := encodeRecord(key, addr(key), created, c.rep.Wire())
-			if err != nil {
+			var buf bytes.Buffer
+			if err := encodeRecord(&buf, key, addr(key), created, c.rep.Wire()); err != nil {
 				t.Fatal(err)
 			}
-			got, old := fb.frame()[wal.HeaderLen:], twoPassRecord(t, key, created, c.rep)
+			got, old := buf.Bytes(), twoPassRecord(t, key, created, c.rep)
 			if !bytes.Equal(got, old) {
 				t.Fatalf("key %q: one-pass record differs from two-pass:\n got %.200s\nwant %.200s", key, got, old)
 			}
-			fb.release()
 		}
 		times = append(times, created+int64(len(times)))
-		want = append(want, wal.Frame(twoPassRecord(t, c.key, times[len(times)-1], c.rep))...)
+		lines = append(lines, string(twoPassRecord(t, c.key, times[len(times)-1], c.rep))+"\n")
 	}
+	sort.Strings(lines)
 
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentMaxBytes: 1 << 30, MaxBytes: 1 << 30, now: replayClock(times)})
+	s := mustOpen(t, t.TempDir(), Options{SegmentMaxBytes: 1 << 30, MaxBytes: 1 << 30, now: replayClock(times)})
 	for _, c := range cells {
 		s.Put(c.key, c.rep)
 	}
-	s.Close()
-	got, err := os.ReadFile(filepath.Join(dir, "seg-000000.log"))
-	if err != nil {
+	var export bytes.Buffer
+	if _, err := s.Export(&export); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("segment written by Put (%d bytes) differs from the two-pass framing (%d bytes)", len(got), len(want))
+	if want := strings.Join(lines, ""); export.String() != want {
+		t.Fatalf("export after Put (%d bytes) differs from the two-pass records (%d bytes)", export.Len(), len(want))
 	}
 }
 
@@ -128,8 +135,8 @@ func TestRecordCodecMatchesTwoPass(t *testing.T) {
 // two-pass encoder (testdata/twopass: is/ws/gpu × LeNet5 × both phases,
 // plus one record under a key that needs escaping). Every record must
 // index and Get back the report it holds; Export must reproduce the
-// stored records verbatim; and re-putting the served reports with the
-// same timestamps must rewrite the segment file byte for byte.
+// stored records verbatim; and a store the served reports are re-put
+// into with the same timestamps must export the same bytes.
 func TestOpensTwoPassSegments(t *testing.T) {
 	const name = "seg-000000.log"
 	old, err := os.ReadFile(filepath.Join("testdata", "twopass", name))
@@ -137,7 +144,7 @@ func TestOpensTwoPassSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	var payloads [][]byte
-	if _, err := wal.Scan(bytes.NewReader(old), segMagic, func(_ int64, p []byte) bool {
+	if _, err := wal.Scan(bytes.NewReader(old), magicV1, func(_ int64, p []byte) bool {
 		payloads = append(payloads, p)
 		return true
 	}); err != nil {
@@ -187,19 +194,10 @@ func TestOpensTwoPassSegments(t *testing.T) {
 	for i, rec := range recs {
 		times[i] = rec.Created
 	}
-	dir2 := t.TempDir()
-	s2 := mustOpen(t, dir2, Options{now: replayClock(times)})
+	s2 := mustOpen(t, t.TempDir(), Options{now: replayClock(times)})
 	for _, rec := range recs {
 		rep, _ := s.Get(rec.Key)
 		s2.Put(rec.Key, rep)
-	}
-	s2.Close()
-	got, err := os.ReadFile(filepath.Join(dir2, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, old) {
-		t.Fatal("re-putting the served reports did not reproduce the two-pass segment")
 	}
 
 	var export, want bytes.Buffer
@@ -213,6 +211,13 @@ func TestOpensTwoPassSegments(t *testing.T) {
 	}
 	if !bytes.Equal(export.Bytes(), want.Bytes()) {
 		t.Fatal("export of a two-pass segment is not its records verbatim")
+	}
+	var reput bytes.Buffer
+	if _, err := s2.Export(&reput); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reput.Bytes(), want.Bytes()) {
+		t.Fatal("re-putting the served reports did not reproduce the two-pass records in the export")
 	}
 }
 
@@ -325,4 +330,219 @@ func FuzzImport(f *testing.F) {
 			t.Fatalf("re-export differs (%v):\n%s\nvs\n%s", err, again.Bytes(), export.Bytes())
 		}
 	})
+}
+
+// twoPassEntry is one record of the testdata/twopass segment, decoded.
+type twoPassEntry struct {
+	key     string
+	created int64
+	rep     *sim.Report
+	payload []byte
+}
+
+// readTwoPass returns the testdata/twopass segment file and its
+// records.
+func readTwoPass(t testing.TB) ([]byte, []twoPassEntry) {
+	t.Helper()
+	seg, err := os.ReadFile(filepath.Join("testdata", "twopass", "seg-000000.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []twoPassEntry
+	if _, err := wal.Scan(bytes.NewReader(seg), magicV1, func(_ int64, p []byte) bool {
+		rec, rep, err := decodeRecord(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, twoPassEntry{rec.Key, rec.Created, rep, p})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return seg, out
+}
+
+// FuzzRecordV2 feeds arbitrary payloads to the v2 decoder. It must
+// never panic, and every payload it accepts must re-encode to the same
+// bytes and render to a corpus line that the JSON decoder accepts and
+// that re-imports to the same bytes: the v2 decoder accepts exactly the
+// reports the JSON form carries.
+func FuzzRecordV2(f *testing.F) {
+	_, recs := readTwoPass(f)
+	for _, r := range recs {
+		payload, err := encodeRecordV2(nil, r.key, r.created, r.rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
+		f.Add(append(payload, 0))
+	}
+	// A report without layers ends in its total's latency, seven
+	// one-byte counts and a zero layer count; its DRAM energy is the
+	// first of the six components before the latency.
+	valid, err := encodeRecordV2(nil, "k", 1, testReport("net"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	latency := len(valid) - 1 - 7 - 8
+	dram := latency - 6*8
+	for _, patch := range []struct {
+		off  int
+		bits uint64
+	}{
+		{latency, math.Float64bits(math.NaN())},
+		{latency, math.Float64bits(math.Inf(-1))},
+		{dram, math.Float64bits(math.Copysign(0, -1))},
+		{dram, math.Float64bits(-1)},
+		{dram, math.Float64bits(math.Inf(1))},
+	} {
+		bad := bytes.Clone(valid)
+		binary.LittleEndian.PutUint64(bad[patch.off:], patch.bits)
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		key, created, rep, err := decodeRecordV2(payload)
+		if err != nil {
+			return
+		}
+		again, err := encodeRecordV2(nil, key, created, rep)
+		if err != nil || !bytes.Equal(again, payload) {
+			t.Fatalf("accepted record re-encodes to %x, %v; want %x", again, err, payload)
+		}
+		var line bytes.Buffer
+		if err := encodeRecord(&line, key, addr(key), created, rep.Wire()); err != nil {
+			t.Fatalf("accepted record does not render as JSON: %v", err)
+		}
+		rec, rep2, err := decodeRecord(line.Bytes())
+		if err != nil {
+			t.Fatalf("corpus line of an accepted record does not decode: %v\n%s", err, line.Bytes())
+		}
+		imported, err := encodeRecordV2(nil, rec.Key, rec.Created, rep2)
+		if err != nil || !bytes.Equal(imported, payload) {
+			t.Fatalf("re-imported corpus line encodes to %x, %v; want %x", imported, err, payload)
+		}
+	})
+}
+
+// codecExcluded lists the report fields the v2 codec leaves out on
+// purpose, with the reason. TestRecordV2CarriesEveryField fails on any
+// other field it does not carry.
+var codecExcluded = map[string]string{
+	"sim.Report.totalsOnly": "Put never stores a totals-only report",
+	"sim.Report.wireUtil":   "set only on totals-only reports",
+	"nn.Layer.InC":          layerGeometry,
+	"nn.Layer.InH":          layerGeometry,
+	"nn.Layer.InW":          layerGeometry,
+	"nn.Layer.OutC":         layerGeometry,
+	"nn.Layer.OutH":         layerGeometry,
+	"nn.Layer.OutW":         layerGeometry,
+	"nn.Layer.KH":           layerGeometry,
+	"nn.Layer.KW":           layerGeometry,
+	"nn.Layer.Stride":       layerGeometry,
+	"nn.Layer.Pad":          layerGeometry,
+	"nn.Layer.Branch":       layerGeometry,
+}
+
+const layerGeometry = "layer geometry describes the network, not the result; the wire form carries only a layer's name and kind"
+
+// TestRecordV2CarriesEveryField fills every field of a report — each
+// sim.Report, sim.LayerResult, nn.Layer, metrics.Result and
+// metrics.Counts field not in codecExcluded — with a distinct value
+// and requires the v2 round trip to return the report unchanged. A
+// field added to any of them without a codec change fails here instead
+// of silently dropping out of every stored record, as does a metrics
+// energy component the record does not carry.
+func TestRecordV2CarriesEveryField(t *testing.T) {
+	if !reflect.DeepEqual(metrics.Components(), recordComponents[:]) {
+		t.Fatalf("metrics components %v, the v2 record carries %v", metrics.Components(), recordComponents)
+	}
+	if tally := reflect.TypeOf(metrics.Energy{}); tally.NumField() != 1 || tally.Field(0).Type.Len() != len(recordComponents) {
+		t.Fatalf("metrics.Energy is %v, the v2 record carries %d components", tally, len(recordComponents))
+	}
+	rep := &sim.Report{}
+	n := 0
+	fillDistinct(t, reflect.ValueOf(rep).Elem(), &n)
+	payload, err := encodeRecordV2(nil, "k", 1, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, got, err := decodeRecordV2(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if field := firstDiff(reflect.ValueOf(got).Elem(), reflect.ValueOf(rep).Elem(), "sim.Report"); field != "" {
+		t.Fatalf("v2 round trip does not carry %s", field)
+	}
+}
+
+// firstDiff names the first field, walking got and want in step, where
+// they differ, or returns "" when they are equal.
+func firstDiff(got, want reflect.Value, path string) string {
+	switch want.Kind() {
+	case reflect.Struct:
+		for i := 0; i < want.NumField(); i++ {
+			if d := firstDiff(got.Field(i), want.Field(i), path+"."+want.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if got.Len() != want.Len() {
+			return path
+		}
+		for i := 0; i < want.Len(); i++ {
+			if d := firstDiff(got.Index(i), want.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+	default:
+		if !got.Equal(want) {
+			return path
+		}
+	}
+	return ""
+}
+
+// fillDistinct sets every field of the struct v that codecExcluded does
+// not name to a value no other field holds, and fails on a field it
+// cannot set.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	typ := v.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		f, fv := typ.Field(i), v.Field(i)
+		name := typ.String() + "." + f.Name
+		if _, ok := codecExcluded[name]; ok {
+			continue
+		}
+		*n++
+		switch {
+		case f.Type == reflect.TypeOf(metrics.Energy{}):
+			e := fv.Addr().Interface().(*metrics.Energy)
+			for _, c := range metrics.Components() {
+				e.Add(c, float64(*n)+float64(c)/8)
+			}
+		case f.Type == reflect.TypeOf(sim.Phase(0)):
+			fv.Set(reflect.ValueOf(sim.Training))
+		case f.Type == reflect.TypeOf(nn.Kind(0)):
+			fv.Set(reflect.ValueOf(nn.FC))
+		case !f.IsExported():
+			t.Errorf("%s is unexported: carry it in the v2 record or add it to codecExcluded", name)
+		case fv.Kind() == reflect.String:
+			fv.SetString(fmt.Sprintf("s%d", *n))
+		case fv.Kind() == reflect.Int || fv.Kind() == reflect.Int64:
+			fv.SetInt(int64(*n))
+		case fv.Kind() == reflect.Float64:
+			fv.SetFloat(float64(*n) + 0.25)
+		case fv.Kind() == reflect.Struct:
+			fillDistinct(t, fv, n)
+		case fv.Kind() == reflect.Slice && f.Type.Elem().Kind() == reflect.Struct:
+			fv.Set(reflect.MakeSlice(f.Type, 2, 2))
+			for j := 0; j < fv.Len(); j++ {
+				fillDistinct(t, fv.Index(j), n)
+			}
+		default:
+			t.Errorf("%s is a %v, which the v2 record does not carry", name, f.Type)
+		}
+	}
 }

@@ -5,10 +5,11 @@
 // and shareable:
 //
 //   - append-only segment files (seg-NNNNNN.log), internal/wal logs of
-//     JSON records, each holding one sim.Report addressed by the SHA-256
-//     of its canonical 5-segment cell key — content addressing makes
-//     merge and dedupe trivial (equal keys produce byte-identical
-//     reports);
+//     binary records (see codec.go), each holding one sim.Report
+//     addressed by the SHA-256 of its canonical 5-segment cell key —
+//     content addressing makes merge and dedupe trivial (equal keys
+//     produce byte-identical reports). Segments of the earlier JSON
+//     record format still open and serve, and compaction rewrites them;
 //   - an in-memory index rebuilt by scanning the segments at Open, so
 //     the warm start costs one sequential read of the directory and no
 //     separate index file can desynchronize from the data;
@@ -22,7 +23,8 @@
 //     old segments deleted;
 //   - corpus export/import as JSON lines, so fleets share precomputed
 //     results: a shard imports its peers' corpora and serves their
-//     cells from disk instead of re-simulating.
+//     cells from disk instead of re-simulating. The corpus bytes, not
+//     the segment bytes, are the stable format.
 //
 // Store implements the sweep.Tier contract (Get/Put by canonical key
 // string); layer one under a cache with sweep.Cache.SetTier or the
@@ -34,13 +36,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +51,14 @@ import (
 	"github.com/inca-arch/inca/internal/wal"
 )
 
-// segMagic names the segment format: an internal/wal log whose payloads
-// are JSON records (see codec.go).
-const segMagic = "INCASTO1"
+// Segment magics: each names an internal/wal log format (see codec.go).
+// Put writes only v2; v1 segments, whose payloads are JSON records, are
+// read until compaction rewrites them.
+const (
+	magicPrefix = "INCASTO"
+	magicV1     = magicPrefix + "1"
+	magicV2     = magicPrefix + "2"
+)
 
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("store: closed")
@@ -105,6 +112,33 @@ type segment struct {
 	id   int
 	path string
 	log  *wal.Log
+	v1   bool // JSON records: read and compacted, never appended to
+}
+
+// errKeyMismatch reports a record that does not hold the key the index
+// reached it by.
+var errKeyMismatch = errors.New("store: record key does not match its index entry")
+
+// decode reads the record at e, which the index holds under key, and
+// rebuilds its report.
+func (seg *segment) decode(e indexEntry, key string) (*sim.Report, error) {
+	payload, err := seg.log.ReadAt(e.off, e.size)
+	if err != nil {
+		return nil, err
+	}
+	var recKey string
+	var rep *sim.Report
+	if seg.v1 {
+		var rec record
+		rec, rep, err = decodeRecord(payload)
+		recKey = rec.Key
+	} else {
+		recKey, _, rep, err = decodeRecordV2(payload)
+	}
+	if err == nil && recKey != key {
+		err = errKeyMismatch
+	}
+	return rep, err
 }
 
 // view is one generation of the store's on-disk state: the open
@@ -241,17 +275,28 @@ func Open(dir string, opt Options) (*Store, error) {
 }
 
 // openSegment opens one segment file and indexes its records, truncating
-// a torn or corrupt tail to the last cleanly-framed record.
+// a torn or corrupt tail to the last cleanly-framed record. The file's
+// magic is read first, because wal.Open re-initializes a log whose magic
+// is not the one it is given: a v1 segment opens as v1, and anything
+// that is neither v1 nor a newer version (see sniffMagic) opens as v2.
 func (s *Store) openSegment(id int) (*segment, error) {
 	path := s.segPath(id)
-	log, torn, err := wal.Open(path, segMagic, false, func(off int64, payload []byte) bool {
-		var head recordHead
-		if err := json.Unmarshal(payload, &head); err != nil || head.Key == "" {
+	v1, err := sniffMagic(path)
+	if err != nil {
+		return nil, err
+	}
+	magic := magicV2
+	if v1 {
+		magic = magicV1
+	}
+	log, torn, err := wal.Open(path, magic, false, func(off int64, payload []byte) bool {
+		key, created, err := recordHeadOf(payload, v1)
+		if err != nil {
 			return false // framed but undecodable: stop, do not index
 		}
-		a := addr(head.Key)
-		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: head.Created}
-		s.keys[a] = head.Key
+		a := addr(key)
+		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: created}
+		s.keys[a] = key
 		return true
 	})
 	if err != nil {
@@ -260,7 +305,33 @@ func (s *Store) openSegment(id int) (*segment, error) {
 	if torn {
 		s.torn.Add(1)
 	}
-	return &segment{id: id, path: path, log: log}, nil
+	return &segment{id: id, path: path, log: log, v1: v1}, nil
+}
+
+// sniffMagic reads a segment file's magic and reports whether it is a
+// v1 segment. A magic of magicPrefix plus a version digit this binary
+// does not know is an error: the segment was written by a newer binary,
+// and opening it as v2 would erase it. Anything else — garbage, a short
+// or empty file — is not a store segment and opens as v2, which
+// re-initializes it.
+func sniffMagic(path string) (v1 bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return false, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, len(magicV2))
+	n, _ := io.ReadFull(f, head)
+	magic := string(head[:n])
+	switch {
+	case magic == magicV1:
+		return true, nil
+	case magic == magicV2:
+		return false, nil
+	case n == len(head) && strings.HasPrefix(magic, magicPrefix) && '0' <= head[n-1] && head[n-1] <= '9':
+		return false, fmt.Errorf("store: %s: segment format version %c is not supported (this binary reads versions 1 and 2)", path, head[n-1])
+	}
+	return false, nil
 }
 
 func (s *Store) segPath(id int) string {
@@ -272,7 +343,7 @@ func (s *Store) newSegment() (*segment, error) {
 	id := s.nextID
 	s.nextID++
 	path := s.segPath(id)
-	log, err := wal.Create(path, segMagic)
+	log, err := wal.Create(path, magicV2)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -308,13 +379,8 @@ func (s *Store) Get(key string) (*sim.Report, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	payload, err := seg.log.ReadAt(e.off, e.size)
-	var rec record
-	var rep *sim.Report
-	if err == nil {
-		rec, rep, err = decodeRecord(payload)
-	}
-	if err != nil || rec.Key != key {
+	rep, err := seg.decode(e, key)
+	if err != nil {
 		s.ioErrs.Add(1)
 		s.misses.Add(1)
 		return nil, false
@@ -342,18 +408,18 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	}
 	a := addr(key)
 	created := s.opt.now().UnixNano()
-	fb, err := encodeRecord(key, a, created, rep.Wire())
+	fb, err := encodeFrame(key, created, rep)
 	if err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
-	defer fb.release()
+	defer releaseFrame(fb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	if err := s.appendTo(&s.view, a, key, fb.frame(), created); err != nil {
+	if err := s.appendTo(&s.view, a, key, *fb, created); err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
@@ -365,12 +431,12 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	}
 }
 
-// appendTo appends one record frame (see wal.Log.AppendFrame) to the
+// appendTo appends one v2 record frame (see wal.Log.AppendFrame) to the
 // view's active segment, rolling to a fresh segment first when the
-// active one is full. Callers hold s.mu.
+// active one is full or is a v1 segment. Callers hold s.mu.
 func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) error {
 	size := int64(len(frame))
-	if v.active == nil || v.active.log.Size()+size > s.opt.SegmentMaxBytes {
+	if v.active == nil || v.active.v1 || v.active.log.Size()+size > s.opt.SegmentMaxBytes {
 		seg, err := s.newSegment()
 		if err != nil {
 			return err
@@ -389,13 +455,16 @@ func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) er
 
 // compactLocked rewrites the live records into fresh segments and
 // deletes the old ones: expired records are dropped first, then the
-// oldest live records until the survivors fit in MaxBytes. The new
-// segments get higher IDs than every old one, so a crash between
-// writing them and deleting the old files recovers to a consistent
-// newest-wins index (at worst resurrecting some evicted bytes, which
-// the next compaction drops again). The survivors are written into a
-// view built on the side: if that fails, its partial segments are
-// deleted and the store keeps serving from the old ones.
+// oldest live records until the survivors fit in MaxBytes. v2 records
+// are copied verbatim and v1 records re-encoded as v2, so the fresh
+// segments are all v2; a v1 record that no longer decodes is dropped,
+// as Get could never serve it. The new segments get higher IDs than
+// every old one, so a crash between writing them and deleting the old
+// files recovers to a consistent newest-wins index (at worst
+// resurrecting some evicted bytes, which the next compaction drops
+// again). The survivors are written into a view built on the side: if
+// that fails, its partial segments are deleted and the store keeps
+// serving from the old ones.
 func (s *Store) compactLocked() error {
 	s.compacts.Add(1)
 	type live struct {
@@ -416,12 +485,12 @@ func (s *Store) compactLocked() error {
 		if seg == nil {
 			continue
 		}
-		payload, err := seg.log.ReadAt(e.off, e.size)
+		frame, err := s.compactFrame(seg, e, s.keys[a])
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
 		}
-		survivors = append(survivors, live{a: a, key: s.keys[a], frame: wal.Frame(payload), created: e.created})
+		survivors = append(survivors, live{a: a, key: s.keys[a], frame: frame, created: e.created})
 	}
 	// Oldest-first eviction until the survivors fit comfortably (90% of
 	// the cap, so one more Put does not immediately re-trigger).
@@ -449,6 +518,23 @@ func (s *Store) compactLocked() error {
 	s.expired.Add(int64(expired))
 	s.evicted.Add(int64(drop))
 	return nil
+}
+
+// compactFrame returns the v2 frame that carries the record at e into
+// a compacted segment.
+func (s *Store) compactFrame(seg *segment, e indexEntry, key string) ([]byte, error) {
+	if !seg.v1 {
+		payload, err := seg.log.ReadAt(e.off, e.size)
+		if err != nil {
+			return nil, err
+		}
+		return wal.Frame(payload), nil
+	}
+	rep, err := seg.decode(e, key)
+	if err != nil {
+		return nil, err
+	}
+	return encodeRecordV2(make([]byte, wal.HeaderLen), key, e.created, rep)
 }
 
 // Compact runs a compaction immediately: expired records are dropped and
@@ -500,7 +586,10 @@ func (s *Store) Stats() Stats {
 }
 
 // Export writes every live (non-expired) record to w as JSON lines —
-// the corpus format Import reads. Records export in deterministic key
+// the corpus format Import reads, and the store's stable format: a v1
+// record is written verbatim and a v2 one rendered to the same line
+// (see codec.go), so the same contents export byte-identically
+// whichever segments hold them. Records export in deterministic key
 // order so equal stores produce byte-identical corpora. It returns the
 // number of records written.
 func (s *Store) Export(w io.Writer) (int, error) {
@@ -527,24 +616,37 @@ func (s *Store) Export(w io.Writer) (int, error) {
 	s.mu.Unlock()
 	sort.Slice(locs, func(i, j int) bool { return locs[i].key < locs[j].key })
 	bw := bufio.NewWriter(w)
+	var line bytes.Buffer
 	n := 0
 	for _, l := range locs {
-		// The stored payload is already one compact JSON object with no
-		// embedded newlines — it is the corpus line verbatim.
-		payload, err := l.seg.log.ReadAt(l.e.off, l.e.size)
-		if err != nil {
+		if err := l.seg.corpusLine(&line, l.e, l.key); err != nil {
 			s.ioErrs.Add(1)
 			continue
 		}
-		if _, err := bw.Write(payload); err != nil {
-			return n, err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line.WriteByte('\n')
+		if _, err := bw.Write(line.Bytes()); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, bw.Flush()
+}
+
+// corpusLine writes the record at e to buf as its corpus line, without
+// the newline. A v1 payload is already one compact JSON object with no
+// embedded newlines, so it is the line verbatim.
+func (seg *segment) corpusLine(buf *bytes.Buffer, e indexEntry, key string) error {
+	buf.Reset()
+	if seg.v1 {
+		payload, err := seg.log.ReadAt(e.off, e.size)
+		buf.Write(payload)
+		return err
+	}
+	rep, err := seg.decode(e, key)
+	if err != nil {
+		return err
+	}
+	return encodeRecord(buf, key, addr(key), e.created, rep.Wire())
 }
 
 // ImportResult summarizes one Import: how many corpus records were
@@ -563,7 +665,7 @@ type ImportResult struct {
 // whose content address does not match their key are rejected. Each
 // report is decoded as Get decodes it, so a record that Get could never
 // serve — no report, an undecodable or totals-only one — is rejected
-// too, and an accepted one is stored re-encoded exactly as Put writes
+// too, and an accepted one is stored as the v2 record Put writes for
 // it. A line longer than the record ceiling (wal.MaxRecord) fails the
 // import.
 func (s *Store) Import(r io.Reader) (ImportResult, error) {
@@ -585,7 +687,7 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 			res.Rejected++
 			continue
 		}
-		fb, err := encodeRecord(rec.Key, a, rec.Created, rep.Wire())
+		fb, err := encodeFrame(rec.Key, rec.Created, rep)
 		if err != nil {
 			res.Rejected++
 			continue
@@ -593,17 +695,17 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			fb.release()
+			releaseFrame(fb)
 			return res, ErrClosed
 		}
 		if _, exists := s.index[a]; exists {
 			s.mu.Unlock()
-			fb.release()
+			releaseFrame(fb)
 			res.Skipped++
 			continue
 		}
-		err = s.appendTo(&s.view, a, rec.Key, fb.frame(), rec.Created)
-		fb.release()
+		err = s.appendTo(&s.view, a, rec.Key, *fb, rec.Created)
+		releaseFrame(fb)
 		overflow := s.view.bytes() > s.opt.MaxBytes
 		if err == nil && overflow {
 			err = s.compactLocked()
