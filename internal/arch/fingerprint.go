@@ -8,8 +8,8 @@ import (
 // Fingerprint returns a stable hex digest of every field in the
 // configuration. Two configs share a fingerprint exactly when they are
 // equal, so the digest serves as a memoization key for simulation
-// results: the sweep engine caches one report per
-// (fingerprint, network, phase) cell.
+// results: it is the config segment of the sweep engine's cell key
+// (sweep.Cell.Key).
 //
 // Config holds only value types (ints, floats, strings and flat structs),
 // so the %#v rendering is deterministic across processes of the same

@@ -84,7 +84,7 @@ func pickVictim(t *testing.T, urls []string, cells []sweep.Cell) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := sweep.Partition(cells, func(k sweep.Key) string { return ring.Owner(k.String()) })
+	parts := sweep.Partition(cells, ring.Owner)
 	for i, u := range urls {
 		if n := len(parts[u]); n > 0 && n < len(cells) {
 			return i // owns some cells but not all: the rehash has survivors with prior work
@@ -246,7 +246,7 @@ func TestCoordinatorRehashAttempts(t *testing.T) {
 	}
 	lost := map[int]bool{}
 	for _, c := range cells {
-		if ring.Owner(c.Key().String()) == urls[victim] {
+		if ring.Owner(c.Key()) == urls[victim] {
 			lost[c.Seq] = true
 		}
 	}

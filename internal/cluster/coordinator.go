@@ -140,7 +140,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 			return nil, summary, err
 		}
 		summary.Rounds++
-		parts := sweep.Partition(pending, func(k sweep.Key) string { return ring.Owner(k.String()) })
+		parts := sweep.Partition(pending, ring.Owner)
 		var (
 			mu       sync.Mutex
 			wg       sync.WaitGroup

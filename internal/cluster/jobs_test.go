@@ -22,7 +22,7 @@ import (
 )
 
 // dispatchLog wraps a shard's handler and records the cells every
-// shard sweep posted to it, keyed "model/phase/arch".
+// shard sweep posted to it, keyed "model/phase/dataflow".
 type dispatchLog struct {
 	inner http.Handler
 	mu    *sync.Mutex
@@ -39,7 +39,7 @@ func (d dispatchLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if json.Unmarshal(body, &req) == nil {
 			d.mu.Lock()
 			for _, c := range req.Cells {
-				*d.cells = append(*d.cells, c.Model+"/"+c.Phase+"/"+c.Arch)
+				*d.cells = append(*d.cells, c.Model+"/"+c.Phase+"/"+c.Dataflow)
 			}
 			d.mu.Unlock()
 		}
@@ -150,8 +150,8 @@ func TestShardedJobByteIdentityAndStoreResume(t *testing.T) {
 	}
 	got := takeDispatched()
 	wantCells := []string{
-		"VGG16-CIFAR/inference/INCA", "VGG16-CIFAR/inference/WS-Baseline",
-		"VGG16-CIFAR/training/INCA", "VGG16-CIFAR/training/WS-Baseline",
+		"VGG16-CIFAR/inference/is", "VGG16-CIFAR/inference/ws",
+		"VGG16-CIFAR/training/is", "VGG16-CIFAR/training/ws",
 	}
 	if strings.Join(got, ",") != strings.Join(wantCells, ",") {
 		t.Fatalf("store-resumed job dispatched %q, want only the missing cells %q", got, wantCells)
@@ -203,7 +203,7 @@ func TestShardedJobStoresFullReports(t *testing.T) {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := st.Get(cells[i].Key().String())
+		got, ok := st.Get(cells[i].Key())
 		if !ok {
 			t.Fatalf("cell %s was not stored", cells[i].Key())
 		}

@@ -292,7 +292,7 @@ func checkAxis(t *testing.T, what string, c sweep.Cell, want wantAxis) {
 			a.Name, a.Dataflow, a.Fixed, a.Base.Name, a.Base.BatchSize,
 			want.name, want.dataflow, want.fixed, want.base.Name, want.base.BatchSize)
 	}
-	if got := c.Key().String(); got != want.key {
+	if got := c.Key(); got != want.key {
 		t.Errorf("%s: key %q, want %q", what, got, want.key)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/sweep"
 )
 
@@ -18,8 +19,8 @@ func decodeStrict(raw []byte, v any) bool {
 }
 
 // cellKeys lists the cache keys of cells in order.
-func cellKeys(cells []sweep.Cell) []sweep.Key {
-	keys := make([]sweep.Key, len(cells))
+func cellKeys(cells []sweep.Cell) []string {
+	keys := make([]string, len(cells))
 	for i, c := range cells {
 		keys[i] = c.Key()
 	}
@@ -72,8 +73,10 @@ func FuzzCompileSweep(f *testing.F) {
 
 // FuzzCellFromWire feeds arbitrary bytes to the shard side of the wire:
 // strict-decode a ShardSweepRequest and rebuild each cell. It must never
-// panic, and every accepted cell must survive WireCells → cellFromWire
-// with its cache key unchanged.
+// panic; an accepted cell's key must be the key sweep.Resolve gives its
+// dataflow and config, as on the coordinator, and the config of an
+// accepted cell on a configurable backend must validate. Every accepted
+// cell must also survive WireCells → cellFromWire with its key unchanged.
 func FuzzCellFromWire(f *testing.F) {
 	cells, err := wirePlan().Cells()
 	if err != nil {
@@ -92,9 +95,9 @@ func FuzzCellFromWire(f *testing.F) {
 		}
 		f.Add(seed)
 	}
-	// A pre-registry cell (no dataflow) and an unknown backend.
-	f.Add([]byte(`{"cells":[{"seq":3,"arch":"custom","config":` + string(wire[0].Config) + `,"model":"LeNet5","phase":"training"}]}`))
-	f.Add([]byte(`{"cells":[{"seq":0,"arch":"X","dataflow":"tpu","fixed":true,"config":{},"model":"LeNet5","phase":"inference"}]}`))
+	// A cell that names no dataflow, and an unknown backend.
+	f.Add([]byte(`{"cells":[{"seq":3,"config":` + string(wire[0].Config) + `,"model":"LeNet5","phase":"training"}]}`))
+	f.Add([]byte(`{"cells":[{"seq":0,"dataflow":"tpu","config":{},"model":"LeNet5","phase":"inference"}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req ShardSweepRequest
 		if !decodeStrict(raw, &req) {
@@ -105,6 +108,24 @@ func FuzzCellFromWire(f *testing.F) {
 			if err != nil {
 				continue
 			}
+			cfg := c.Config
+			ax, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
+			if err != nil {
+				t.Fatalf("cell %d: accepted cell does not resolve: %v", wc.Seq, err)
+			}
+			want := sweep.Cell{Arch: ax, Config: cfg, Network: c.Network, Phase: c.Phase}.Key()
+			if c.Key() != want {
+				t.Fatalf("cell %d: key %s, Resolve gives %s", wc.Seq, c.Key(), want)
+			}
+			d, err := dataflow.Get(wc.Dataflow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Capabilities().Configurable {
+				if err := c.Config.Validate(); err != nil {
+					t.Fatalf("cell %d: accepted an invalid %s config: %v", wc.Seq, d.ID(), err)
+				}
+			}
 			back, err := WireCells([]sweep.Cell{c})
 			if err != nil {
 				t.Fatalf("cell %d: accepted cell does not re-encode: %v", wc.Seq, err)
@@ -114,7 +135,7 @@ func FuzzCellFromWire(f *testing.F) {
 				t.Fatalf("cell %d: re-encoded cell rejected: %v", wc.Seq, err)
 			}
 			if c2.Key() != c.Key() {
-				t.Fatalf("cell %d: key %v after the round trip, want %v", wc.Seq, c2.Key(), c.Key())
+				t.Fatalf("cell %d: key %s after the round trip, want %s", wc.Seq, c2.Key(), c.Key())
 			}
 		}
 	})

@@ -480,13 +480,16 @@ func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell, _ bool) ([
 	results := make([]sweep.Result, len(cells))
 	var pending []sweep.Cell
 	var pendingIdx []int
+	var pendingKeys []string
 	for i, c := range cells {
-		if rep, ok := ss.st.Get(c.Key().String()); ok {
+		key := c.Key()
+		if rep, ok := ss.st.Get(key); ok {
 			results[i] = sweep.Result{Cell: c, Report: rep, Cached: true, Attempts: 1}
 			continue
 		}
 		pending = append(pending, c)
 		pendingIdx = append(pendingIdx, i)
+		pendingKeys = append(pendingKeys, key)
 	}
 	if len(pending) == 0 {
 		return results, ShardSummary{}, nil
@@ -498,7 +501,7 @@ func (ss storeSharder) Sweep(ctx context.Context, cells []sweep.Cell, _ bool) ([
 	for k, r := range gathered {
 		results[pendingIdx[k]] = r
 		if r.Err == nil {
-			ss.st.Put(r.Cell.Key().String(), r.Report)
+			ss.st.Put(pendingKeys[k], r.Report)
 		}
 	}
 	return results, summary, nil

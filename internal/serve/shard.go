@@ -17,18 +17,19 @@ import (
 // cluster coordinator posts to a peer's /v1/shard/sweep. Unlike a
 // SweepRequest — a declarative cross product — a shard request names an
 // explicit, usually sparse, subset of a coordinating plan's cells, so
-// every axis value rides along resolved. Config is the cell's exact
-// arch.Config encoding; it round-trips through arch.ReadJSON with its
-// Fingerprint intact, which is what keeps a shard's cache keys (and
-// therefore its results) byte-identical to the coordinator evaluating
-// the same cell locally.
+// every axis value rides along resolved. The cell's axis is not sent:
+// the shard re-resolves it from Dataflow and Config through
+// sweep.Resolve, as the coordinator did, so both sides derive the same
+// name, fixed-ness and cache key. Config is the cell's exact arch.Config
+// encoding; it decodes with its Fingerprint intact, which is what keeps
+// a shard's cache keys (and therefore its results) byte-identical to the
+// coordinator evaluating the same cell locally.
 type ShardCell struct {
 	// Seq is the cell's position in the coordinating plan; it is echoed
 	// back so the coordinator can merge partials into plan order.
-	Seq      int             `json:"seq"`
-	Arch     string          `json:"arch"`
-	Dataflow string          `json:"dataflow,omitempty"`
-	Fixed    bool            `json:"fixed,omitempty"`
+	Seq int `json:"seq"`
+	// Dataflow is the backend's registry ID; it is required.
+	Dataflow string          `json:"dataflow"`
 	Config   json.RawMessage `json:"config"`
 	Override string          `json:"override,omitempty"`
 	Model    string          `json:"model"`
@@ -115,20 +116,18 @@ type Sharder interface {
 }
 
 // WireCells lowers resolved sweep cells onto their wire form. It is the
-// inverse of cellsFromWire and is exported for the coordinator.
+// inverse of cellFromWire and is exported for the coordinator.
 func WireCells(cells []sweep.Cell) ([]ShardCell, error) {
 	out := make([]ShardCell, 0, len(cells))
 	for _, c := range cells {
-		var buf bytes.Buffer
-		if err := c.Config.WriteJSON(&buf); err != nil {
+		cfg, err := json.Marshal(c.Config)
+		if err != nil {
 			return nil, fmt.Errorf("encoding cell %d config: %w", c.Seq, err)
 		}
 		out = append(out, ShardCell{
 			Seq:      c.Seq,
-			Arch:     c.Arch.Name,
 			Dataflow: c.Arch.Dataflow,
-			Fixed:    c.Arch.Fixed,
-			Config:   json.RawMessage(bytes.TrimSpace(buf.Bytes())),
+			Config:   cfg,
 			Override: c.Override,
 			Model:    c.Network.Name,
 			Phase:    c.Phase.String(),
@@ -138,10 +137,17 @@ func WireCells(cells []sweep.Cell) ([]ShardCell, error) {
 }
 
 // cellFromWire rebuilds one resolved sweep cell from its wire form. The
-// round trip preserves the cell's cache key: the config decode restores
-// the exact Config (fingerprints use shortest-exact float encoding), and
-// name/dataflow/fixed ride the wire verbatim.
+// axis comes from sweep.Resolve over the wire's dataflow and config, the
+// same call that built it on the coordinator, so the round trip
+// preserves the cell's cache key: the config decode restores the exact
+// Config (fingerprints use shortest-exact float encoding), and Resolve
+// derives the axis name and fixed-ness from it and the registry. The
+// config is validated unless the backend ignores it (not Configurable,
+// such as the GPU model, whose zero Config fails validation).
 func cellFromWire(wc ShardCell) (sweep.Cell, error) {
+	if wc.Dataflow == "" {
+		return sweep.Cell{}, fmt.Errorf("cell %d names no dataflow", wc.Seq)
+	}
 	net, err := nn.ByName(wc.Model)
 	if err != nil {
 		return sweep.Cell{}, err
@@ -150,26 +156,19 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	// A fixed arch's model ignores its config (the GPU backend's is the
-	// zero Config, which fails validation), its cache key is "fixed",
-	// and plans never apply overrides to it: decode, do not validate.
-	decode := arch.ReadJSON
-	if wc.Fixed {
-		decode = arch.DecodeJSON
-	}
-	cfg, err := decode(bytes.NewReader(wc.Config))
+	cfg, err := arch.DecodeJSON(bytes.NewReader(wc.Config))
 	if err != nil {
 		return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 	}
-	// The backend comes from the registry (a pre-registry axis, with no
-	// dataflow on the wire, routes by its config's Dataflow field); the
-	// name, dataflow and fixed flag ride the wire verbatim so the cell
-	// keeps its key.
 	ax, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
 	if err != nil {
 		return sweep.Cell{}, fmt.Errorf("cell %d: %w", wc.Seq, err)
 	}
-	ax.Name, ax.Dataflow, ax.Fixed = wc.Arch, wc.Dataflow, wc.Fixed
+	if !ax.Fixed {
+		if err := cfg.Validate(); err != nil {
+			return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
+		}
+	}
 	return sweep.Cell{
 		Seq:      wc.Seq,
 		Arch:     ax,

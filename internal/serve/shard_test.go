@@ -96,12 +96,52 @@ func TestShardSweepRejectsBadCells(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, body := range []string{
 		`{"cells":[]}`,
-		`{"cells":[{"seq":0,"arch":"x","config":{},"model":"NoSuchNet","phase":"inference"}]}`,
+		`{"cells":[{"seq":0,"dataflow":"is","config":{},"model":"NoSuchNet","phase":"inference"}]}`,
 	} {
 		resp := post(t, ts.URL+"/v1/shard/sweep", body, nil)
 		raw := readAll(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestShardSweepRejectsUnresolvedCells pins the slim wire: a cell is its
+// dataflow, config, model and phase, and the shard derives the rest. A
+// cell in the older shape, naming its axis ("arch") or fixed-ness
+// ("fixed"), is an unknown-field 400, as is a cell naming no dataflow;
+// and a configurable backend's config is validated, so an input-
+// stationary cell with an invalid config is a 400 too, however the
+// cell is spelled, instead of an evaluated error cell.
+func TestShardSweepRejectsUnresolvedCells(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	cells, err := shardPlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := WireCells(cells[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := string(wire[0].Config)
+	cell := func(fields string) string {
+		return `{"cells":[{"seq":0,` + fields + `,"model":"LeNet5","phase":"inference"}]}`
+	}
+	resp := post(t, ts.URL+"/v1/shard/sweep", cell(`"dataflow":"is","config":`+valid), nil)
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed cell: status = %d, want 200 (%s)", resp.StatusCode, raw)
+	}
+	for _, body := range []string{
+		cell(`"arch":"INCA","dataflow":"is","config":` + valid),
+		cell(`"arch":"TitanRTX","dataflow":"gpu","fixed":true,"config":{}`),
+		cell(`"config":` + valid),
+		cell(`"dataflow":"is","config":{}`),
+		cell(`"arch":"INCA","dataflow":"is","fixed":true,"config":{}`),
+	} {
+		resp := post(t, ts.URL+"/v1/shard/sweep", body, nil)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
 		}
 	}
 }
@@ -309,7 +349,7 @@ func TestSharderLayersByCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range runLocal(t, cells) {
-		rep, ok := st.Get(cells[i].Key().String())
+		rep, ok := st.Get(cells[i].Key())
 		if !ok || rep.TotalsOnly() || len(rep.Layers) == 0 || len(rep.Layers) != len(res.Report.Layers) {
 			t.Fatalf("store record for %s is not a full report (found %v)", cells[i].Key(), ok)
 		}

@@ -301,12 +301,15 @@ func FuzzShardResults(f *testing.F) {
 	})
 }
 
-// BenchmarkShardRoundTrip is the layer probe for the shard wire: eight
-// warm cells (reports already evaluated) lowered to the wire, encoded as
-// the shard encodes them, decoded as the coordinator's client decodes
-// them, and lifted back into engine results — with full reports, as
-// /v1/simulate and store-backed jobs ask for them, and totals-only, as
-// a sharded /v1/sweep does.
+// BenchmarkShardRoundTrip is the layer probe for the shard wire over
+// eight cells. The request half lowers the cells to the wire, encodes
+// the request as the coordinator's client does, and decodes it strictly
+// and rebuilds every cell as the shard does. The response halves take
+// the warm cells' reports (already evaluated), encode them as the shard
+// does, decode them as the coordinator's client does, and lift them back
+// into engine results — with full reports, as /v1/simulate and
+// store-backed jobs ask for them, and totals-only, as a sharded
+// /v1/sweep does.
 func BenchmarkShardRoundTrip(b *testing.B) {
 	cells, err := sweep.Plan{
 		Archs:    []sweep.Arch{sweep.INCAArch(), sweep.BaselineArch()},
@@ -316,6 +319,28 @@ func BenchmarkShardRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("request", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			wire, err := WireCells(cells)
+			if err != nil {
+				b.Fatal(err)
+			}
+			raw, err := json.Marshal(ShardSweepRequest{Cells: wire})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var req ShardSweepRequest
+			if !decodeStrict(raw, &req) {
+				b.Fatal("request does not decode")
+			}
+			for _, wc := range req.Cells {
+				if _, err := cellFromWire(wc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 	local := runLocal(b, cells)
 	for _, bc := range []struct {
 		name   string

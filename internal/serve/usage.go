@@ -125,10 +125,6 @@ func (s *Server) accountResults(t *cost.Tally, results []sweep.Result) {
 		if r.Cell.Network != nil {
 			model = r.Cell.Network.Name
 		}
-		dataflow := r.Cell.Dataflow()
-		if dataflow == "" {
-			dataflow = r.Cell.Arch.Name
-		}
-		s.usage.addCell(model, dataflow, c)
+		s.usage.addCell(model, r.Cell.Dataflow(), c)
 	}
 }

@@ -71,7 +71,7 @@ func simulate(t testing.TB, dataflows []string, nets []*nn.Network, phases []sim
 		if r.Err != nil {
 			t.Fatalf("cell %s: %v", r.Cell.Key(), r.Err)
 		}
-		out[i] = keyedReport{r.Cell.Key().String(), r.Report}
+		out[i] = keyedReport{r.Cell.Key(), r.Report}
 	}
 	return out
 }

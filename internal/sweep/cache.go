@@ -17,13 +17,13 @@ import (
 // poisoning the key forever. It mirrors ErrMapPanic and
 // sim.ErrSimulatorPanic, and like them it is terminal: a panic is a
 // programming error, not a transient fault, so the retry layer does not
-// re-run it — but the key itself is forgotten, so a later caller (or an
-// explicit retry policy with a custom classifier) can re-evaluate.
+// re-run it — but the key itself is forgotten, so a later caller can
+// re-evaluate.
 var ErrEvalPanic = errors.New("sweep: cell evaluation panicked")
 
 // Tier is a second result tier consulted when the in-memory cache
 // misses — the seam the persistent store (internal/store) plugs into.
-// Get returns the report stored under a canonical cell-key string;
+// Get returns the report stored under a cell key (Cell.Key);
 // Put stores a freshly evaluated one. Implementations must be safe for
 // concurrent use and must never fail the caller: a broken disk degrades
 // Get to a miss and Put to a no-op. The singleflight layer above
@@ -51,7 +51,7 @@ type Tier interface {
 // key trigger one disk read, not one each.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[Key]*cacheEntry
+	entries map[string]*cacheEntry
 	tier    Tier
 
 	hits      atomic.Int64
@@ -69,7 +69,7 @@ type cacheEntry struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[Key]*cacheEntry)}
+	return &Cache{entries: make(map[string]*cacheEntry)}
 }
 
 // SetTier attaches (or, with nil, detaches) the cache's second tier.
@@ -102,7 +102,7 @@ func (c *Cache) SetTier(t Tier) {
 //
 // Callers must treat the returned report as immutable: cache hits alias
 // the same *sim.Report.
-func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error)) (rep *sim.Report, cached bool, err error) {
+func (c *Cache) Do(ctx context.Context, key string, eval func() (*sim.Report, error)) (rep *sim.Report, cached bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -144,7 +144,7 @@ func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error
 	// lookup runs inside the flight, so concurrent callers of a cold key
 	// cost one disk read.
 	if tier != nil {
-		if stored, ok := tier.Get(key.String()); ok {
+		if stored, ok := tier.Get(key); ok {
 			c.diskHits.Add(1)
 			e.rep = stored
 			return e.rep, true, nil
@@ -161,7 +161,7 @@ func (c *Cache) Do(ctx context.Context, key Key, eval func() (*sim.Report, error
 		e.rep, e.err = eval()
 	}()
 	if e.err == nil && tier != nil {
-		tier.Put(key.String(), e.rep)
+		tier.Put(key, e.rep)
 	}
 	return e.rep, false, e.err
 }

@@ -95,16 +95,16 @@ func TestPartitionByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner := func(k Key) string {
+	owner := func(k string) string {
 		// A deliberately lumpy assignment: keys route by first byte.
-		if k.String()[0] < 'I' {
+		if k[0] < 'I' {
 			return "p0"
 		}
 		return "p1"
 	}
 	parts := Partition(cells, owner)
 	total := 0
-	seen := make(map[Key]string)
+	seen := make(map[string]string)
 	for peer, part := range parts {
 		lastSeq := -1
 		for _, c := range part {

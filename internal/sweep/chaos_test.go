@@ -28,8 +28,8 @@ import (
 // path a chaos run does.
 func TestEvalPanicUnblocksWaiters(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "inca", Config: "fixed", Network: "lenet5", Phase: sim.Inference}
-	site := "sweep/cell/" + key.String()
+	key := "inca/is/fixed/lenet5/inference"
+	site := "sweep/cell/" + key
 
 	inj := fault.New(1)
 	inj.Add(fault.Rule{Site: "sweep/cell/*", Kind: fault.KindPanic, Max: 1})

@@ -63,10 +63,6 @@ type Options struct {
 	// keep draining while a retried cell backs off. Terminal failures
 	// (invalid configs, context errors) are never retried.
 	Retry RetryPolicy
-	// IsTransient classifies a cell error as retryable. nil means
-	// fault.IsTransient: errors carrying the transient marker retry,
-	// everything else — including context errors — is terminal.
-	IsTransient func(error) bool
 	// Inject, when non-nil, injects faults at site "sweep/cell/<key>"
 	// before each evaluation attempt — the deterministic chaos hook.
 	// Each cell key draws from its own seeded stream, so injected fault
@@ -202,22 +198,17 @@ func streamCells[T any](ctx context.Context, cells []Cell, opt Options, mk func(
 // failure lands in this cell's Result without aborting siblings.
 func evaluate(ctx context.Context, cache *Cache, cell Cell, opt Options, launch time.Time) Result {
 	key := cell.Key()
-	site := "sweep/cell/" + key.String()
-	attrs := []obs.Attr{
-		obs.String("key", key.String()),
-		obs.String("arch", key.Arch),
-		obs.String("network", key.Network),
+	ctx, span := obs.StartSpan(ctx, SpanCell,
+		obs.String("key", key),
+		obs.String("arch", cell.Arch.Name),
+		obs.String("network", cell.Network.Name),
 		obs.String("phase", cell.Phase.String()),
 		obs.String("override", cell.Override),
-	}
-	if key.Dataflow != "" {
-		attrs = append(attrs, obs.String("dataflow", key.Dataflow))
-	}
-	ctx, span := obs.StartSpan(ctx, SpanCell, attrs...)
+		obs.String("dataflow", cell.Arch.Dataflow))
 	if span != nil && !launch.IsZero() {
 		span.SetAttr(obs.Float64("queue_wait_s", span.StartTime().Sub(launch).Seconds()))
 	}
-	res := evaluateAttempts(ctx, cache, cell, key, site, opt)
+	res := evaluateAttempts(ctx, cache, cell, key, opt)
 	if span != nil {
 		span.SetAttr(obs.Int("attempts", res.Attempts), obs.Bool("cached", res.Cached))
 		span.EndWith(res.Err)
@@ -227,11 +218,9 @@ func evaluate(ctx context.Context, cache *Cache, cell Cell, opt Options, launch 
 
 // evaluateAttempts is evaluate's retry loop, running under the cell
 // span (when traced) so each attempt becomes a visible child span.
-func evaluateAttempts(ctx context.Context, cache *Cache, cell Cell, key Key, site string, opt Options) Result {
-	classify := opt.IsTransient
-	if classify == nil {
-		classify = fault.IsTransient
-	}
+// Faults are injected at site "sweep/cell/<key>".
+func evaluateAttempts(ctx context.Context, cache *Cache, cell Cell, key string, opt Options) Result {
+	site := "sweep/cell/" + key
 	maxAttempts := opt.Retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -256,7 +245,7 @@ func evaluateAttempts(ctx context.Context, cache *Cache, cell Cell, key Key, sit
 			return s.Simulate(attemptCtx, cell.Network, cell.Phase)
 		})
 		attempt.EndWith(res.Err)
-		if res.Err == nil || res.Attempts >= maxAttempts || !classify(res.Err) || ctx.Err() != nil {
+		if res.Err == nil || res.Attempts >= maxAttempts || !fault.IsTransient(res.Err) || ctx.Err() != nil {
 			return res
 		}
 		if backoff == nil {
@@ -284,9 +273,9 @@ func retryMaxDelay(p RetryPolicy) time.Duration {
 
 // keyJitterSeed derives a per-cell jitter stream from the cell key, so
 // retry schedules do not depend on which worker picked the cell up.
-func keyJitterSeed(k Key) int64 {
+func keyJitterSeed(key string) int64 {
 	h := fnv.New64a()
-	fmt.Fprint(h, k.String())
+	h.Write([]byte(key))
 	return int64(h.Sum64())
 }
 

@@ -10,7 +10,7 @@ package sweep
 //
 // The returned map's slices alias nothing: mutating them does not affect
 // the input. Owners that receive no cells are absent from the map.
-func Partition(cells []Cell, owner func(Key) string) map[string][]Cell {
+func Partition(cells []Cell, owner func(key string) string) map[string][]Cell {
 	parts := make(map[string][]Cell)
 	for _, c := range cells {
 		o := owner(c.Key())

@@ -87,7 +87,7 @@ func TestRunCleanCompletionIgnoresLateContextEnd(t *testing.T) {
 // must stay truthful and the wait is tallied separately as Expired.
 func TestCacheExpiredWaiterAccounting(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "x", Config: "y", Network: "z"}
+	key := "x/y/z"
 	started := make(chan struct{})
 	release := make(chan struct{})
 	flightDone := make(chan struct{})
@@ -138,7 +138,7 @@ func TestCacheExpiredWaiterAccounting(t *testing.T) {
 // served the result: a finished evaluation is never an expired wait.
 func TestCachePrefersReadyResultOverEndedContext(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "x"}
+	key := "x"
 	if _, _, err := cache.Do(context.Background(), key, func() (*sim.Report, error) {
 		return &sim.Report{Arch: "x"}, nil
 	}); err != nil {

@@ -240,7 +240,7 @@ func TestRetryReentersCacheAfterTransientFailure(t *testing.T) {
 // next caller re-enters and succeeds.
 func TestCacheExpiredWaiterThenRetrySucceeds(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "x", Config: "c", Network: "n"}
+	key := "x/c/n"
 	started := make(chan struct{})
 	release := make(chan struct{})
 	boom := fault.MarkTransient(errors.New("boom"))

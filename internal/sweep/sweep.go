@@ -1,8 +1,8 @@
 // Package sweep is the concurrent evaluation engine behind the paper's
 // cross-product studies: {INCA, WS baseline, GPU} × networks × phases ×
 // configuration overrides. A declarative Plan expands into Cells, a
-// bounded worker pool fans the cells out, a keyed result cache memoizes
-// repeated (config, network, phase) cells with singleflight-style
+// bounded worker pool fans the cells out, a result cache memoizes
+// repeated cells by their key (Cell.Key) with singleflight-style
 // deduplication, and results stream back as they complete — or are
 // collected in deterministic plan order.
 package sweep
@@ -41,8 +41,7 @@ type Arch struct {
 	// Dataflow is the registry ID of the backend evaluating this axis
 	// ("is", "ws", "os", "gpu"). It is part of every cell's cache key,
 	// so identical configs under different dataflows never collide in
-	// the memo cache. Empty for hand-built axes that predate the
-	// registry; such axes key on name+config alone, as before.
+	// the memo cache.
 	Dataflow string
 	// Base is the configuration overrides are applied to.
 	Base arch.Config
@@ -137,29 +136,6 @@ type Plan struct {
 	Overrides []Override
 }
 
-// Key identifies a memoizable cell. Two cells with equal keys produce
-// byte-identical reports, so the cache evaluates only one of them. The
-// Dataflow component keeps identical configs under different backends
-// apart — without it, two registry backends sharing an arch name and
-// fingerprint would alias in the memo cache.
-type Key struct {
-	Arch     string
-	Dataflow string // backend registry ID, "" for pre-registry axes
-	Config   string // arch.Config.Fingerprint(), or "fixed" for Fixed archs
-	Network  string
-	Phase    sim.Phase
-}
-
-// String renders the key for logs, fault-injection sites, and test
-// failures. Pre-registry keys (empty Dataflow) render in the legacy
-// four-segment form.
-func (k Key) String() string {
-	if k.Dataflow == "" {
-		return fmt.Sprintf("%s/%s/%s/%s", k.Arch, k.Config, k.Network, k.Phase)
-	}
-	return fmt.Sprintf("%s/%s/%s/%s/%s", k.Arch, k.Dataflow, k.Config, k.Network, k.Phase)
-}
-
 // Cell is one fully-resolved evaluation of the plan's cross product.
 type Cell struct {
 	// Seq is the cell's position in deterministic plan order
@@ -175,13 +151,17 @@ type Cell struct {
 // Dataflow returns the registry ID of the backend evaluating this cell.
 func (c Cell) Dataflow() string { return c.Arch.Dataflow }
 
-// Key returns the cell's cache key.
-func (c Cell) Key() Key {
+// Key returns the cell's cache key, "arch/dataflow/config/network/phase"
+// with config the arch.Config fingerprint, or "fixed" for Fixed archs.
+// It is the cell's one identity: two cells with equal keys produce
+// byte-identical reports, so the memo cache, the result store, ring
+// placement, fault sites and the cell span all address the cell by it.
+func (c Cell) Key() string {
 	cfgID := "fixed"
 	if !c.Arch.Fixed {
 		cfgID = c.Config.Fingerprint()
 	}
-	return Key{Arch: c.Arch.Name, Dataflow: c.Arch.Dataflow, Config: cfgID, Network: c.Network.Name, Phase: c.Phase}
+	return c.Arch.Name + "/" + c.Arch.Dataflow + "/" + cfgID + "/" + c.Network.Name + "/" + c.Phase.String()
 }
 
 // Cells expands the plan into its deterministic cell sequence,

@@ -227,7 +227,7 @@ func TestCacheHitCounting(t *testing.T) {
 
 func TestCacheSingleflight(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "x", Config: "y", Network: "z"}
+	key := "x/y/z"
 	var evals atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -252,7 +252,7 @@ func TestCacheSingleflight(t *testing.T) {
 
 func TestCacheForgetsFailures(t *testing.T) {
 	cache := NewCache()
-	key := Key{Arch: "x"}
+	key := "x"
 	boom := errors.New("boom")
 	_, _, err := cache.Do(context.Background(), key, func() (*sim.Report, error) { return nil, boom })
 	if !errors.Is(err, boom) {

@@ -85,7 +85,7 @@ func TestTracedSweepCellSpans(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("cell %s failed despite retries: %v", r.Cell.Key(), r.Err)
 		}
-		resByKey[r.Cell.Key().String()] = r
+		resByKey[r.Cell.Key()] = r
 	}
 
 	sawRetry := false

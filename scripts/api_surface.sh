@@ -28,7 +28,8 @@ case "${1:-}" in
     ;;
 "")
     tmp=$(mktemp)
-    trap 'rm -f "$tmp"' EXIT INT TERM
+    trap 'rm -f "$tmp"' EXIT
+    trap 'exit 1' INT TERM
     render >"$tmp"
     if ! diff -u "$golden" "$tmp"; then
         echo "api_surface: public API drifted from $golden" >&2

@@ -19,7 +19,10 @@ cleanup() {
     for p in $pids; do kill "$p" 2>/dev/null || true; done
     rm -rf "$tmp"
 }
-trap cleanup EXIT INT TERM
+trap cleanup EXIT
+# dash runs an INT or TERM trap and then carries on with the script;
+# exit instead, and let the EXIT trap clean up.
+trap 'exit 1' INT TERM
 
 $GO build -o "$tmp/inca-serve" ./cmd/inca-serve
 $GO build -o "$tmp/inca-client" ./cmd/inca-client

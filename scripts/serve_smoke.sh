@@ -14,7 +14,10 @@ cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     rm -rf "$tmp"
 }
-trap cleanup EXIT INT TERM
+trap cleanup EXIT
+# dash runs an INT or TERM trap and then carries on with the script;
+# exit instead, and let the EXIT trap clean up.
+trap 'exit 1' INT TERM
 
 $GO build -o "$tmp/inca-serve" ./cmd/inca-serve
 # A wide coalescing window so the back-to-back repeat below reliably
