@@ -36,15 +36,16 @@ api-surface-update:
 	GO=$(GO) sh scripts/api_surface.sh -update
 
 # The layer probes behind the allocation-budget gate: the go test
-# benchmarks on the paths the BENCHMARK.json workloads cross (sweep
-# engine and memo cache, result store, shard wire, the SmallCNN training
-# kernels and one noise-train trial, the disabled tracer). They run at
+# benchmarks on the paths the BENCHMARK.json workloads cross (config
+# fingerprint and binary codec, sweep engine and memo cache, result
+# store, shard wire, the SmallCNN training kernels and one noise-train
+# trial, the disabled tracer). They run at
 # -cpu 1 because the parallel kernels' allocation counts vary with
 # goroutine scheduling at more procs.
 BENCH_PROBES = $(GO) test -run '^$$' \
-	-bench '^Benchmark(PaperSweep(Serial|Cached)|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
+	-bench '^Benchmark(Config(Fingerprint|Binary)|PaperSweep(Serial|Cached)|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
 	-benchmem -benchtime 20x -cpu 1 \
-	./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/
+	./internal/arch/ ./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/
 
 # Allocation-budget gate: runs the probes and fails when any probe's
 # allocs/op or B/op leaves its margins in scripts/bench_budget.txt, in

@@ -62,7 +62,7 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
-// FuzzDecodeConfig feeds arbitrary bytes to DecodeJSON: it never panics,
+// FuzzDecodeConfig feeds arbitrary bytes to decodeJSON: it never panics,
 // and every configuration it accepts re-decodes equal after WriteJSON.
 func FuzzDecodeConfig(f *testing.F) {
 	var good bytes.Buffer
@@ -77,7 +77,7 @@ func FuzzDecodeConfig(f *testing.F) {
 	f.Add([]byte(`[1,2]`))
 	f.Add([]byte(`{"Name":`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		c, err := DecodeJSON(bytes.NewReader(raw))
+		c, err := decodeJSON(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
@@ -85,7 +85,7 @@ func FuzzDecodeConfig(f *testing.F) {
 		if err := c.WriteJSON(&buf); err != nil {
 			t.Fatalf("accepted %q but cannot encode it: %v", raw, err)
 		}
-		again, err := DecodeJSON(&buf)
+		again, err := decodeJSON(&buf)
 		if err != nil || again != c {
 			t.Fatalf("%q decoded to %+v; re-decoded to %+v, %v", raw, c, again, err)
 		}

@@ -285,6 +285,67 @@ func TestCoordinatorRehashAttempts(t *testing.T) {
 	}
 }
 
+// TestCoordinatorReusesRing pins the ring cache: sweeps over an
+// unchanged live set, concurrent ones included, share one ring, and a
+// peer marked down gets a new ring without it, which the next sweep
+// routes by.
+func TestCoordinatorReusesRing(t *testing.T) {
+	urls := make([]string, 3)
+	for i := range urls {
+		_, ts := newShard(t, shardName(i), nil)
+		urls[i] = ts.URL
+	}
+	cells, err := e2ePlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := New(Options{Peers: urls, Client: fastClient()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringAfterSweep := func() *Ring {
+		t.Helper()
+		if _, _, err := co.Sweep(context.Background(), cells, false); err != nil {
+			t.Fatal(err)
+		}
+		co.ringMu.Lock()
+		defer co.ringMu.Unlock()
+		return co.ring
+	}
+	first := ringAfterSweep()
+	if first == nil || ringAfterSweep() != first {
+		t.Fatal("a sweep over the same live peers built a new ring")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := co.Sweep(context.Background(), cells, false); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if ringAfterSweep() != first {
+		t.Fatal("concurrent sweeps over the same live peers built a new ring")
+	}
+	victim := pickVictim(t, urls, cells)
+	co.members.markDown(urls[victim], fmt.Errorf("test"))
+	reduced := ringAfterSweep()
+	if reduced == first {
+		t.Fatal("the ring was not rebuilt after a peer went down")
+	}
+	for _, p := range reduced.Peers() {
+		if p == urls[victim] {
+			t.Fatalf("ring peers %v still include the down peer %s", reduced.Peers(), p)
+		}
+	}
+	if len(reduced.Peers()) != len(urls)-1 {
+		t.Fatalf("ring peers %v, want the %d live ones", reduced.Peers(), len(urls)-1)
+	}
+}
+
 // TestCoordinatorAllPeersLostFallsBackLocal pins the last resort: with
 // every peer dead the coordinator evaluates the cells on its own engine
 // and the sweep still completes.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -62,6 +63,9 @@ type Coordinator struct {
 	clients map[string]*client.Client
 	members *membership
 	log     *slog.Logger
+
+	ringMu sync.Mutex
+	ring   *Ring // over the live set of the last round; see ringFor
 }
 
 // New builds a coordinator over the given peers.
@@ -135,7 +139,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 		if len(live) == 0 {
 			break
 		}
-		ring, err := NewRing(live, co.opt.Replicas)
+		ring, err := co.ringFor(live)
 		if err != nil {
 			return nil, summary, err
 		}
@@ -224,6 +228,23 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 	return out, summary, nil
 }
 
+// ringFor returns the ring over the live peers (sorted, as
+// membership.live returns them). Rings are immutable, so the last one
+// built is shared until the live set changes.
+func (co *Coordinator) ringFor(live []string) (*Ring, error) {
+	co.ringMu.Lock()
+	defer co.ringMu.Unlock()
+	if co.ring != nil && slices.Equal(co.ring.peers, live) {
+		return co.ring, nil
+	}
+	ring, err := NewRing(live, co.opt.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	co.ring = ring
+	return ring, nil
+}
+
 // dispatch sends one peer its partition and lifts the response back
 // into engine results. The dispatch span nests under the coordinating
 // request; the traceparent header the client forwards makes the shard's
@@ -231,12 +252,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.Cell, layers bool) ([]sweep.Result, error) {
 	ctx, span := obs.StartSpan(ctx, SpanDispatch,
 		obs.String("peer", peer), obs.Int("cells", len(part)))
-	wire, err := serve.WireCells(part)
-	if err != nil {
-		span.EndWith(err)
-		return nil, err
-	}
-	resp, err := co.clients[peer].ShardSweep(ctx, serve.ShardSweepRequest{Cells: wire, Totals: !layers})
+	resp, err := co.clients[peer].ShardSweep(ctx, serve.ShardSweepRequest{Cells: serve.WireCells(part), Totals: !layers})
 	if err != nil {
 		span.EndWith(err)
 		return nil, err

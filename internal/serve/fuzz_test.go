@@ -76,16 +76,14 @@ func FuzzCompileSweep(f *testing.F) {
 // panic; an accepted cell's key must be the key sweep.Resolve gives its
 // dataflow and config, as on the coordinator, and the config of an
 // accepted cell on a configurable backend must validate. Every accepted
-// cell must also survive WireCells → cellFromWire with its key unchanged.
+// cell must also survive WireCells → cellFromWire with its config bytes
+// and key unchanged.
 func FuzzCellFromWire(f *testing.F) {
 	cells, err := wirePlan().Cells()
 	if err != nil {
 		f.Fatal(err)
 	}
-	wire, err := WireCells(cells)
-	if err != nil {
-		f.Fatal(err)
-	}
+	wire := WireCells(cells)
 	// The whole plan, then each cell on its own: small inputs give the
 	// mutator more valid JSON to work from.
 	for _, cells := range append([][]ShardCell{wire}, splitCells(wire)...) {
@@ -96,8 +94,12 @@ func FuzzCellFromWire(f *testing.F) {
 		f.Add(seed)
 	}
 	// A cell that names no dataflow, and an unknown backend.
-	f.Add([]byte(`{"cells":[{"seq":3,"config":` + string(wire[0].Config) + `,"model":"LeNet5","phase":"training"}]}`))
-	f.Add([]byte(`{"cells":[{"seq":0,"dataflow":"tpu","config":{},"model":"LeNet5","phase":"inference"}]}`))
+	cfg, err := json.Marshal(wire[0].Config)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"cells":[{"seq":3,"config":` + string(cfg) + `,"model":"LeNet5","phase":"training"}]}`))
+	f.Add([]byte(`{"cells":[{"seq":0,"dataflow":"tpu","config":` + string(cfg) + `,"model":"LeNet5","phase":"inference"}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var req ShardSweepRequest
 		if !decodeStrict(raw, &req) {
@@ -126,9 +128,9 @@ func FuzzCellFromWire(f *testing.F) {
 					t.Fatalf("cell %d: accepted an invalid %s config: %v", wc.Seq, d.ID(), err)
 				}
 			}
-			back, err := WireCells([]sweep.Cell{c})
-			if err != nil {
-				t.Fatalf("cell %d: accepted cell does not re-encode: %v", wc.Seq, err)
+			back := WireCells([]sweep.Cell{c})
+			if !bytes.Equal(back[0].Config, wc.Config) {
+				t.Fatalf("cell %d: config re-encodes to %x, want %x", wc.Seq, back[0].Config, wc.Config)
 			}
 			c2, err := cellFromWire(back[0])
 			if err != nil {

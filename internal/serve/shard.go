@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -20,20 +18,23 @@ import (
 // every axis value rides along resolved. The cell's axis is not sent:
 // the shard re-resolves it from Dataflow and Config through
 // sweep.Resolve, as the coordinator did, so both sides derive the same
-// name, fixed-ness and cache key. Config is the cell's exact arch.Config
-// encoding; it decodes with its Fingerprint intact, which is what keeps
-// a shard's cache keys (and therefore its results) byte-identical to the
-// coordinator evaluating the same cell locally.
+// name, fixed-ness and cache key.
 type ShardCell struct {
 	// Seq is the cell's position in the coordinating plan; it is echoed
 	// back so the coordinator can merge partials into plan order.
 	Seq int `json:"seq"`
 	// Dataflow is the backend's registry ID; it is required.
-	Dataflow string          `json:"dataflow"`
-	Config   json.RawMessage `json:"config"`
-	Override string          `json:"override,omitempty"`
-	Model    string          `json:"model"`
-	Phase    string          `json:"phase"`
+	Dataflow string `json:"dataflow"`
+	// Config is the cell's arch.Config in its versioned binary encoding
+	// (arch.Config.AppendWire), base64 inside the JSON envelope. It
+	// decodes to the exact Config, invalid UTF-8 in its names, -0 and
+	// NaN payloads included, so the shard's cache key (and therefore its
+	// result) is byte-identical to the coordinator evaluating the cell
+	// locally. A shard that predates the encoding answers 400.
+	Config   []byte `json:"config"`
+	Override string `json:"override,omitempty"`
+	Model    string `json:"model"`
+	Phase    string `json:"phase"`
 }
 
 // ShardSweepRequest is the POST /v1/shard/sweep body.
@@ -116,34 +117,35 @@ type Sharder interface {
 }
 
 // WireCells lowers resolved sweep cells onto their wire form. It is the
-// inverse of cellFromWire and is exported for the coordinator.
-func WireCells(cells []sweep.Cell) ([]ShardCell, error) {
+// inverse of cellFromWire and is exported for the coordinator. The
+// cells' config encodings share one backing array.
+func WireCells(cells []sweep.Cell) []ShardCell {
 	out := make([]ShardCell, 0, len(cells))
-	for _, c := range cells {
-		cfg, err := json.Marshal(c.Config)
-		if err != nil {
-			return nil, fmt.Errorf("encoding cell %d config: %w", c.Seq, err)
-		}
+	var buf []byte
+	for i := range cells {
+		c := &cells[i]
+		start := len(buf)
+		buf = c.Config.AppendWire(buf)
 		out = append(out, ShardCell{
 			Seq:      c.Seq,
 			Dataflow: c.Arch.Dataflow,
-			Config:   cfg,
+			Config:   buf[start:len(buf):len(buf)],
 			Override: c.Override,
 			Model:    c.Network.Name,
 			Phase:    c.Phase.String(),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // cellFromWire rebuilds one resolved sweep cell from its wire form. The
 // axis comes from sweep.Resolve over the wire's dataflow and config, the
 // same call that built it on the coordinator, so the round trip
-// preserves the cell's cache key: the config decode restores the exact
-// Config (fingerprints use shortest-exact float encoding), and Resolve
-// derives the axis name and fixed-ness from it and the registry. The
-// config is validated unless the backend ignores it (not Configurable,
-// such as the GPU model, whose zero Config fails validation).
+// preserves the cell's cache key: the binary decode restores the exact
+// Config, and Resolve derives the axis name and fixed-ness from it and
+// the registry. The config is validated unless the backend ignores it
+// (not Configurable, such as the GPU model, whose zero Config fails
+// validation).
 func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if wc.Dataflow == "" {
 		return sweep.Cell{}, fmt.Errorf("cell %d names no dataflow", wc.Seq)
@@ -156,7 +158,7 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	cfg, err := arch.DecodeJSON(bytes.NewReader(wc.Config))
+	cfg, err := arch.DecodeWire(wc.Config)
 	if err != nil {
 		return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/job"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
@@ -28,7 +29,7 @@ func shardPlan() sweep.Plan {
 // TestShardSweepByteIdentity posts a sparse cell subset to
 // /v1/shard/sweep and asserts every returned report is byte-identical
 // to the same cell evaluated in-process — the wire round trip
-// (arch.Config JSON, report stable encoding) must not perturb a single
+// (binary arch.Config, report stable encoding) must not perturb a single
 // byte, or the cluster's merge result would drift from a single-node
 // run.
 func TestShardSweepByteIdentity(t *testing.T) {
@@ -39,10 +40,7 @@ func TestShardSweepByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	subset := []sweep.Cell{cells[3], cells[0], cells[2]} // sparse, shuffled
-	wire, err := WireCells(subset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := WireCells(subset)
 	body, err := json.Marshal(ShardSweepRequest{Cells: wire})
 	if err != nil {
 		t.Fatal(err)
@@ -91,39 +89,57 @@ func TestShardSweepByteIdentity(t *testing.T) {
 
 // TestShardSweepRejectsBadCells pins the endpoint's validation: empty
 // lists and unknown models are the caller's error, answered 400 before
-// admission.
+// admission. The unknown-model cell carries a valid config, so it is
+// rejected for its model and not for its config.
 func TestShardSweepRejectsBadCells(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	for _, body := range []string{
-		`{"cells":[]}`,
-		`{"cells":[{"seq":0,"dataflow":"is","config":{},"model":"NoSuchNet","phase":"inference"}]}`,
+	cells, err := shardPlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := json.Marshal(WireCells(cells[:1])[0].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ body, names string }{
+		{`{"cells":[]}`, "no cells"},
+		{`{"cells":[{"seq":0,"dataflow":"is","config":` + string(valid) + `,"model":"NoSuchNet","phase":"inference"}]}`, "NoSuchNet"},
 	} {
-		resp := post(t, ts.URL+"/v1/shard/sweep", body, nil)
+		resp := post(t, ts.URL+"/v1/shard/sweep", tc.body, nil)
 		raw := readAll(t, resp)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %s: status = %d, want 400 (%s)", body, resp.StatusCode, raw)
+			t.Fatalf("body %s: status = %d, want 400 (%s)", tc.body, resp.StatusCode, raw)
+		}
+		if !strings.Contains(string(raw), tc.names) {
+			t.Fatalf("body %s: 400 does not name %q (%s)", tc.body, tc.names, raw)
 		}
 	}
 }
 
 // TestShardSweepRejectsUnresolvedCells pins the slim wire: a cell is its
-// dataflow, config, model and phase, and the shard derives the rest. A
-// cell in the older shape, naming its axis ("arch") or fixed-ness
-// ("fixed"), is an unknown-field 400, as is a cell naming no dataflow;
-// and a configurable backend's config is validated, so an input-
-// stationary cell with an invalid config is a 400 too, however the
-// cell is spelled, instead of an evaluated error cell.
+// dataflow, binary config, model and phase, and the shard derives the
+// rest. A cell in an older shape, naming its axis ("arch") or fixed-ness
+// ("fixed") or spelling its config as a JSON object, is a 400, as is a
+// cell naming no dataflow; and a configurable backend's config is
+// validated, so an input-stationary cell with an invalid (here zero)
+// config is a 400 too, however the cell is spelled, instead of an
+// evaluated error cell.
 func TestShardSweepRejectsUnresolvedCells(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	cells, err := shardPlan().Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := WireCells(cells[:1])
-	if err != nil {
-		t.Fatal(err)
+	wire := WireCells(cells[:1])
+	encode := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
 	}
-	valid := string(wire[0].Config)
+	valid := encode(wire[0].Config)
+	zero := encode((&arch.Config{}).AppendWire(nil))
 	cell := func(fields string) string {
 		return `{"cells":[{"seq":0,` + fields + `,"model":"LeNet5","phase":"inference"}]}`
 	}
@@ -133,10 +149,11 @@ func TestShardSweepRejectsUnresolvedCells(t *testing.T) {
 	}
 	for _, body := range []string{
 		cell(`"arch":"INCA","dataflow":"is","config":` + valid),
-		cell(`"arch":"TitanRTX","dataflow":"gpu","fixed":true,"config":{}`),
+		cell(`"arch":"TitanRTX","dataflow":"gpu","fixed":true,"config":` + zero),
 		cell(`"config":` + valid),
-		cell(`"dataflow":"is","config":{}`),
-		cell(`"arch":"INCA","dataflow":"is","fixed":true,"config":{}`),
+		cell(`"dataflow":"is","config":` + zero),
+		cell(`"arch":"INCA","dataflow":"is","fixed":true,"config":` + zero),
+		cell(`"dataflow":"is","config":` + encode(cells[0].Config)),
 	} {
 		resp := post(t, ts.URL+"/v1/shard/sweep", body, nil)
 		raw := readAll(t, resp)

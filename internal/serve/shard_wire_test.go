@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"testing"
 
+	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
@@ -71,10 +72,7 @@ func TestShardWireReportBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := WireCells(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := WireCells(cells)
 	body, err := json.Marshal(ShardSweepRequest{Cells: wire})
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +106,52 @@ func TestShardWireReportBytes(t *testing.T) {
 	}
 	if errCells != 1 {
 		t.Fatalf("fixture produced %d error cells, want 1 (OS training)", errCells)
+	}
+}
+
+// TestShardWireKeepsConfigExact sends configs whose every bit matters
+// through the shard wire, JSON envelope included: invalid UTF-8 in the
+// config's name (which is also the cell's arch name) and in its
+// device's name, -0, subnormal floats and large ints. The shard must
+// rebuild the same Config, bit for bit, under the same cache key.
+func TestShardWireKeepsConfigExact(t *testing.T) {
+	named := arch.INCA()
+	named.Name = "INCA-\xff"
+	named.CellWidth = math.Copysign(0, -1)
+	named.Buffer.CapacityBytes = math.MaxInt64
+	device := arch.Baseline()
+	device.Device.Name = "RRAM \xc3(\xed\xa0\x80)"
+	device.DRAM.Knee = 5e-324
+	device.Device.OffCellPower = 2.2e-308
+	device.BatchSize = math.MaxInt32 + 1
+	device.Device.Endurance = math.Copysign(0, -1)
+	cells, err := sweep.Plan{
+		Archs:    []sweep.Arch{sweep.ConfigArch(named), sweep.ConfigArch(device)},
+		Networks: []*nn.Network{nn.LeNet5()},
+		Phases:   []sim.Phase{sim.Inference},
+	}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(ShardSweepRequest{Cells: WireCells(cells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req ShardSweepRequest
+	if !decodeStrict(raw, &req) {
+		t.Fatalf("request %s does not decode", raw)
+	}
+	for i, wc := range req.Cells {
+		got, err := cellFromWire(wc)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		if got.Key() != cells[i].Key() {
+			t.Errorf("cell %d: shard key %q, coordinator key %q", i, got.Key(), cells[i].Key())
+		}
+		if got.Config != cells[i].Config || !bytes.Equal(got.Config.AppendWire(nil), cells[i].Config.AppendWire(nil)) {
+			t.Errorf("cell %d: config changed on the wire\nwant %#v\ngot  %#v", i, cells[i].Config, got.Config)
+		}
 	}
 }
 
@@ -205,10 +249,7 @@ func TestShardWireTotalsOnlyDiffersInLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire, err := WireCells(cells)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := WireCells(cells)
 	reply := func(totals bool) []byte {
 		t.Helper()
 		body, err := json.Marshal(ShardSweepRequest{Cells: wire, Totals: totals})
@@ -322,10 +363,7 @@ func BenchmarkShardRoundTrip(b *testing.B) {
 	b.Run("request", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			wire, err := WireCells(cells)
-			if err != nil {
-				b.Fatal(err)
-			}
+			wire := WireCells(cells)
 			raw, err := json.Marshal(ShardSweepRequest{Cells: wire})
 			if err != nil {
 				b.Fatal(err)
