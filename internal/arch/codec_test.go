@@ -247,3 +247,22 @@ func FuzzConfigBinary(f *testing.F) {
 		}
 	})
 }
+
+// TestConfigWireBytes pins AppendWire's bytes for the paper's INCA
+// configuration. Round-trip tests cannot see a change that moves the
+// encoder and the decoder together (a flipped float byte order, a
+// different varint); this one can, and a shard and a coordinator built
+// from different commits must agree on these bytes.
+func TestConfigWireBytes(t *testing.T) {
+	inca := arch.INCA()
+	const want = "0104494e43410220208001d0021810020820101080018080088004bbbdd7d9df" +
+		"7cfb3d72b512d57becfe3d95d626e80b2e113e11ea2d819997c13d0000000065" +
+		"cd4d4248afbc9af2d77a3e9a9999999999e93f00000000004c0d410000000060" +
+		"e37641000000000000e03f9a9999999999f13f3a8c30e28e79453e48afbc9af2" +
+		"d76a3ed71003fad047b13eda06f0a07460463e105252414d202854614f782f48" +
+		"664f78290000000065cdcd4176830df4f521a43e5f196547f47ca73ec3f5285c" +
+		"8fc2d53f2001"
+	if got := fmt.Sprintf("%x", inca.AppendWire(nil)); got != want {
+		t.Fatalf("INCA wire bytes moved:\n got %s\nwant %s", got, want)
+	}
+}
