@@ -3,11 +3,11 @@ package arch
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+
+	"github.com/inca-arch/inca/internal/bin"
 )
 
 // MarshalJSON-friendly persistence: configurations round-trip through JSON
@@ -82,7 +82,7 @@ const binaryVersion = 1
 // field for field, so the decoded config has the same Fingerprint.
 func (c *Config) AppendWire(b []byte) []byte {
 	b = append(b, binaryVersion)
-	b = appendString(b, c.Name)
+	b = bin.AppendString(b, c.Name)
 	for _, v := range [...]int{int(c.Dataflow),
 		c.SubarrayRows, c.SubarrayCols, c.StackedPlanes,
 		c.Tiles, c.TileSize, c.MacroSize,
@@ -98,11 +98,11 @@ func (c *Config) AppendWire(b []byte) []byte {
 		c.DRAM.EnergyPerByte, c.DRAM.PeakBandwidth, c.DRAM.BaseLatency, c.DRAM.Knee,
 		d.ROn, d.ROff, d.ReadVoltage, d.WriteVoltage,
 		d.ReadPulse, d.WritePulse, d.OnCellPower, d.OffCellPower} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		b = bin.AppendFloat(b, v)
 	}
-	b = appendString(b, d.Name)
+	b = bin.AppendString(b, d.Name)
 	for _, v := range [...]float64{d.Endurance, c.CellWidth, c.CellLength, c.ScaleFactor} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		b = bin.AppendFloat(b, v)
 	}
 	b = binary.AppendVarint(b, int64(c.CellsPerFootprint))
 	if c.WriteReadOverlap {
@@ -111,147 +111,44 @@ func (c *Config) AppendWire(b []byte) []byte {
 	return append(b, 0)
 }
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 // DecodeWire parses an AppendWire encoding without validating the
-// configuration. It accepts exactly the bytes AppendWire produces:
-// an empty input, an unknown version, truncation, trailing bytes, a
-// non-minimal varint, an int that overflows int, and a bool byte other
-// than 0 or 1 are all errors.
+// configuration. It accepts exactly the bytes AppendWire produces: an
+// empty input, an unknown version, and anything bin.Reader rejects
+// (truncation, trailing bytes, a non-minimal varint, an int that
+// overflows int, a bool byte other than 0 or 1) are all errors.
 func DecodeWire(b []byte) (Config, error) {
-	if len(b) == 0 {
-		return Config{}, errors.New("arch: decoding binary config: empty input")
+	r := bin.NewReader(b)
+	if v := r.Byte(); v != binaryVersion {
+		r.Fail(fmt.Errorf("unknown version %d", v))
 	}
-	if b[0] != binaryVersion {
-		return Config{}, fmt.Errorf("arch: decoding binary config: unknown version %d", b[0])
-	}
-	r := binReader{b: b[1:]}
 	var c Config
-	c.Name = r.string()
-	c.Dataflow = Dataflow(r.int())
+	c.Name = r.String()
+	c.Dataflow = Dataflow(r.Int())
 	for _, p := range [...]*int{
 		&c.SubarrayRows, &c.SubarrayCols, &c.StackedPlanes,
 		&c.Tiles, &c.TileSize, &c.MacroSize,
 		&c.CellBits, &c.ADCBits, &c.SubarraysPerADC,
 		&c.WeightBits, &c.ActivationBits, &c.BatchSize} {
-		*p = r.int()
+		*p = r.Int()
 	}
-	c.Buffer.CapacityBytes = r.varint()
-	c.Buffer.BusWidthBits = r.varint()
+	c.Buffer.CapacityBytes = r.Varint()
+	c.Buffer.BusWidthBits = r.Varint()
 	d := &c.Device
 	for _, p := range [...]*float64{
 		&c.Buffer.ReadEnergy, &c.Buffer.WriteEnergy, &c.Buffer.BeatLatency,
 		&c.DRAM.EnergyPerByte, &c.DRAM.PeakBandwidth, &c.DRAM.BaseLatency, &c.DRAM.Knee,
 		&d.ROn, &d.ROff, &d.ReadVoltage, &d.WriteVoltage,
 		&d.ReadPulse, &d.WritePulse, &d.OnCellPower, &d.OffCellPower} {
-		*p = r.float()
+		*p = r.Float()
 	}
-	d.Name = r.string()
+	d.Name = r.String()
 	for _, p := range [...]*float64{&d.Endurance, &c.CellWidth, &c.CellLength, &c.ScaleFactor} {
-		*p = r.float()
+		*p = r.Float()
 	}
-	c.CellsPerFootprint = r.int()
-	c.WriteReadOverlap = r.bool()
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("%d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return Config{}, fmt.Errorf("arch: decoding binary config: %w", r.err)
+	c.CellsPerFootprint = r.Int()
+	c.WriteReadOverlap = r.Bool()
+	if err := r.Done(); err != nil {
+		return Config{}, fmt.Errorf("arch: decoding binary config: %w", err)
 	}
 	return c, nil
-}
-
-// binReader consumes a binary config field by field. The first error
-// sticks: later reads return zero values and consume nothing.
-type binReader struct {
-	b   []byte
-	err error
-}
-
-var errTruncated = errors.New("truncated")
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.err = errTruncated
-		return 0
-	case n < 0:
-		r.err = errors.New("varint overflows 64 bits")
-		return 0
-	case n > 1 && r.b[n-1] == 0:
-		r.err = errors.New("non-minimal varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	u := r.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-func (r *binReader) int() int {
-	v := r.varint()
-	if int64(int(v)) != v {
-		if r.err == nil {
-			r.err = fmt.Errorf("int %d overflows int", v)
-		}
-		return 0
-	}
-	return int(v)
-}
-
-func (r *binReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = errTruncated
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *binReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)) {
-		r.err = errTruncated
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *binReader) bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.b) == 0 {
-		r.err = errTruncated
-		return false
-	}
-	v := r.b[0]
-	if v > 1 {
-		r.err = fmt.Errorf("bool byte %d", v)
-		return false
-	}
-	r.b = r.b[1:]
-	return v == 1
 }

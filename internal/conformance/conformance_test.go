@@ -46,10 +46,10 @@ func (panicMachine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 }
 
 // TestPanicRecovery pins the ErrSimulatorPanic pipeline all dataflows
-// share through sim.WrapID: a panicking machine surfaces as a per-call
+// share through sim.Wrap: a panicking machine surfaces as a per-call
 // error naming the dataflow, never as an unwound goroutine.
 func TestPanicRecovery(t *testing.T) {
-	s := sim.WrapID(panicMachine{}, "stub")
+	s := sim.Wrap(panicMachine{}, "stub")
 	_, err := s.Simulate(context.Background(), nn.LeNet5(), sim.Inference)
 	if !errors.Is(err, sim.ErrSimulatorPanic) {
 		t.Fatalf("got %v, want ErrSimulatorPanic", err)
@@ -69,7 +69,7 @@ func (s stubDataflow) Capabilities() dataflow.Capabilities {
 }
 func (stubDataflow) DefaultConfig() arch.Config { return arch.Config{} }
 func (stubDataflow) New(arch.Config) (sim.Simulator, error) {
-	return sim.WrapID(panicMachine{}, "stub"), nil
+	return sim.Wrap(panicMachine{}, "stub"), nil
 }
 func (stubDataflow) Area(arch.Config) float64 { return 1 }
 func (stubDataflow) Mappings(arch.Config, *nn.Network) []dataflow.Mapping {

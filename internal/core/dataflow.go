@@ -38,7 +38,7 @@ func (isDataflow) New(cfg arch.Config) (sim.Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return sim.WrapID(New(cfg), DataflowID), nil
+	return sim.Wrap(New(cfg), DataflowID), nil
 }
 
 func (isDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }

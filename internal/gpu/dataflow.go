@@ -40,7 +40,7 @@ func (gpuDataflow) DefaultConfig() arch.Config {
 }
 
 func (gpuDataflow) New(arch.Config) (sim.Simulator, error) {
-	return sim.WrapID(New(TitanRTX()), DataflowID), nil
+	return sim.Wrap(New(TitanRTX()), DataflowID), nil
 }
 
 func (gpuDataflow) Area(arch.Config) float64 { return TitanRTX().AreaMM2 }

@@ -38,7 +38,7 @@ func (osDataflow) New(cfg arch.Config) (sim.Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return dataflow.GuardPhases(sim.WrapID(New(cfg), DataflowID), DataflowID, sim.Inference), nil
+	return dataflow.GuardPhases(sim.Wrap(New(cfg), DataflowID), DataflowID, sim.Inference), nil
 }
 
 func (osDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }

@@ -67,9 +67,9 @@ func directReport(t *testing.T, cfg arch.Config, model string, phase sim.Phase) 
 	}
 	var sm sim.Simulator
 	if cfg.Dataflow == arch.InputStationary {
-		sm = sim.Wrap(core.New(cfg))
+		sm = sim.Wrap(core.New(cfg), "is")
 	} else {
-		sm = sim.Wrap(baseline.New(cfg))
+		sm = sim.Wrap(baseline.New(cfg), "ws")
 	}
 	rep, err := sm.Simulate(context.Background(), net, phase)
 	if err != nil {

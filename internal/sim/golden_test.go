@@ -23,7 +23,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // so any drift in either line is a deliberate format or model change —
 // regenerate with `go test ./internal/sim -run Golden -update`.
 func TestWriteCSVGolden(t *testing.T) {
-	sm := sim.Wrap(core.New(arch.INCA()))
+	sm := sim.Wrap(core.New(arch.INCA()), "is")
 	rep, err := sm.Simulate(context.Background(), nn.LeNet5(), sim.Inference)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // HTTP client depends on this to hand back reports indistinguishable
 // from server-side ones).
 func TestReportJSONRoundTrip(t *testing.T) {
-	sm := sim.Wrap(core.New(arch.INCA()))
+	sm := sim.Wrap(core.New(arch.INCA()), "is")
 	rep, err := sm.Simulate(context.Background(), nn.LeNet5(), sim.Training)
 	if err != nil {
 		t.Fatal(err)

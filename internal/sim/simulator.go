@@ -46,16 +46,11 @@ type Simulator interface {
 // at whole-simulation granularity: a cell that has started runs to
 // completion, which for the analytical models is microseconds.
 //
-// Wrap carries no dataflow identity; errors and spans name the machine
-// only by network/phase, exactly as before the dataflow registry
-// existed. New callers should prefer WrapID.
-func Wrap(m Machine) Simulator { return wrapped{m: m} }
-
-// WrapID is Wrap with a dataflow identity attached: the simulate span
-// gains a "dataflow" attribute and panic errors name the dataflow, so
-// two backends simulating the same network/phase are distinguishable in
-// traces and failure messages. An empty id reproduces Wrap exactly.
-func WrapID(m Machine, dataflow string) Simulator {
+// dataflow is the backend's identity: the simulate span carries it as a
+// "dataflow" attribute and panic errors name it, so two backends
+// simulating the same network/phase are distinguishable in traces and
+// failure messages.
+func Wrap(m Machine, dataflow string) Simulator {
 	return wrapped{m: m, dataflow: dataflow}
 }
 
@@ -77,24 +72,16 @@ func (w wrapped) Simulate(ctx context.Context, net *nn.Network, phase Phase) (re
 	if phase != Inference && phase != Training {
 		return nil, fmt.Errorf("sim: unknown phase %d", int(phase))
 	}
-	attrs := []obs.Attr{
+	ctx, span := obs.StartSpan(ctx, SpanSimulate,
 		obs.String("network", net.Name),
 		obs.String("phase", phase.String()),
-	}
-	if w.dataflow != "" {
-		attrs = append(attrs, obs.String("dataflow", w.dataflow))
-	}
-	ctx, span := obs.StartSpan(ctx, SpanSimulate, attrs...)
+		obs.String("dataflow", w.dataflow))
 	// Legacy machines panic on inputs they cannot simulate (bad layer
 	// geometry, unsupported shapes). Surface that as a per-call error
 	// instead of letting it unwind a sweep worker goroutine.
 	defer func() {
 		if r := recover(); r != nil {
-			if w.dataflow != "" {
-				rep, err = nil, fmt.Errorf("%w: %s: %s/%s: %v", ErrSimulatorPanic, w.dataflow, net.Name, phase, r)
-			} else {
-				rep, err = nil, fmt.Errorf("%w: %s/%s: %v", ErrSimulatorPanic, net.Name, phase, r)
-			}
+			rep, err = nil, fmt.Errorf("%w: %s: %s/%s: %v", ErrSimulatorPanic, w.dataflow, net.Name, phase, r)
 		}
 		span.EndWith(err)
 	}()

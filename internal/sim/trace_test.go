@@ -36,7 +36,7 @@ func (c *stepClock) Now() time.Time {
 // formatted latency/energy/utilization values.
 func TestTracedLayersMatchCSV(t *testing.T) {
 	tr := obs.NewTracer(obs.WithClock((&stepClock{now: time.Unix(0, 0)}).Now), obs.WithRing(256), obs.WithIDSeed(1))
-	s := sim.Wrap(core.New(arch.INCA()))
+	s := sim.Wrap(core.New(arch.INCA()), "is")
 	net := nn.LeNet5()
 
 	ctx, root := tr.Start(context.Background(), "test")
@@ -130,7 +130,7 @@ func TestTracedLayersMatchCSV(t *testing.T) {
 // TestUntracedSimulateEmitsNothing pins the off path: without a span in
 // the context, Simulate must not allocate tracing state.
 func TestUntracedSimulateEmitsNothing(t *testing.T) {
-	s := sim.Wrap(core.New(arch.INCA()))
+	s := sim.Wrap(core.New(arch.INCA()), "is")
 	rep, err := s.Simulate(context.Background(), nn.LeNet5(), sim.Inference)
 	if err != nil || rep == nil {
 		t.Fatalf("untraced simulate failed: %v", err)
@@ -141,7 +141,7 @@ func TestUntracedSimulateEmitsNothing(t *testing.T) {
 // closes its sim/simulate span, carrying the converted error.
 func TestTracedPanicEndsSpanWithError(t *testing.T) {
 	tr := obs.NewTracer(obs.WithClock((&stepClock{now: time.Unix(0, 0)}).Now), obs.WithRing(16), obs.WithIDSeed(1))
-	s := sim.Wrap(panicMachine{})
+	s := sim.Wrap(panicMachine{}, "stub")
 	ctx, root := tr.Start(context.Background(), "test")
 	_, err := s.Simulate(ctx, nn.LeNet5(), sim.Inference)
 	if err == nil {

@@ -31,7 +31,7 @@ func testNet() *nn.Network {
 // Wrap and kill the sweep worker goroutine that called it. Wrap must
 // convert the panic into a per-call error.
 func TestWrapRecoversMachinePanic(t *testing.T) {
-	s := Wrap(panicMachine{})
+	s := Wrap(panicMachine{}, "stub")
 	rep, err := s.Simulate(context.Background(), testNet(), Inference)
 	if rep != nil {
 		t.Fatalf("report = %v, want nil after panic", rep)
@@ -45,7 +45,7 @@ func TestWrapRecoversMachinePanic(t *testing.T) {
 }
 
 func TestWrapValidation(t *testing.T) {
-	s := Wrap(okMachine{})
+	s := Wrap(okMachine{}, "stub")
 	ctx := context.Background()
 	if _, err := s.Simulate(ctx, nil, Inference); !errors.Is(err, ErrNilNetwork) {
 		t.Fatalf("nil network err = %v", err)

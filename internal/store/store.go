@@ -5,14 +5,15 @@
 // and shareable:
 //
 //   - append-only segment files (seg-NNNNNN.log), internal/wal logs of
-//     binary records (see codec.go), each holding one sim.Report
-//     addressed by the SHA-256 of its canonical 5-segment cell key —
-//     content addressing makes merge and dedupe trivial (equal keys
-//     produce byte-identical reports). Segments of the earlier JSON
-//     record format still open and serve, and compaction rewrites them;
-//   - an in-memory index rebuilt by scanning the segments at Open, so
-//     the warm start costs one sequential read of the directory and no
-//     separate index file can desynchronize from the data;
+//     binary records (see codec.go), each holding one sim.Report under
+//     its canonical 5-segment cell key — the key names the content, so
+//     merge and dedupe are trivial (equal keys produce byte-identical
+//     reports). Segments of the earlier JSON record format still open
+//     and serve, and compaction rewrites them;
+//   - an in-memory index from cell key to record, rebuilt by scanning
+//     the segments at Open, so the warm start costs one sequential read
+//     of the directory and no separate index file can desynchronize
+//     from the data;
 //   - crash safety by construction: only the active tail segment is ever
 //     appended to, so a crash can tear at most the final record, and
 //     Open truncates a torn tail instead of failing — the surviving
@@ -23,8 +24,10 @@
 //     old segments deleted;
 //   - corpus export/import as JSON lines, so fleets share precomputed
 //     results: a shard imports its peers' corpora and serves their
-//     cells from disk instead of re-simulating. The corpus bytes, not
-//     the segment bytes, are the stable format.
+//     cells from disk instead of re-simulating. Each corpus line also
+//     carries its content address, the SHA-256 of its key, so a reader
+//     can verify it without the store. The corpus bytes, not the
+//     segment bytes, are the stable format.
 //
 // Store implements the sweep.Tier contract (Get/Put by canonical key
 // string); layer one under a cache with sweep.Cache.SetTier or the
@@ -145,8 +148,7 @@ func (seg *segment) decode(e indexEntry, key string) (*sim.Report, error) {
 // segments, the index over them, and the active tail. Compaction builds
 // the next view on the side and swaps it in only once it is complete.
 type view struct {
-	index  map[string]indexEntry // content address (hex SHA-256 of key) → location
-	keys   map[string]string     // content address → canonical key (collision guard, export)
+	index  map[string]indexEntry // canonical cell key → location
 	segs   map[int]*segment
 	active *segment
 }
@@ -154,7 +156,6 @@ type view struct {
 func newView() view {
 	return view{
 		index: make(map[string]indexEntry),
-		keys:  make(map[string]string),
 		segs:  make(map[int]*segment),
 	}
 }
@@ -227,7 +228,8 @@ type Store struct {
 	closed bool
 }
 
-// addr returns the content address of a canonical cell key.
+// addr returns the content address of a canonical cell key: the hex
+// SHA-256 a corpus line carries next to the key.
 func addr(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])
@@ -294,9 +296,7 @@ func (s *Store) openSegment(id int) (*segment, error) {
 		if err != nil {
 			return false // framed but undecodable: stop, do not index
 		}
-		a := addr(key)
-		s.index[a] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: created}
-		s.keys[a] = key
+		s.index[key] = indexEntry{seg: id, off: off, size: wal.HeaderLen + int64(len(payload)), created: created}
 		return true
 	})
 	if err != nil {
@@ -355,17 +355,13 @@ func (s *Store) newSegment() (*segment, error) {
 // store degrades to recomputation, never fails the lookup). The
 // signature matches sweep.Tier.
 func (s *Store) Get(key string) (*sim.Report, bool) {
-	a := addr(key)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.misses.Add(1)
 		return nil, false
 	}
-	e, ok := s.index[a]
-	if ok && s.keys[a] != key {
-		ok = false // hash collision or mixed corpus: never serve a foreign key
-	}
+	e, ok := s.index[key]
 	if ok && s.expiredAt(e.created, s.opt.now()) {
 		s.expired.Add(1)
 		ok = false
@@ -406,7 +402,6 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	if rep == nil || rep.TotalsOnly() {
 		return
 	}
-	a := addr(key)
 	created := s.opt.now().UnixNano()
 	fb, err := encodeFrame(key, created, rep)
 	if err != nil {
@@ -419,7 +414,7 @@ func (s *Store) Put(key string, rep *sim.Report) {
 	if s.closed {
 		return
 	}
-	if err := s.appendTo(&s.view, a, key, *fb, created); err != nil {
+	if err := s.appendTo(&s.view, key, *fb, created); err != nil {
 		s.ioErrs.Add(1)
 		return
 	}
@@ -434,7 +429,7 @@ func (s *Store) Put(key string, rep *sim.Report) {
 // appendTo appends one v2 record frame (see wal.Log.AppendFrame) to the
 // view's active segment, rolling to a fresh segment first when the
 // active one is full or is a v1 segment. Callers hold s.mu.
-func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) error {
+func (s *Store) appendTo(v *view, key string, frame []byte, created int64) error {
 	size := int64(len(frame))
 	if v.active == nil || v.active.v1 || v.active.log.Size()+size > s.opt.SegmentMaxBytes {
 		seg, err := s.newSegment()
@@ -448,8 +443,7 @@ func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) er
 	if err != nil {
 		return err
 	}
-	v.index[a] = indexEntry{seg: v.active.id, off: off, size: size, created: created}
-	v.keys[a] = key
+	v.index[key] = indexEntry{seg: v.active.id, off: off, size: size, created: created}
 	return nil
 }
 
@@ -468,7 +462,6 @@ func (s *Store) appendTo(v *view, a, key string, frame []byte, created int64) er
 func (s *Store) compactLocked() error {
 	s.compacts.Add(1)
 	type live struct {
-		a       string
 		key     string
 		frame   []byte
 		created int64
@@ -476,7 +469,7 @@ func (s *Store) compactLocked() error {
 	now := s.opt.now()
 	var survivors []live
 	expired := 0
-	for a, e := range s.index {
+	for key, e := range s.index {
 		if s.expiredAt(e.created, now) {
 			expired++
 			continue
@@ -485,12 +478,12 @@ func (s *Store) compactLocked() error {
 		if seg == nil {
 			continue
 		}
-		frame, err := s.compactFrame(seg, e, s.keys[a])
+		frame, err := s.compactFrame(seg, e, key)
 		if err != nil {
 			s.ioErrs.Add(1)
 			continue
 		}
-		survivors = append(survivors, live{a: a, key: s.keys[a], frame: frame, created: e.created})
+		survivors = append(survivors, live{key: key, frame: frame, created: e.created})
 	}
 	// Oldest-first eviction until the survivors fit comfortably (90% of
 	// the cap, so one more Put does not immediately re-trigger).
@@ -508,7 +501,7 @@ func (s *Store) compactLocked() error {
 
 	next := newView()
 	for _, sv := range survivors[drop:] {
-		if err := s.appendTo(&next, sv.a, sv.key, sv.frame, sv.created); err != nil {
+		if err := s.appendTo(&next, sv.key, sv.frame, sv.created); err != nil {
 			next.close(true)
 			return err
 		}
@@ -605,12 +598,12 @@ func (s *Store) Export(w io.Writer) (int, error) {
 	}
 	now := s.opt.now()
 	locs := make([]loc, 0, len(s.index))
-	for a, e := range s.index {
+	for key, e := range s.index {
 		if s.expiredAt(e.created, now) {
 			continue
 		}
 		if seg := s.segs[e.seg]; seg != nil {
-			locs = append(locs, loc{key: s.keys[a], e: e, seg: seg})
+			locs = append(locs, loc{key: key, e: e, seg: seg})
 		}
 	}
 	s.mu.Unlock()
@@ -682,8 +675,7 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 			res.Rejected++
 			continue
 		}
-		a := addr(rec.Key)
-		if rec.Addr != "" && rec.Addr != a {
+		if rec.Addr != "" && rec.Addr != addr(rec.Key) {
 			res.Rejected++
 			continue
 		}
@@ -698,13 +690,13 @@ func (s *Store) Import(r io.Reader) (ImportResult, error) {
 			releaseFrame(fb)
 			return res, ErrClosed
 		}
-		if _, exists := s.index[a]; exists {
+		if _, exists := s.index[rec.Key]; exists {
 			s.mu.Unlock()
 			releaseFrame(fb)
 			res.Skipped++
 			continue
 		}
-		err = s.appendTo(&s.view, a, rec.Key, *fb, rec.Created)
+		err = s.appendTo(&s.view, rec.Key, *fb, rec.Created)
 		releaseFrame(fb)
 		overflow := s.view.bytes() > s.opt.MaxBytes
 		if err == nil && overflow {
