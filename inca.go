@@ -162,7 +162,7 @@ func Dataflows() []DataflowInfo {
 	for i, d := range all {
 		// Backends share one Capabilities value per process; clone its
 		// slices so callers cannot edit registry state through them.
-		c := d.Capabilities()
+		c := d.Caps
 		c.Phases = slices.Clone(c.Phases)
 		c.Aliases = slices.Clone(c.Aliases)
 		infos[i] = c
@@ -204,7 +204,7 @@ func NewMachine(dataflowID string, cfg Config, opts ...MachineOption) (Simulator
 		opt(&o)
 	}
 	if cfg == (Config{}) {
-		cfg = d.DefaultConfig()
+		cfg = d.Default
 	}
 	if !o.mapping.IsZero() {
 		cfg = d.Apply(cfg, o.mapping)

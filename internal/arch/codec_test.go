@@ -115,7 +115,7 @@ func TestFingerprintMatchesGoSyntax(t *testing.T) {
 		}
 	}
 	for _, d := range dataflow.All() {
-		check("default config of "+d.ID(), d.DefaultConfig())
+		check("default config of "+d.Caps.ID, d.Default)
 	}
 	check("INCA", arch.INCA())
 	check("Baseline", arch.Baseline())

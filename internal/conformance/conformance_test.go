@@ -26,11 +26,11 @@ func TestRegisteredDataflows(t *testing.T) {
 		t.Fatalf("registry has %v, want at least is/ws/os/gpu", ids)
 	}
 	for _, d := range dataflow.All() {
-		if strings.HasPrefix(d.ID(), "stub-") {
+		if strings.HasPrefix(d.Caps.ID, "stub-") {
 			continue // test-local registrations from sibling tests
 		}
 		d := d
-		t.Run(d.ID(), func(t *testing.T) {
+		t.Run(d.Caps.ID, func(t *testing.T) {
 			t.Parallel()
 			Run(t, d)
 		})
@@ -59,26 +59,17 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// stubDataflow registers a throwaway backend to pin the registry's
-// duplicate and lookup behavior without touching the real IDs.
-type stubDataflow struct{ id string }
-
-func (s stubDataflow) ID() string { return s.id }
-func (s stubDataflow) Capabilities() dataflow.Capabilities {
-	return dataflow.Capabilities{ID: s.id, Name: "Stub " + s.id, Phases: []sim.Phase{sim.Inference}}
+// stubBackend is a throwaway backend to pin the registry's duplicate
+// and lookup behavior without touching the real IDs.
+func stubBackend(id string) *dataflow.Backend {
+	return &dataflow.Backend{
+		Caps:    dataflow.Capabilities{ID: id, Name: "Stub " + id, Phases: []sim.Phase{sim.Inference}},
+		Machine: func(arch.Config) sim.Machine { return panicMachine{} },
+	}
 }
-func (stubDataflow) DefaultConfig() arch.Config { return arch.Config{} }
-func (stubDataflow) New(arch.Config) (sim.Simulator, error) {
-	return sim.Wrap(panicMachine{}, "stub"), nil
-}
-func (stubDataflow) Area(arch.Config) float64 { return 1 }
-func (stubDataflow) Mappings(arch.Config, *nn.Network) []dataflow.Mapping {
-	return []dataflow.Mapping{{}}
-}
-func (stubDataflow) Apply(base arch.Config, _ dataflow.Mapping) arch.Config { return base }
 
 func TestRegistryLookup(t *testing.T) {
-	dataflow.Register(stubDataflow{id: "stub-conf"})
+	dataflow.Register(stubBackend("stub-conf"))
 	if _, err := dataflow.Get("STUB-CONF"); err != nil {
 		t.Errorf("case-insensitive lookup failed: %v", err)
 	}
@@ -103,5 +94,5 @@ func TestRegistryLookup(t *testing.T) {
 			t.Errorf("duplicate Register did not panic")
 		}
 	}()
-	dataflow.Register(stubDataflow{id: "stub-conf"})
+	dataflow.Register(stubBackend("stub-conf"))
 }

@@ -1,11 +1,12 @@
-// Package dataflow defines the pluggable accelerator-backend interface
-// behind the paper's IS-vs-WS comparison, generalized so input-stationary
+// Package dataflow is the registry of accelerator backends behind the
+// paper's IS-vs-WS comparison, generalized so input-stationary
 // (internal/core), weight-stationary (internal/baseline),
 // output-stationary (internal/outstat), and the GPU roofline
-// (internal/gpu) are peers: each backend constructs a machine from an
-// arch.Config plus mapping parameters, reports its capabilities and the
-// legal tile/partition points of its mapping space, and registers itself
-// by ID in a process-wide registry (database/sql-driver style).
+// (internal/gpu) are peers. Each backend declares one Backend value —
+// its capabilities, default configuration, machine constructor and
+// mapping candidates — and registers it by ID from init
+// (database/sql-driver style); construction, phase gating, mapping
+// rewrite and enumeration are methods on Backend, written once.
 //
 // The package sits below every backend — it imports only arch, nn, and
 // sim — so backends can register from their init functions without
@@ -34,53 +35,122 @@ var (
 	ErrUnsupportedPhase = errors.New("dataflow: unsupported phase")
 )
 
-// Dataflow is one accelerator execution strategy: which operand stays
-// resident in the arrays and how the others stream past it. A Dataflow
-// is a factory plus metadata — machines it constructs do the actual
-// simulation; implementations must be safe for concurrent use.
-type Dataflow interface {
-	// ID is the registry key: a short lowercase tag ("is", "ws", "os",
-	// "gpu"), stable across releases — it appears in wire schemas and
-	// sweep cache keys.
-	ID() string
+// Backend is one accelerator execution strategy: which operand stays
+// resident in the arrays and how the others stream past it. A backend
+// is declared, not implemented: its package fills in the fields below
+// and registers the value from init, and the registry derives the
+// shared contract from them — construction (New), the crossbar rewrite
+// (Apply), mapping-space enumeration (Mappings) and area (Area) — once
+// for every backend, so IS, WS, OS and the GPU are built, validated,
+// phase-gated and mapped the same way. A registered Backend is shared
+// process-wide; callers must not modify it.
+type Backend struct {
+	// Caps describes what the backend can simulate; Caps.ID is the
+	// registry key.
+	Caps Capabilities
 
-	// Capabilities describes what the backend can simulate. Its slices
-	// may be shared across calls; callers must not modify them.
-	Capabilities() Capabilities
+	// Default is the backend's reference configuration (the paper's
+	// Table II column for IS/WS, an iso-capacity comparison point
+	// otherwise). A fixed backend (Caps.Configurable false) carries only
+	// its display name.
+	Default arch.Config
 
-	// DefaultConfig returns the backend's reference configuration (the
-	// paper's Table II column for IS/WS, iso-capacity comparison points
-	// otherwise). Fixed backends (Capabilities.Configurable == false)
-	// return a zero Config.
-	DefaultConfig() arch.Config
+	// Machine constructs the backend's simulator for a configuration New
+	// has already validated. A fixed backend ignores its argument.
+	Machine func(arch.Config) sim.Machine
 
-	// New validates cfg and constructs a simulator for it. Backends that
-	// ignore cfg (the GPU roofline) accept any value including the zero
-	// Config.
-	New(cfg arch.Config) (sim.Simulator, error)
+	// Points lists the raw candidate mappings of the backend's
+	// tile/partition space for net, in order, before Mappings drops the
+	// illegal ones. nil for a fixed backend.
+	Points func(base arch.Config, net *nn.Network) []Mapping
 
-	// Mappings enumerates the legal tile/partition points of the
-	// backend's mapping space for net, each expressible as a rewrite of
-	// base: points that violate crossbar-geometry or buffer-capacity
-	// constraints are excluded. Fixed backends return a single zero
-	// Mapping (their one roofline point). The slice is in deterministic
-	// order; base's own point is always included.
-	Mappings(base arch.Config, net *nn.Network) []Mapping
+	// Fits is the capacity bound a validated candidate must meet on net
+	// (crossbar multiplexing, buffer capacity). Required when Points is
+	// set.
+	Fits func(cfg arch.Config, net *nn.Network) bool
 
-	// Apply lowers a mapping point onto base, returning the concrete
-	// configuration New accepts. Apply(base, Mapping{}) with a zero
-	// mapping returns base unchanged.
-	Apply(base arch.Config, m Mapping) arch.Config
+	// FixedAreaMM2 is a fixed backend's die area; configurable backends
+	// report their configuration's area instead.
+	FixedAreaMM2 float64
+}
 
-	// Area reports the silicon area in mm² of the machine cfg describes
-	// (fixed backends ignore cfg and report their device's die area).
-	Area(cfg arch.Config) float64
+// New validates cfg (configurable backends only) and constructs a
+// simulator for it. A backend whose Caps leave out a phase gets a guard
+// that fails that phase fast with ErrUnsupportedPhase; the others get
+// the bare sim.Wrap adapter, so building a full-phase machine costs no
+// extra allocation.
+func (b *Backend) New(cfg arch.Config) (sim.Simulator, error) {
+	if b.Caps.Configurable {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	s := sim.Wrap(b.Machine(cfg), b.Caps.ID)
+	if b.Caps.Supports(sim.Inference) && b.Caps.Supports(sim.Training) {
+		return s, nil
+	}
+	return phaseGuard{inner: s, caps: &b.Caps}, nil
+}
+
+// Apply lowers a mapping point onto base, returning the concrete
+// configuration New accepts: nonzero mapping fields replace the
+// crossbar geometry and the name gains the mapping's label. The zero
+// mapping, and any mapping on a fixed backend, returns base unchanged.
+func (b *Backend) Apply(base arch.Config, m Mapping) arch.Config {
+	if !b.Caps.Configurable {
+		return base
+	}
+	cfg := base
+	if m.Rows > 0 {
+		cfg.SubarrayRows = m.Rows
+	}
+	if m.Cols > 0 {
+		cfg.SubarrayCols = m.Cols
+	}
+	if m.Planes > 0 {
+		cfg.StackedPlanes = m.Planes
+	}
+	if !m.IsZero() && cfg != base {
+		cfg.Name = fmt.Sprintf("%s[%s]", base.Name, m.Label())
+	}
+	return cfg
+}
+
+// Mappings enumerates the legal points of the backend's mapping space
+// for net in deterministic order: the base point (the zero Mapping)
+// first, then each of Points that changes base, lowers to a valid
+// configuration and Fits net. A fixed backend, or a nil net, has only
+// the base point.
+func (b *Backend) Mappings(base arch.Config, net *nn.Network) []Mapping {
+	out := []Mapping{{}}
+	if net == nil || b.Points == nil {
+		return out
+	}
+	for _, m := range b.Points(base, net) {
+		cfg := b.Apply(base, m)
+		if cfg == base || cfg.Validate() != nil || !b.Fits(cfg, net) {
+			continue
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// Area reports the silicon area in mm² of the machine cfg describes; a
+// fixed backend reports FixedAreaMM2 whatever cfg is.
+func (b *Backend) Area(cfg arch.Config) float64 {
+	if !b.Caps.Configurable {
+		return b.FixedAreaMM2
+	}
+	return cfg.Area().Total()
 }
 
 // Capabilities describes one backend's envelope: display metadata, the
 // phases it can simulate, and whether arch.Config shapes its machines.
 type Capabilities struct {
-	// ID mirrors Dataflow.ID.
+	// ID is the registry key: a short lowercase tag ("is", "ws", "os",
+	// "gpu"), stable across releases — it appears in wire schemas and
+	// sweep cache keys.
 	ID string `json:"id"`
 	// Name is the human-readable dataflow name ("Input-stationary").
 	Name string `json:"name"`
@@ -142,34 +212,18 @@ func (m Mapping) Label() string {
 	return s
 }
 
-// GuardPhases wraps s so phases outside allowed fail fast with
-// ErrUnsupportedPhase instead of reaching the machine. Argument
-// validation order matches sim.Wrap: nil/empty network and context
-// errors still surface first (the inner simulator checks them), because
-// the guard only rejects phases it knows the backend cannot run.
-func GuardPhases(s sim.Simulator, id string, allowed ...sim.Phase) sim.Simulator {
-	return phaseGuard{inner: s, id: id, allowed: allowed}
-}
-
+// phaseGuard fails the phases its backend's Caps leave out with
+// ErrUnsupportedPhase before they reach the machine. Unknown phases
+// pass through, so the inner simulator rejects them with the same error
+// every backend returns.
 type phaseGuard struct {
-	inner   sim.Simulator
-	id      string
-	allowed []sim.Phase
+	inner sim.Simulator
+	caps  *Capabilities
 }
 
 func (g phaseGuard) Simulate(ctx context.Context, net *nn.Network, phase sim.Phase) (*sim.Report, error) {
-	known := phase == sim.Inference || phase == sim.Training
-	if known {
-		ok := false
-		for _, p := range g.allowed {
-			if p == phase {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: %s cannot simulate %s", ErrUnsupportedPhase, g.id, phase)
-		}
+	if (phase == sim.Inference || phase == sim.Training) && !g.caps.Supports(phase) {
+		return nil, fmt.Errorf("%w: %s cannot simulate %s", ErrUnsupportedPhase, g.caps.ID, phase)
 	}
 	return g.inner.Simulate(ctx, net, phase)
 }

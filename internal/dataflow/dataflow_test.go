@@ -39,24 +39,44 @@ func TestFromConfig(t *testing.T) {
 	}
 }
 
-type okSim struct{}
+type okMachine struct{}
 
-func (okSim) Simulate(ctx context.Context, net *nn.Network, phase sim.Phase) (*sim.Report, error) {
-	return &sim.Report{Arch: "ok", Phase: phase, Batch: 1}, nil
+func (okMachine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
+	return &sim.Report{Arch: "ok", Network: net.Name, Phase: phase, Batch: 1}
 }
 
+// TestGuardPhases checks the phase guard through a backend whose Caps
+// declare inference only, and that a backend declaring both phases is
+// built without one.
 func TestGuardPhases(t *testing.T) {
-	g := GuardPhases(okSim{}, "test-df", sim.Inference)
-	if _, err := g.Simulate(context.Background(), nil, sim.Inference); err != nil {
+	b := &Backend{
+		Caps:    Capabilities{ID: "test-df", Phases: []sim.Phase{sim.Inference}},
+		Machine: func(arch.Config) sim.Machine { return okMachine{} },
+	}
+	g, err := b.New(arch.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := nn.LeNet5()
+	if _, err := g.Simulate(context.Background(), net, sim.Inference); err != nil {
 		t.Errorf("allowed phase rejected: %v", err)
 	}
-	_, err := g.Simulate(context.Background(), nil, sim.Training)
+	_, err = g.Simulate(context.Background(), net, sim.Training)
 	if !errors.Is(err, ErrUnsupportedPhase) {
 		t.Errorf("blocked phase: got %v, want ErrUnsupportedPhase", err)
 	}
 	// Unknown phases pass through for the inner simulator's own
 	// validation, keeping error shapes uniform across dataflows.
-	if _, err := g.Simulate(context.Background(), nil, sim.Phase(42)); err != nil {
-		t.Errorf("unknown phase short-circuited by guard: %v", err)
+	if _, err := g.Simulate(context.Background(), net, sim.Phase(42)); err == nil || errors.Is(err, ErrUnsupportedPhase) {
+		t.Errorf("unknown phase: got %v, want the simulator's own error", err)
+	}
+
+	b.Caps.Phases = []sim.Phase{sim.Inference, sim.Training}
+	full, err := b.New(arch.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, guarded := full.(phaseGuard); guarded {
+		t.Errorf("full-phase backend built with a phase guard")
 	}
 }

@@ -14,20 +14,21 @@ import (
 // mutex makes registration from tests safe too.
 var (
 	regMu   sync.RWMutex
-	reg     = make(map[string]Dataflow)
+	reg     = make(map[string]*Backend)
 	aliases = make(map[string]string)
 )
 
-// Register adds d to the registry under its ID plus the display names
-// from its capabilities and default configuration (so legacy arch names
-// like "INCA" and "WS-Baseline" resolve to the right backend). It
-// panics on a duplicate or empty ID — registration happens in init, and
-// a collision is a programming error, not a runtime condition.
-func Register(d Dataflow) {
-	if d == nil {
-		panic("dataflow: Register called with nil Dataflow")
+// Register adds b to the registry under b.Caps.ID plus the display
+// names from its capabilities and default configuration (so legacy arch
+// names like "INCA" and "WS-Baseline" resolve to the right backend). It
+// panics on a nil backend or a duplicate or empty ID — registration
+// happens in init, and a collision is a programming error, not a
+// runtime condition.
+func Register(b *Backend) {
+	if b == nil {
+		panic("dataflow: Register called with nil Backend")
 	}
-	id := strings.ToLower(d.ID())
+	id := strings.ToLower(b.Caps.ID)
 	if id == "" {
 		panic("dataflow: Register called with empty ID")
 	}
@@ -36,14 +37,13 @@ func Register(d Dataflow) {
 	if _, dup := reg[id]; dup {
 		panic(fmt.Sprintf("dataflow: Register called twice for %q", id))
 	}
-	reg[id] = d
-	caps := d.Capabilities()
-	registerAliasLocked(id, caps.Name)
-	for _, a := range caps.Aliases {
+	reg[id] = b
+	registerAliasLocked(id, b.Caps.Name)
+	for _, a := range b.Caps.Aliases {
 		registerAliasLocked(id, a)
 	}
-	if cfg := d.DefaultConfig(); cfg.Name != "" {
-		registerAliasLocked(id, cfg.Name)
+	if b.Default.Name != "" {
+		registerAliasLocked(id, b.Default.Name)
 	}
 }
 
@@ -62,7 +62,7 @@ func registerAliasLocked(id, name string) {
 // Get returns the backend registered under id. The lookup is
 // case-insensitive and accepts registered display names (arch names) as
 // well as IDs; unknown names report ErrUnknownDataflow.
-func Get(id string) (Dataflow, error) {
+func Get(id string) (*Backend, error) {
 	key, ok := Normalize(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q (known: %s)", ErrUnknownDataflow, id, strings.Join(IDs(), ", "))
@@ -116,15 +116,11 @@ func IDs() []string {
 }
 
 // All returns the registered backends in ID order.
-func All() []Dataflow {
+func All() []*Backend {
+	ids := IDs()
 	regMu.RLock()
 	defer regMu.RUnlock()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]Dataflow, len(ids))
+	out := make([]*Backend, len(ids))
 	for i, id := range ids {
 		out[i] = reg[id]
 	}

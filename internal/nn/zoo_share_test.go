@@ -50,15 +50,15 @@ func TestByNameSharesOneInstance(t *testing.T) {
 func TestSharedZooSurvivesSimulation(t *testing.T) {
 	ctx := context.Background()
 	for _, d := range dataflow.All() {
-		s, err := d.New(d.DefaultConfig())
+		s, err := d.New(d.Default)
 		if err != nil {
-			t.Fatalf("%s: %v", d.ID(), err)
+			t.Fatalf("%s: %v", d.Caps.ID, err)
 		}
 		for _, net := range nn.Zoo() {
 			for _, phase := range []sim.Phase{sim.Inference, sim.Training} {
 				_, err := s.Simulate(ctx, net, phase)
 				if err != nil && !errors.Is(err, dataflow.ErrUnsupportedPhase) {
-					t.Fatalf("%s %s %v: %v", d.ID(), net.Name, phase, err)
+					t.Fatalf("%s %s %v: %v", d.Caps.ID, net.Name, phase, err)
 				}
 			}
 		}

@@ -1,8 +1,6 @@
 package outstat
 
 import (
-	"fmt"
-
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
@@ -12,36 +10,24 @@ import (
 // DataflowID is the registry ID of the output-stationary backend.
 const DataflowID = "os"
 
-func init() { dataflow.Register(osDataflow{}) }
-
-// osDataflow adapts this package to the dataflow.Dataflow interface.
-type osDataflow struct{}
-
-func (osDataflow) ID() string { return DataflowID }
-
-// osCaps is shared by every Capabilities call, so resolving this backend
-// allocates nothing; callers must not modify its slices.
-var osCaps = dataflow.Capabilities{
-	ID:           DataflowID,
-	Name:         "Output-stationary",
-	Description:  "MAC-DO-style in-array accumulators: outputs resident, inputs and weights both stream (inference only)",
-	Phases:       []sim.Phase{sim.Inference},
-	Configurable: true,
-	Aliases:      []string{"outstat", "output-stationary", "mac-do"},
+// The in-array accumulators have no gradient path, so the backend
+// declares inference only and the registry guards training off.
+func init() {
+	dataflow.Register(&dataflow.Backend{
+		Caps: dataflow.Capabilities{
+			ID:           DataflowID,
+			Name:         "Output-stationary",
+			Description:  "MAC-DO-style in-array accumulators: outputs resident, inputs and weights both stream (inference only)",
+			Phases:       []sim.Phase{sim.Inference},
+			Configurable: true,
+			Aliases:      []string{"outstat", "output-stationary", "mac-do"},
+		},
+		Default: arch.OutStationary(),
+		Machine: func(cfg arch.Config) sim.Machine { return New(cfg) },
+		Points:  osPoints,
+		Fits:    func(cfg arch.Config, net *nn.Network) bool { return osWorstMultiplex(cfg, net) <= maxOSMultiplex },
+	})
 }
-
-func (osDataflow) Capabilities() dataflow.Capabilities { return osCaps }
-
-func (osDataflow) DefaultConfig() arch.Config { return arch.OutStationary() }
-
-func (osDataflow) New(cfg arch.Config) (sim.Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return dataflow.GuardPhases(sim.Wrap(New(cfg), DataflowID), DataflowID, sim.Inference), nil
-}
-
-func (osDataflow) Area(cfg arch.Config) float64 { return cfg.Area().Total() }
 
 // Mapping space: iso-capacity aspect reshapes of the accumulator
 // crossbar. Rows bound the output-position tile and columns the
@@ -54,12 +40,11 @@ const maxOSMultiplex = 64
 
 var osAspects = [][2]int{{32, 512}, {64, 256}, {128, 128}, {256, 64}, {512, 32}}
 
-func (d osDataflow) Mappings(base arch.Config, net *nn.Network) []dataflow.Mapping {
-	out := []dataflow.Mapping{{}}
-	if net == nil {
-		return out
-	}
+// osPoints lists the aspects with base's cell count, each named by the
+// refetch it trades away.
+func osPoints(base arch.Config, _ *nn.Network) []dataflow.Mapping {
 	cells := base.SubarrayRows * base.SubarrayCols
+	var out []dataflow.Mapping
 	for _, a := range osAspects {
 		if a[0]*a[1] != cells {
 			continue
@@ -71,18 +56,7 @@ func (d osDataflow) Mappings(base arch.Config, net *nn.Network) []dataflow.Mappi
 		case a[0] < a[1]:
 			order = "input-reuse"
 		}
-		m := dataflow.Mapping{Rows: a[0], Cols: a[1], LoopOrder: order}
-		cfg := d.Apply(base, m)
-		if cfg == base {
-			continue
-		}
-		if cfg.Validate() != nil {
-			continue
-		}
-		if osWorstMultiplex(cfg, net) > maxOSMultiplex {
-			continue
-		}
-		out = append(out, m)
+		out = append(out, dataflow.Mapping{Rows: a[0], Cols: a[1], LoopOrder: order})
 	}
 	return out
 }
@@ -102,21 +76,4 @@ func osWorstMultiplex(cfg arch.Config, net *nn.Network) int64 {
 		}
 	}
 	return worst
-}
-
-func (osDataflow) Apply(base arch.Config, m dataflow.Mapping) arch.Config {
-	cfg := base
-	if m.Rows > 0 {
-		cfg.SubarrayRows = m.Rows
-	}
-	if m.Cols > 0 {
-		cfg.SubarrayCols = m.Cols
-	}
-	if m.Planes > 0 {
-		cfg.StackedPlanes = m.Planes
-	}
-	if !m.IsZero() && cfg != base {
-		cfg.Name = fmt.Sprintf("%s[%s]", base.Name, m.Label())
-	}
-	return cfg
 }

@@ -123,9 +123,9 @@ func FuzzCellFromWire(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d.Capabilities().Configurable {
+			if d.Caps.Configurable {
 				if err := c.Config.Validate(); err != nil {
-					t.Fatalf("cell %d: accepted an invalid %s config: %v", wc.Seq, d.ID(), err)
+					t.Fatalf("cell %d: accepted an invalid %s config: %v", wc.Seq, d.Caps.ID, err)
 				}
 			}
 			back := WireCells([]sweep.Cell{c})

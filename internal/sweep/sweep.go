@@ -95,8 +95,8 @@ func Resolve(id string, custom *arch.Config, batch int) (Arch, error) {
 	if err != nil {
 		return Arch{}, err
 	}
-	caps := d.Capabilities()
-	cfg := d.DefaultConfig()
+	caps := d.Caps
+	cfg := d.Default
 	if custom != nil {
 		cfg = *custom
 	}
@@ -107,7 +107,7 @@ func Resolve(id string, custom *arch.Config, batch int) (Arch, error) {
 	if name == "" {
 		name = caps.Name
 	}
-	return Arch{Name: name, Dataflow: d.ID(), Base: cfg, Build: d.New, Fixed: !caps.Configurable}, nil
+	return Arch{Name: name, Dataflow: caps.ID, Base: cfg, Build: d.New, Fixed: !caps.Configurable}, nil
 }
 
 // mustResolve resolves a backend this package links in (see the imports

@@ -1,10 +1,13 @@
 // Package tune is the mapping auto-tuner on top of the dataflow
-// registry: for a network it enumerates each backend's legal
-// tile/partition/loop-order points (dataflow.Dataflow.Mappings), lowers
-// every point onto a concrete arch.Config, evaluates the candidates as
-// cells on the sweep engine — memo cache and transient-failure retries
-// for free — and reduces the survivors to per-phase Pareto frontiers
-// over (energy, latency, area), all minimized.
+// registry: for a network it takes each backend's legal
+// tile/partition/loop-order points (dataflow.Backend.Mappings: the base
+// point, then the backend's declared candidates that survive validation
+// and its capacity bound), lowers every point onto a concrete
+// arch.Config with Backend.Apply, evaluates the candidates as cells on
+// the sweep engine — memo cache and transient-failure retries for free —
+// and reduces the survivors to per-phase Pareto frontiers over (energy,
+// latency, area), all minimized. A phase a backend's Capabilities leave
+// out is a structural gap in that phase's frontier, not a failure.
 //
 // The search is exhaustive over the declared mapping spaces, which the
 // backends keep small by construction (tens of points, bounded by
@@ -101,7 +104,7 @@ type candidate struct {
 	arch    sweep.Arch
 	mapping dataflow.Mapping
 	area    float64
-	phases  []sim.Phase
+	caps    *dataflow.Capabilities
 }
 
 // Search evaluates the mapping spaces of the selected backends on net
@@ -128,19 +131,18 @@ func Search(ctx context.Context, net *nn.Network, opt Options) ([]Frontier, erro
 		if err != nil {
 			return nil, err
 		}
-		caps := d.Capabilities()
-		base := d.DefaultConfig()
+		base := d.Default
 		mappings := d.Mappings(base, net)
 		if opt.MaxPerDataflow > 0 && len(mappings) > opt.MaxPerDataflow {
 			mappings = mappings[:opt.MaxPerDataflow]
 		}
 		for _, m := range mappings {
 			cfg := d.Apply(base, m)
-			ax, err := sweep.Resolve(d.ID(), &cfg, 0)
+			ax, err := sweep.Resolve(d.Caps.ID, &cfg, 0)
 			if err != nil {
 				return nil, err
 			}
-			cands = append(cands, candidate{arch: ax, mapping: m, area: d.Area(cfg), phases: caps.Phases})
+			cands = append(cands, candidate{arch: ax, mapping: m, area: d.Area(cfg), caps: &d.Caps})
 		}
 	}
 	if len(cands) == 0 {
@@ -177,7 +179,7 @@ func Search(ctx context.Context, net *nn.Network, opt Options) ([]Frontier, erro
 			continue
 		}
 		f := &frontiers[phaseIdx[r.Cell.Phase]]
-		if !supports(c.phases, r.Cell.Phase) {
+		if !c.caps.Supports(r.Cell.Phase) {
 			// Structural gap, not a failure: the backend declares it
 			// cannot run this phase.
 			continue
@@ -209,15 +211,6 @@ func Search(ctx context.Context, net *nn.Network, opt Options) ([]Frontier, erro
 		frontiers[i].Pareto = pareto(frontiers[i].Pareto)
 	}
 	return frontiers, nil
-}
-
-func supports(phases []sim.Phase, ph sim.Phase) bool {
-	for _, p := range phases {
-		if p == ph {
-			return true
-		}
-	}
-	return false
 }
 
 // pareto reduces candidates to the non-dominated set, sorted by
