@@ -80,7 +80,7 @@ func fastClient() client.Options {
 // plan's cells on the given ring — killing it must actually lose work.
 func pickVictim(t *testing.T, urls []string, cells []sweep.Cell) int {
 	t.Helper()
-	ring, err := NewRing(urls, 0)
+	ring, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestCoordinatorRehashAttempts(t *testing.T) {
 	}
 	victim := pickVictim(t, urls, cells)
 	killers[victim].arm()
-	ring, err := NewRing(urls, 0)
+	ring, err := NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,9 @@ import (
 // cluster execution as one tree.
 const SpanDispatch = "cluster/dispatch"
 
+// probeTimeout bounds one peer readiness probe or trace fetch.
+const probeTimeout = 2 * time.Second
+
 // Options configures a Coordinator.
 type Options struct {
 	// Peers are the shard base URLs ("http://host:port"). At least one.
@@ -31,23 +34,9 @@ type Options struct {
 	// Client tunes the dispatch clients (retries, backoff, logger). One
 	// client per peer is built at construction.
 	Client client.Options
-	// Replicas is the virtual-node count per peer; <= 0 means
-	// DefaultReplicas.
-	Replicas int
-	// MaxRounds bounds dispatch waves (initial scatter + rehashes);
-	// <= 0 means len(Peers)+1, enough to lose every peer once.
-	MaxRounds int
-	// Workers bounds the local engine pool used when cells must be
-	// evaluated coordinator-side (every peer lost); <= 0 lets the
-	// engine pick.
-	Workers int
-	// Cache memoizes locally evaluated cells; nil gives each fallback
-	// run a private cache.
+	// Cache memoizes cells evaluated coordinator-side (every peer
+	// lost); nil gives each fallback run a private cache.
 	Cache *sweep.Cache
-	// Retry is the per-cell retry policy for locally evaluated cells.
-	Retry sweep.RetryPolicy
-	// ProbeTimeout bounds one peer readiness probe; <= 0 means 2s.
-	ProbeTimeout time.Duration
 	// Logger receives dispatch and rehash lines; nil discards them.
 	Logger *slog.Logger
 }
@@ -72,12 +61,6 @@ type Coordinator struct {
 func New(opt Options) (*Coordinator, error) {
 	if len(opt.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator needs at least one peer")
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = len(opt.Peers) + 1
-	}
-	if opt.ProbeTimeout <= 0 {
-		opt.ProbeTimeout = 2 * time.Second
 	}
 	log := opt.Logger
 	if log == nil {
@@ -134,7 +117,8 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 	pending := make([]sweep.Cell, len(cells))
 	copy(pending, cells)
 
-	for round := 0; len(pending) > 0 && round < co.opt.MaxRounds; round++ {
+	// One initial scatter plus one rehash per peer that can be lost.
+	for round := 0; len(pending) > 0 && round <= len(co.opt.Peers); round++ {
 		live := co.members.live()
 		if len(live) == 0 {
 			break
@@ -204,11 +188,7 @@ func (co *Coordinator) Sweep(ctx context.Context, cells []sweep.Cell, layers boo
 		// remainder on its own engine rather than failing the sweep.
 		summary.Local += len(pending)
 		co.log.Warn("no live peers, evaluating locally", "cells", len(pending))
-		results, err := sweep.RunCells(ctx, pending, sweep.Options{
-			Workers: co.opt.Workers,
-			Cache:   co.opt.Cache,
-			Retry:   co.opt.Retry,
-		})
+		results, err := sweep.RunCells(ctx, pending, sweep.Options{Cache: co.opt.Cache})
 		if err != nil {
 			return nil, summary, err
 		}
@@ -237,7 +217,7 @@ func (co *Coordinator) ringFor(live []string) (*Ring, error) {
 	if co.ring != nil && slices.Equal(co.ring.peers, live) {
 		return co.ring, nil
 	}
-	ring, err := NewRing(live, co.opt.Replicas)
+	ring, err := NewRing(live)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +258,7 @@ func (co *Coordinator) Health(ctx context.Context) []serve.PeerHealth {
 		wg.Add(1)
 		go func(peer string, c *client.Client) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, co.opt.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			if err := c.Ready(pctx); err != nil {
 				co.members.markDown(peer, err)
@@ -297,7 +277,7 @@ func (co *Coordinator) Health(ctx context.Context) []serve.PeerHealth {
 }
 
 // FetchSpans pulls the spans every peer retained for one trace,
-// concurrently, each probe bounded by ProbeTimeout. A peer that is
+// concurrently, each probe bounded by probeTimeout. A peer that is
 // down, breaker-open, or simply never saw the trace contributes
 // nothing — federated trace assembly is best-effort by design, and the
 // coordinator's own ring already holds the coordinating spans. serve's
@@ -313,7 +293,7 @@ func (co *Coordinator) FetchSpans(ctx context.Context, traceID string) []obs.Spa
 		wg.Add(1)
 		go func(peer string) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, co.opt.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			resp, err := co.clients[peer].ShardTrace(pctx, traceID)
 			if err != nil {

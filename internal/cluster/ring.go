@@ -16,10 +16,10 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per peer. 64 points per
-// peer keeps the assignment spread within a few percent of even for
-// small clusters while the ring stays a few KB.
-const DefaultReplicas = 64
+// replicas is the virtual-node count per peer. 64 points per peer keeps
+// the assignment spread within a few percent of even for small clusters
+// while the ring stays a few KB.
+const replicas = 64
 
 // Ring is an immutable consistent-hash ring over a peer set. Cells hash
 // onto the ring by their canonical cache-key string; each key is owned
@@ -37,15 +37,12 @@ type point struct {
 	peer string
 }
 
-// NewRing builds a ring with the given virtual-node count per peer
-// (<= 0 means DefaultReplicas). Peer order does not matter; the ring is
-// fully determined by the peer strings themselves.
-func NewRing(peers []string, replicas int) (*Ring, error) {
+// NewRing builds a ring with replicas virtual nodes per peer. Peer
+// order does not matter; the ring is fully determined by the peer
+// strings themselves.
+func NewRing(peers []string) (*Ring, error) {
 	if len(peers) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one peer")
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
 	}
 	seen := make(map[string]bool, len(peers))
 	r := &Ring{points: make([]point, 0, len(peers)*replicas)}

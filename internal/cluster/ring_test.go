@@ -11,11 +11,11 @@ import (
 // ordered configs must agree on every assignment.
 func TestRingDeterministic(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r1, err := NewRing(peers, 0)
+	r1, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewRing([]string{peers[2], peers[0], peers[1]}, 0)
+	r2, err := NewRing([]string{peers[2], peers[0], peers[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 // share.
 func TestRingSpread(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	r, err := NewRing(peers, 0)
+	r, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestRingSpread(t *testing.T) {
 // nothing that already succeeded.
 func TestRingStabilityOnLoss(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:2", "http://c:3"}
-	full, err := NewRing(peers, 0)
+	full, err := NewRing(peers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := NewRing(peers[:2], 0)
+	reduced, err := NewRing(peers[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,10 @@ func TestRingStabilityOnLoss(t *testing.T) {
 
 // TestRingRejectsBadPeerSets pins construction errors.
 func TestRingRejectsBadPeerSets(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty peer set accepted")
 	}
-	if _, err := NewRing([]string{"http://a", "http://a"}, 0); err == nil {
+	if _, err := NewRing([]string{"http://a", "http://a"}); err == nil {
 		t.Fatal("duplicate peer accepted")
 	}
 }
