@@ -122,7 +122,7 @@ func DecodeWire(b []byte) (Config, error) {
 		r.Fail(fmt.Errorf("unknown version %d", v))
 	}
 	var c Config
-	c.Name = r.String()
+	c.Name = r.Str()
 	c.Dataflow = Dataflow(r.Int())
 	for _, p := range [...]*int{
 		&c.SubarrayRows, &c.SubarrayCols, &c.StackedPlanes,
@@ -141,7 +141,7 @@ func DecodeWire(b []byte) (Config, error) {
 		&d.ReadPulse, &d.WritePulse, &d.OnCellPower, &d.OffCellPower} {
 		*p = r.Float()
 	}
-	d.Name = r.String()
+	d.Name = r.Str()
 	for _, p := range [...]*float64{&d.Endurance, &c.CellWidth, &c.CellLength, &c.ScaleFactor} {
 		*p = r.Float()
 	}

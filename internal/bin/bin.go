@@ -140,9 +140,9 @@ func (r *Reader) Float() float64 {
 	return 0
 }
 
-// String reads a length-prefixed string. It consumes input, so a Reader
-// must not be formatted with fmt's %v or %s, which would call it.
-func (r *Reader) String() string { return string(r.take(r.Uvarint())) }
+// Str reads a length-prefixed string. It is not named String so that a
+// Reader is no fmt.Stringer: formatting one must not consume its input.
+func (r *Reader) Str() string { return string(r.take(r.Uvarint())) }
 
 // Count reads the uvarint count of a sequence whose elements take at
 // least minElemSize (≥ 1) bytes each, and fails when the bytes left

@@ -39,8 +39,8 @@ func TestReaderRoundTrip(t *testing.T) {
 		t.Fatalf("Bool = %v, %v; want false, true", f, tr)
 	}
 	for _, want := range strs {
-		if got := r.String(); got != want {
-			t.Fatalf("String = %q, want %q", got, want)
+		if got := r.Str(); got != want {
+			t.Fatalf("Str = %q, want %q", got, want)
 		}
 	}
 	for _, want := range floats {
@@ -85,7 +85,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		varint  read = func(r *Reader) { r.Varint() }
 		integer read = func(r *Reader) { r.Int() }
 		float   read = func(r *Reader) { r.Float() }
-		str     read = func(r *Reader) { _ = r.String() }
+		str     read = func(r *Reader) { r.Str() }
 		count   read = func(r *Reader) { r.Count(4) }
 	)
 	cases := []struct {
@@ -150,7 +150,7 @@ func TestReaderErrorSticks(t *testing.T) {
 		t.Fatal("non-minimal varint accepted")
 	}
 	if r.Byte() != 0 || r.Bool() || r.Uvarint() != 0 || r.Varint() != 0 || r.Int() != 0 ||
-		r.Float() != 0 || r.String() != "" || r.Count(1) != 0 {
+		r.Float() != 0 || r.Str() != "" || r.Count(1) != 0 {
 		t.Fatal("a read after the first error returned a value")
 	}
 	r.Fail(errors.New("second"))

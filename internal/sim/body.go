@@ -87,14 +87,14 @@ func appendResult(b []byte, res *metrics.Result) []byte {
 // kind, and any report checkBody refuses fail r. It returns nil once r
 // has failed; the caller reads the error from r.
 func ReadBody(r *bin.Reader) *Report {
-	rep := &Report{Arch: r.String(), Network: r.String(), Phase: Phase(r.Byte()), Batch: r.Int()}
+	rep := &Report{Arch: r.Str(), Network: r.Str(), Phase: Phase(r.Byte()), Batch: r.Int()}
 	rep.Total = readResult(r)
 	if n := r.Count(minLayerLen); n > 0 {
 		rep.Layers = make([]LayerResult, n)
 	}
 	for i := 0; r.Err() == nil && i < len(rep.Layers); i++ {
 		lr := &rep.Layers[i]
-		lr.Layer.Name = r.String()
+		lr.Layer.Name = r.Str()
 		lr.Layer.Kind = nn.Kind(r.Byte())
 		lr.Result = readResult(r)
 		lr.Utilization = r.Float()

@@ -136,7 +136,7 @@ func encodeRecordV2(dst []byte, key string, created int64, rep *sim.Report) ([]b
 // refuses, and trailing bytes are errors.
 func decodeRecordV2(payload []byte) (key string, created int64, rep *sim.Report, err error) {
 	r := bin.NewReader(payload)
-	key, created = r.String(), r.Varint()
+	key, created = r.Str(), r.Varint()
 	r.Fail(checkKey(key))
 	rep = sim.ReadBody(r)
 	if err := r.Done(); err != nil {
@@ -169,7 +169,7 @@ func recordHeadOf(payload []byte, v1 bool) (string, int64, error) {
 		}
 	} else {
 		r := bin.NewReader(payload)
-		head.Key, head.Created = r.String(), r.Varint()
+		head.Key, head.Created = r.Str(), r.Varint()
 		if err := r.Err(); err != nil {
 			return "", 0, err
 		}
