@@ -195,16 +195,8 @@ func (c *Client) BreakerStats() BreakerStats {
 	return c.brk.stats()
 }
 
-// StoreImport streams an exported result corpus (JSON Lines) into the
-// service's persistent store — how a freshly booted cluster peer
-// warm-starts from a sibling's corpus. The import is idempotent
-// (records are keyed), so the retry loop is safe.
-func (c *Client) StoreImport(ctx context.Context, corpus []byte) error {
-	return c.callRaw(ctx, http.MethodPost, "/v1/store/import", corpus, nil)
-}
-
 // StoreExport fetches the service's full result corpus as JSON Lines —
-// the bytes StoreImport on a sibling accepts.
+// the bytes a sibling's POST /v1/store/import accepts.
 func (c *Client) StoreExport(ctx context.Context) ([]byte, error) {
 	var raw []byte
 	if err := c.callRaw(ctx, http.MethodGet, "/v1/store/export", nil, rawBody(&raw)); err != nil {

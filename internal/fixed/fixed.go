@@ -71,11 +71,6 @@ func QuantizeTensor(t *tensor.Tensor, bits int) *tensor.Tensor {
 	return t.Clone().Apply(q.RoundTrip)
 }
 
-// QuantizeTensorWith rounds t using an externally calibrated quantizer.
-func QuantizeTensorWith(t *tensor.Tensor, q Quantizer) *tensor.Tensor {
-	return t.Clone().Apply(q.RoundTrip)
-}
-
 // BitPlanes decomposes a non-negative code into its binary planes,
 // least-significant first. plane[b] is 0 or 1. Negative codes must be
 // handled by the caller (INCA uses sign-magnitude: a sign flag plus

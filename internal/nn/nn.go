@@ -78,11 +78,6 @@ func (l Layer) IsCompute() bool {
 	return l.Kind == Conv || l.Kind == Depthwise || l.Kind == FC
 }
 
-// IsPointwise reports whether this is a 1×1 convolution (paper Fig. 3b).
-func (l Layer) IsPointwise() bool {
-	return l.Kind == Conv && l.KH == 1 && l.KW == 1
-}
-
 // MACs returns the number of multiply-accumulate operations in one forward
 // pass of a single image.
 func (l Layer) MACs() int64 {
@@ -215,18 +210,6 @@ func (n *Network) TotalActivations() int64 {
 		}
 	}
 	return s
-}
-
-// MaxLayerActivations returns the largest single layer input, the quantity
-// that sizes per-layer buffering.
-func (n *Network) MaxLayerActivations() int64 {
-	var m int64
-	for _, l := range n.Layers {
-		if l.IsCompute() && l.InputElems() > m {
-			m = l.InputElems()
-		}
-	}
-	return m
 }
 
 // IsLightModel reports whether the network relies on depthwise/pointwise

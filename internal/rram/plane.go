@@ -154,16 +154,6 @@ func NewStack(n, h, w int) *Stack {
 // batch per plane).
 func (s *Stack) WriteImage(i int, x *tensor.Tensor) { s.Planes[i].Write(x) }
 
-// ReadWindowAll applies one kernel window to every plane at once via the
-// shared pillars and returns one accumulated output per plane.
-func (s *Stack) ReadWindowAll(w *tensor.Tensor, oy, ox int) []float64 {
-	out := make([]float64, len(s.Planes))
-	for i, p := range s.Planes {
-		out[i] = p.ReadWindow(w, oy, ox)
-	}
-	return out
-}
-
 // ConvolveAll slides the kernel across the h×w region of every plane,
 // returning one output map per plane. In hardware all planes respond to
 // the same pillar voltages, so the latency is that of a single plane; the
