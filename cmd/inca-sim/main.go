@@ -33,6 +33,7 @@ import (
 	"github.com/inca-arch/inca/internal/cli"
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/report"
+	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
 )
 
@@ -97,15 +98,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var phases []inca.Phase
 	for _, name := range splitList(*phaseNames) {
-		switch name {
-		case "inference":
-			phases = append(phases, inca.Inference)
-		case "training":
-			phases = append(phases, inca.Training)
-		default:
-			fmt.Fprintf(stderr, "unknown phase %q\n", name)
+		ph, err := sim.ParsePhase(name)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
+		phases = append(phases, ph)
 	}
 
 	var custom *inca.Config

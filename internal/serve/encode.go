@@ -10,7 +10,6 @@ import (
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/obs/cost"
-	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/sweep"
 	"github.com/inca-arch/inca/internal/tune"
 )
@@ -273,18 +272,6 @@ func (s *Server) writeJSONCost(w http.ResponseWriter, status int, v any, sum cos
 	w.WriteHeader(status)
 	if _, err := w.Write(buf); err != nil {
 		s.log.Error("writing response", "err", err)
-	}
-}
-
-// parsePhase maps the wire name onto the simulation phase.
-func parsePhase(name string) (sim.Phase, error) {
-	switch name {
-	case "inference":
-		return sim.Inference, nil
-	case "training":
-		return sim.Training, nil
-	default:
-		return 0, fmt.Errorf("unknown phase %q (want inference or training)", name)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/obs"
 	"github.com/inca-arch/inca/internal/obs/cost"
+	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/suite"
 	"github.com/inca-arch/inca/internal/sweep"
 )
@@ -99,7 +100,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	phase, err := parsePhase(req.Phase)
+	phase, err := sim.ParsePhase(req.Phase)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

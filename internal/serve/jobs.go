@@ -95,7 +95,7 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 	}
 	var phases []sim.Phase
 	for _, name := range req.Phases {
-		phase, err := parsePhase(name)
+		phase, err := sim.ParsePhase(name)
 		if err != nil {
 			return cs, err
 		}

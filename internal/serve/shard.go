@@ -154,7 +154,7 @@ func cellFromWire(wc ShardCell) (sweep.Cell, error) {
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	phase, err := parsePhase(wc.Phase)
+	phase, err := sim.ParsePhase(wc.Phase)
 	if err != nil {
 		return sweep.Cell{}, err
 	}

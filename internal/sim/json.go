@@ -201,18 +201,6 @@ func decodeResult(j resultJSON) (metrics.Result, error) {
 	}, nil
 }
 
-// parsePhaseName inverts Phase.String.
-func parsePhaseName(s string) (Phase, error) {
-	switch s {
-	case "inference":
-		return Inference, nil
-	case "training":
-		return Training, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown phase %q", s)
-	}
-}
-
 // parseKindName inverts nn.Kind.String over the defined kinds.
 func parseKindName(s string) (nn.Kind, error) {
 	for k := nn.Conv; k <= nn.Add; k++ {
@@ -232,7 +220,7 @@ func parseKindName(s string) (nn.Kind, error) {
 // utilization is the wire's. Layer geometry is not part of the wire
 // schema: decoded layers carry only name and kind.
 func (w *WireReport) Report() (*Report, error) {
-	phase, err := parsePhaseName(w.Phase)
+	phase, err := ParsePhase(w.Phase)
 	if err != nil {
 		return nil, err
 	}

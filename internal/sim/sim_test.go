@@ -79,3 +79,21 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePhase pins the one phase-name parser: it inverts String and
+// refuses anything else with the text the HTTP API answers in its 400.
+func TestParsePhase(t *testing.T) {
+	for _, want := range []Phase{Inference, Training} {
+		if got, err := ParsePhase(want.String()); err != nil || got != want {
+			t.Errorf("ParsePhase(%q) = %v, %v", want.String(), got, err)
+		}
+	}
+	_, err := ParsePhase("x")
+	if err == nil || err.Error() != `unknown phase "x" (want inference or training)` {
+		t.Errorf("ParsePhase(x) error = %v", err)
+	}
+	var p Phase
+	if err := p.UnmarshalText([]byte("Training")); err == nil {
+		t.Errorf("UnmarshalText accepted a miscased name")
+	}
+}
