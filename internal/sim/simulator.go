@@ -40,9 +40,9 @@ type Simulator interface {
 	Simulate(ctx context.Context, net *nn.Network, phase Phase) (*Report, error)
 }
 
-// Wrap adapts a legacy context-free Machine to the Simulator interface,
-// adding the argument validation and context checks the old API lacked
-// (it panicked or returned garbage on bad input). The context is honored
+// Wrap adapts a context-free Machine to the Simulator interface, adding
+// the argument validation and context checks a Machine lacks (it panics
+// or returns garbage on bad input). The context is honored
 // at whole-simulation granularity: a cell that has started runs to
 // completion, which for the analytical models is microseconds.
 //
