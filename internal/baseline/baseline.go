@@ -56,7 +56,7 @@ type geometry struct {
 	windowElems int64 // input elements fetched per position
 }
 
-func (m *Machine) layerGeometry(l nn.Layer) geometry {
+func (m *Machine) layerGeometry(l *nn.Layer) geometry {
 	var g geometry
 	wb := int64(m.Cfg.WeightBits / m.Cfg.CellBits)
 	switch l.Kind {
@@ -93,12 +93,11 @@ func (m *Machine) layerGeometry(l nn.Layer) geometry {
 }
 
 // pass charges one compute pass over a layer-shaped workload for a single
-// image: g describes the mapping, inputBytes/outputBytes the streamed
-// working sets. It returns the per-image result.
-func (m *Machine) pass(g geometry, inputBytes, outputBytes int64) metrics.Result {
-	var r metrics.Result
+// image into the zeroed r: g describes the mapping, inputBytes/outputBytes
+// the streamed working sets.
+func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes int64) {
 	if g.positions == 0 {
-		return r
+		return
 	}
 	actBits := int64(m.Cfg.ActivationBits)
 	cellsPerXbar := int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols)
@@ -178,32 +177,25 @@ func (m *Machine) pass(g geometry, inputBytes, outputBytes int64) metrics.Result
 	} else {
 		r.Latency = computeTime
 	}
-	return r
-}
-
-// forwardLayer returns the per-image forward result for a compute layer.
-func (m *Machine) forwardLayer(l nn.Layer) metrics.Result {
-	g := m.layerGeometry(l)
-	return m.pass(g, l.InputElems(), l.OutputElems())
 }
 
 // backwardLayer models the error-propagation convolution δ_{l+1} * W^T
-// (Eq. 3): a pass with input/output roles swapped, running on the
-// transposed-weight crossbars.
-func (m *Machine) backwardLayer(l nn.Layer) metrics.Result {
-	t := l
+// (Eq. 3) into the zeroed r: a per-image pass with input/output roles
+// swapped, running on the transposed-weight crossbars.
+func (m *Machine) backwardLayer(r *metrics.Result, l *nn.Layer) {
+	t := *l
 	t.InC, t.OutC = l.OutC, l.InC
 	t.InH, t.InW, t.OutH, t.OutW = l.OutH, l.OutW, l.InH, l.InW
-	g := m.layerGeometry(t)
-	return m.pass(g, t.InputElems(), t.OutputElems())
+	g := m.layerGeometry(&t)
+	m.pass(r, &g, t.InputElems(), t.OutputElems())
 }
 
-// gradientLayer models the weight-gradient convolution δ * x (Eq. 4),
-// which costs the same MACs as the forward pass and additionally streams
-// the stored activations back through the hierarchy.
-func (m *Machine) gradientLayer(l nn.Layer) metrics.Result {
-	g := m.layerGeometry(l)
-	r := m.pass(g, l.InputElems(), 0)
+// gradientLayer models the weight-gradient convolution δ * x (Eq. 4)
+// into the zeroed r: per image, the same MACs as the forward pass over
+// l's geometry g, plus streaming the stored activations back through the
+// hierarchy.
+func (m *Machine) gradientLayer(r *metrics.Result, l *nn.Layer, g *geometry) {
+	m.pass(r, g, l.InputElems(), 0)
 	// Re-read the saved activations of this layer (they were written out
 	// during the forward pass of the batch).
 	bits := l.InputElems() * int64(m.Cfg.ActivationBits)
@@ -212,22 +204,12 @@ func (m *Machine) gradientLayer(l nn.Layer) metrics.Result {
 	r.Energy.Add(metrics.Buffer, bufJ)
 	r.Energy.Add(metrics.DRAM, dramJ)
 	r.Latency += lat
-	return r
 }
 
-// programWeights returns the one-time cost of writing the (unrolled)
-// weights into the crossbars; transposed doubles it for training
-// (Limitation 2).
-func (m *Machine) programWeights(net *nn.Network, transposed bool) metrics.Result {
-	var r metrics.Result
-	var cells int64
-	for _, l := range net.Layers {
-		if !l.IsCompute() {
-			continue
-		}
-		g := m.layerGeometry(l)
-		cells += g.usefulCells
-	}
+// programWeights charges the one-time cost of writing a network's
+// useful (unrolled) weight cells into the crossbars into the zeroed r;
+// transposed doubles it for training (Limitation 2).
+func (m *Machine) programWeights(r *metrics.Result, cells int64, transposed bool) {
 	if transposed {
 		cells *= 2
 	}
@@ -245,12 +227,10 @@ func (m *Machine) programWeights(net *nn.Network, transposed bool) metrics.Resul
 	r.Energy.Add(metrics.DRAM, dramJ)
 	r.Counts.DRAMAccesses += weightBits / 8
 	r.Latency += lat
-	return r
 }
 
-// utilization returns useful/allocated cells for a layer.
-func (m *Machine) utilization(l nn.Layer) float64 {
-	g := m.layerGeometry(l)
+// utilization returns useful/allocated cells for a layer's geometry.
+func (m *Machine) utilization(g *geometry) float64 {
 	if g.crossbars == 0 {
 		return 0
 	}
@@ -265,26 +245,34 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		Network: net.Name,
 		Phase:   phase,
 		Batch:   m.Cfg.BatchSize,
+		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
 	}
 	b := int64(m.Cfg.BatchSize)
 
-	var perLayerLat []float64
+	// sum and max track the per-image layer latencies (summed in layer
+	// order) and the bottleneck stage; cells counts the useful weight
+	// cells programmed, and in training rewritten by the update.
+	var sum, max float64
+	var cells int64
 	var total metrics.Result
-	for _, l := range net.Layers {
+	for i := range net.Layers {
+		l := &net.Layers[i]
 		if !l.IsCompute() {
 			// Shared digital post-processing units (ReLU/pooling/adders,
 			// Table V) — element-wise, pipelined behind the crossbars.
-			total = total.Plus(m.postProcess(l))
+			m.postProcess(&total, l)
 			continue
 		}
 		g := m.layerGeometry(l)
-		lr := sim.LayerResult{
-			Layer:          l,
-			Utilization:    m.utilization(l),
+		cells += g.usefulCells
+		rep.Layers = append(rep.Layers, sim.LayerResult{
+			Layer:          *l,
+			Utilization:    m.utilization(&g),
 			AllocatedCells: g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		}
-		fwd := m.forwardLayer(l)
-		layer := scale(fwd, float64(b)) // every image repeats the work
+		})
+		layer := &rep.Layers[len(rep.Layers)-1].Result
+		m.pass(layer, &g, l.InputElems(), l.OutputElems())
+		layer.Scale(float64(b)) // every image repeats the work
 
 		if phase == sim.Training {
 			// Activations must round-trip to memory for the backward pass;
@@ -296,13 +284,21 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 			layer.Energy.Add(metrics.DRAM, dramJ)
 			layer.Latency += lat
 
-			layer = layer.Plus(scale(m.backwardLayer(l), float64(b)))
-			layer = layer.Plus(scale(m.gradientLayer(l), float64(b)))
+			var step metrics.Result
+			m.backwardLayer(&step, l)
+			step.Scale(float64(b))
+			layer.Add(&step)
+			step = metrics.Result{}
+			m.gradientLayer(&step, l, &g)
+			step.Scale(float64(b))
+			layer.Add(&step)
 		}
-		lr.Result = layer
-		rep.Layers = append(rep.Layers, lr)
-		total = total.Plus(layer)
-		perLayerLat = append(perLayerLat, layer.Latency/float64(b))
+		total.Add(layer)
+		t := layer.Latency / float64(b)
+		sum += t
+		if t > max {
+			max = t
+		}
 	}
 
 	// Latency composition. Inference pipelines layer-wise (ISAAC): one
@@ -311,36 +307,24 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 	// sweep depends on the whole forward pass and the weight update closes
 	// the loop, so "the WS baseline needs repeated operations for each
 	// image in the same batch" (§V.B.4) and images serialize.
-	var sum, max float64
-	for _, t := range perLayerLat {
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
 	if phase == sim.Training {
 		total.Latency = float64(b) * sum
 	} else {
 		total.Latency = sum + float64(b-1)*max
 	}
 
-	prog := m.programWeights(net, phase == sim.Training)
-	total = total.Plus(prog)
+	var prog metrics.Result
+	m.programWeights(&prog, cells, phase == sim.Training)
+	total.Add(&prog)
 
 	if phase == sim.Training {
 		// Weight update: rewrite original + transposed weight cells once
 		// per batch.
 		var upd metrics.Result
-		var cells int64
-		for _, l := range net.Layers {
-			if l.IsCompute() {
-				cells += m.layerGeometry(l).usefulCells
-			}
-		}
 		upd.Counts.RRAMWrites = 2 * cells
 		upd.Energy.Add(metrics.RRAMArray, float64(2*cells)*m.Cfg.Device.WriteEnergy())
 		upd.Latency = float64(cells/int64(m.Cfg.SubarrayCols)+1) * m.Cfg.Device.WritePulse / float64(m.Cfg.Subarrays())
-		total = total.Plus(upd)
+		total.Add(&upd)
 	}
 
 	rep.Total = total
@@ -348,10 +332,10 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 }
 
 // postProcess charges the digital ReLU / pooling / residual-add units for
-// a non-compute layer (one operation per element per image, no added
+// a non-compute layer to r (one operation per element per image, no added
 // latency — the units pipeline behind the crossbar stages).
-func (m *Machine) postProcess(l nn.Layer) metrics.Result {
-	var r metrics.Result
+func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
+	var p metrics.Result
 	var ops int64
 	switch l.Kind {
 	case nn.ReLU, nn.Add:
@@ -359,28 +343,10 @@ func (m *Machine) postProcess(l nn.Layer) metrics.Result {
 	case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
 		ops = l.InputElems()
 	default:
-		return r
+		return
 	}
 	ops *= int64(m.Cfg.BatchSize)
-	r.Counts.DigitalOps = ops
-	r.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	return r
-}
-
-// scale multiplies a result's energy, latency, and counts by f.
-func scale(r metrics.Result, f float64) metrics.Result {
-	out := metrics.Result{
-		Energy:  r.Energy.Scaled(f),
-		Latency: r.Latency * f,
-	}
-	out.Counts = metrics.Counts{
-		RRAMReads:      int64(float64(r.Counts.RRAMReads) * f),
-		RRAMWrites:     int64(float64(r.Counts.RRAMWrites) * f),
-		ADCConversions: int64(float64(r.Counts.ADCConversions) * f),
-		DACConversions: int64(float64(r.Counts.DACConversions) * f),
-		BufferAccesses: int64(float64(r.Counts.BufferAccesses) * f),
-		DRAMAccesses:   int64(float64(r.Counts.DRAMAccesses) * f),
-		DigitalOps:     int64(float64(r.Counts.DigitalOps) * f),
-	}
-	return out
+	p.Counts.DigitalOps = ops
+	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
+	r.Add(&p)
 }

@@ -16,7 +16,7 @@ func TestLayerGeometryConv(t *testing.T) {
 	// VGG16 conv2: 3x3x64 -> 64, unrolled rows 576, cols 64*8=512.
 	l := nn.Layer{Kind: nn.Conv, InC: 64, OutC: 64, InH: 224, InW: 224,
 		OutH: 224, OutW: 224, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	g := m.layerGeometry(l)
+	g := m.layerGeometry(&l)
 	if g.rows != 576 || g.cols != 512 {
 		t.Fatalf("rows/cols = %d/%d, want 576/512", g.rows, g.cols)
 	}
@@ -40,14 +40,14 @@ func TestLayerGeometryDepthwiseBlockDiagonal(t *testing.T) {
 	// useful (paper §V.B.4).
 	l := nn.Layer{Kind: nn.Depthwise, InC: 128, OutC: 128, InH: 14, InW: 14,
 		OutH: 14, OutW: 14, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	g := m.layerGeometry(l)
+	g := m.layerGeometry(&l)
 	if g.rows != 9*128 {
 		t.Fatalf("rows = %d, want 1152", g.rows)
 	}
 	if g.usefulCells != 9*8*128 {
 		t.Fatalf("usefulCells = %d, want %d", g.usefulCells, 9*8*128)
 	}
-	util := m.utilization(l)
+	util := m.utilization(&g)
 	if util > 0.05 {
 		t.Fatalf("depthwise utilization = %v, want < 5%%", util)
 	}
@@ -56,7 +56,7 @@ func TestLayerGeometryDepthwiseBlockDiagonal(t *testing.T) {
 func TestLayerGeometryFC(t *testing.T) {
 	m := machine()
 	l := nn.Layer{Kind: nn.FC, InC: 4096, OutC: 1000, InH: 1, InW: 1, OutH: 1, OutW: 1}
-	g := m.layerGeometry(l)
+	g := m.layerGeometry(&l)
 	if g.positions != 1 || g.rows != 4096 || g.cols != 8000 {
 		t.Fatalf("fc geometry = %+v", g)
 	}
@@ -67,7 +67,8 @@ func TestUtilizationConvNearFull(t *testing.T) {
 	// 128-deep accumulation fills the crossbars exactly.
 	l := nn.Layer{Kind: nn.Conv, InC: 128, OutC: 16, InH: 16, InW: 16,
 		OutH: 16, OutW: 16, KH: 1, KW: 1, Stride: 1}
-	if u := m.utilization(l); u != 1.0 {
+	g := m.layerGeometry(&l)
+	if u := m.utilization(&g); u != 1.0 {
 		t.Fatalf("perfectly tiled conv utilization = %v, want 1", u)
 	}
 }
@@ -169,8 +170,15 @@ func TestFig12EarlyLayerSpike(t *testing.T) {
 func TestProgramWeightsDoublesForTraining(t *testing.T) {
 	m := machine()
 	net := nn.LeNet5()
-	inf := m.programWeights(net, false)
-	trn := m.programWeights(net, true)
+	var cells int64
+	for i := range net.Layers {
+		if net.Layers[i].IsCompute() {
+			cells += m.layerGeometry(&net.Layers[i]).usefulCells
+		}
+	}
+	var inf, trn metrics.Result
+	m.programWeights(&inf, cells, false)
+	m.programWeights(&trn, cells, true)
 	if trn.Counts.RRAMWrites != 2*inf.Counts.RRAMWrites {
 		t.Fatalf("transposed weights should double writes: %d vs %d",
 			trn.Counts.RRAMWrites, inf.Counts.RRAMWrites)
@@ -196,8 +204,8 @@ func TestScaleHelper(t *testing.T) {
 	r.Latency = 2
 	r.Energy.Add(metrics.ADC, 3)
 	r.Counts.RRAMReads = 10
-	s := scale(r, 2.5)
-	if s.Latency != 5 || s.Energy.Of(metrics.ADC) != 7.5 || s.Counts.RRAMReads != 25 {
-		t.Fatalf("scale = %+v", s)
+	r.Scale(2.5)
+	if r.Latency != 5 || r.Energy.Of(metrics.ADC) != 7.5 || r.Counts.RRAMReads != 25 {
+		t.Fatalf("Scale = %+v", r)
 	}
 }

@@ -51,11 +51,11 @@ func wsPoints(arch.Config, *nn.Network) []dataflow.Mapping {
 func wsFits(cfg arch.Config, net *nn.Network) bool {
 	m := New(cfg)
 	var crossbars int64
-	for _, l := range net.Layers {
-		if !l.IsCompute() {
+	for i := range net.Layers {
+		if !net.Layers[i].IsCompute() {
 			continue
 		}
-		g := m.layerGeometry(l)
+		g := m.layerGeometry(&net.Layers[i])
 		// One streamed window must fit the buffer alongside its output.
 		windowBytes := g.windowElems * int64(cfg.ActivationBits) / 8
 		if windowBytes > int64(cfg.Buffer.CapacityBytes) {

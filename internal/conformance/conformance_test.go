@@ -96,3 +96,25 @@ func TestRegistryLookup(t *testing.T) {
 	}()
 	dataflow.Register(stubBackend("stub-conf"))
 }
+
+// TestSimulateAllocs pins what one analytical simulation allocates: the
+// report and its layer rows, sized once from the network. Every cost is
+// accumulated in place, so a row slice grown by append, or a result
+// that escapes to the heap, fails here before it reaches a benchmark.
+func TestSimulateAllocs(t *testing.T) {
+	net := nn.ResNet18()
+	for _, id := range []string{"is", "ws", "os", "gpu"} {
+		d, err := dataflow.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := d.Machine(d.Default)
+		for _, ph := range d.Caps.Phases {
+			allocs := testing.AllocsPerRun(20, func() { m.Simulate(net, ph) })
+			if allocs > 2 {
+				t.Errorf("%s/%s: Simulate(%s) makes %v allocations, want at most 2 (the report and its layer rows)",
+					id, ph, net.Name, allocs)
+			}
+		}
+	}
+}

@@ -78,7 +78,7 @@ type Mapping struct {
 }
 
 // Map computes the intra-layer mapping of §IV.C for a compute layer.
-func (m *Machine) Map(l nn.Layer) Mapping {
+func (m *Machine) Map(l *nn.Layer) Mapping {
 	s := m.Cfg.SubarrayRows // square subarrays
 	cellsPerPlane := s * s
 	var mp Mapping
@@ -163,14 +163,13 @@ func haloFraction(k, s int) float64 {
 	return 1 - interior*interior
 }
 
-// pass charges one batch-parallel compute pass of a mapped workload.
-// Planes hold the batch: reads and conversions scale with the batch, but
-// the shared pillars mean the weight streaming (DAC events, fetch traffic,
-// and latency) does not.
-func (m *Machine) pass(mp Mapping) metrics.Result {
-	var r metrics.Result
+// pass charges one batch-parallel compute pass of a mapped workload
+// into the zeroed r. Planes hold the batch: reads and conversions scale
+// with the batch, but the shared pillars mean the weight streaming (DAC
+// events, fetch traffic, and latency) does not.
+func (m *Machine) pass(r *metrics.Result, mp *Mapping) {
 	if mp.Windows == 0 {
-		return r
+		return
 	}
 	b := int64(m.Cfg.BatchSize)
 	actPlanes := int64(m.Cfg.ActPlanes())
@@ -259,64 +258,65 @@ func (m *Machine) pass(mp Mapping) metrics.Result {
 	if memLat > r.Latency {
 		r.Latency = memLat
 	}
-	return r
 }
 
 // writeActivations charges the propagation of a layer's outputs into the
-// next layer's RRAM arrays (elems × bit planes × batch cell writes); with
-// WriteReadOverlap the pulses hide behind compute and add no latency.
-func (m *Machine) writeActivations(elems int64) metrics.Result {
-	var r metrics.Result
+// next layer's RRAM arrays (elems × bit planes × batch cell writes) to r;
+// with WriteReadOverlap the pulses hide behind compute and add no
+// latency.
+func (m *Machine) writeActivations(r *metrics.Result, elems int64) {
+	var w metrics.Result
 	b := int64(m.Cfg.BatchSize)
 	writes := elems * int64(m.Cfg.ActivationBits) * b
-	r.Counts.RRAMWrites = writes
-	r.Energy.Add(metrics.RRAMArray, float64(writes)*m.Cfg.Device.WriteEnergy())
+	w.Counts.RRAMWrites = writes
+	w.Energy.Add(metrics.RRAMArray, float64(writes)*m.Cfg.Device.WriteEnergy())
 	if !m.Cfg.WriteReadOverlap {
 		// All arrays write in parallel; one pulse per output position.
-		r.Latency = m.Cfg.Device.WritePulse
+		w.Latency = m.Cfg.Device.WritePulse
 	}
-	return r
+	r.Add(&w)
 }
 
-// forwardLayer returns the batch forward cost of one compute layer:
-// the streamed-weight convolution plus the propagation of outputs into the
-// next layer's arrays.
-func (m *Machine) forwardLayer(l nn.Layer) metrics.Result {
-	r := m.pass(m.Map(l))
-	return r.Plus(m.writeActivations(l.OutputElems()))
+// forwardLayer charges the batch forward cost of one compute layer,
+// mapped as mp, into the zeroed r: the streamed-weight convolution plus
+// the propagation of outputs into the next layer's arrays.
+func (m *Machine) forwardLayer(r *metrics.Result, l *nn.Layer, mp *Mapping) {
+	m.pass(r, mp)
+	m.writeActivations(r, l.OutputElems())
 }
 
-// backwardLayer models Eq. 3: the transposed-weight convolution that turns
-// δ_{l+1} into δ_l, with the computed errors overwriting the activation
-// cells (no extra RRAM, §IV.C Backward) and the ReLU gradient applied by
-// AND gates.
-func (m *Machine) backwardLayer(l nn.Layer) metrics.Result {
-	t := l
+// backwardLayer models Eq. 3 into the zeroed r: the transposed-weight
+// convolution that turns δ_{l+1} into δ_l, with the computed errors
+// overwriting the activation cells (no extra RRAM, §IV.C Backward) and
+// the ReLU gradient applied by AND gates.
+func (m *Machine) backwardLayer(r *metrics.Result, l *nn.Layer) {
+	t := *l
 	t.InC, t.OutC = l.OutC, l.InC
 	t.InH, t.InW, t.OutH, t.OutW = l.OutH, l.OutW, l.InH, l.InW
-	r := m.pass(m.Map(t))
+	mp := m.Map(&t)
+	m.pass(r, &mp)
 	// Errors overwrite the layer's activation cells.
-	r = r.Plus(m.writeActivations(l.InputElems()))
+	m.writeActivations(r, l.InputElems())
 	// AND-gate ReLU gradient.
 	var relu metrics.Result
 	relu.Counts.DigitalOps = l.InputElems() * int64(m.Cfg.BatchSize)
 	relu.Energy.Add(metrics.Digital, float64(relu.Counts.DigitalOps)*m.dig.AddEnergy)
-	return r.Plus(relu)
+	r.Add(&relu)
 }
 
-// updateLayer models Eq. 4: the δ*x convolution producing weight
-// gradients (same MAC volume as the forward pass, batch-parallel on the
-// resident activations) and the cheap weight write-back to conventional
-// memory — the structural reason IS training needs no extra RRAM.
-func (m *Machine) updateLayer(l nn.Layer) metrics.Result {
-	r := m.pass(m.Map(l))
+// updateLayer models Eq. 4 into the zeroed r: the δ*x convolution
+// producing weight gradients (same MAC volume as the forward pass,
+// batch-parallel on the resident activations) and the cheap weight
+// write-back to conventional memory — the structural reason IS training
+// needs no extra RRAM.
+func (m *Machine) updateLayer(r *metrics.Result, l *nn.Layer, mp *Mapping) {
+	m.pass(r, mp)
 	bits := l.WeightParams() * int64(m.Cfg.WeightBits)
 	res := m.hier.ResidentFraction(bits / 8)
 	bufJ, dramJ, lat := m.hier.TrafficCost(bits, res, true)
 	r.Energy.Add(metrics.Buffer, bufJ)
 	r.Energy.Add(metrics.DRAM, dramJ)
 	r.Latency += lat
-	return r
 }
 
 // Simulate executes one batch of the network in the given phase.
@@ -326,6 +326,7 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		Network: net.Name,
 		Phase:   phase,
 		Batch:   m.Cfg.BatchSize,
+		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
 	}
 	var total metrics.Result
 
@@ -334,8 +335,8 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 	var load metrics.Result
 	load.Energy.Add(metrics.DRAM, m.Cfg.DRAM.Energy(inputBytes))
 	load.Latency = m.Cfg.DRAM.TransferTime(inputBytes, 0.5)
-	load = load.Plus(m.writeActivations(int64(net.InputC * net.InputH * net.InputW)))
-	total = total.Plus(load)
+	m.writeActivations(&load, int64(net.InputC*net.InputH*net.InputW))
+	total.Add(&load)
 
 	// Batches wider than the 3D stack depth spill into multiple plane
 	// passes: energy already scales with BatchSize, but the latency
@@ -345,24 +346,30 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		passes = float64(ceilInt(m.Cfg.BatchSize, m.Cfg.StackedPlanes))
 	}
 
-	for _, l := range net.Layers {
+	for i := range net.Layers {
+		l := &net.Layers[i]
 		if !l.IsCompute() {
 			// Post-processing units (ReLU, pooling, residual adders)
 			// operate element-wise in the digital tile periphery,
 			// pipelined behind the array compute.
-			total = total.Plus(m.postProcess(l))
+			m.postProcess(&total, l)
 			continue
 		}
 		mp := m.Map(l)
-		lr := sim.LayerResult{
-			Layer:          l,
+		rep.Layers = append(rep.Layers, sim.LayerResult{
+			Layer:          *l,
 			Utilization:    mp.Utilization,
 			AllocatedCells: mp.TotalArrays * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		}
-		layer := m.forwardLayer(l)
+		})
+		layer := &rep.Layers[len(rep.Layers)-1].Result
+		m.forwardLayer(layer, l, &mp)
 		if phase == sim.Training {
-			layer = layer.Plus(m.backwardLayer(l))
-			layer = layer.Plus(m.updateLayer(l))
+			var step metrics.Result
+			m.backwardLayer(&step, l)
+			layer.Add(&step)
+			step = metrics.Result{}
+			m.updateLayer(&step, l, &mp)
+			layer.Add(&step)
 			// Transposed weights are fetched again from the ordinary
 			// weight buffer ("the training process may double the accesses
 			// in INCA", §V.B.1).
@@ -374,20 +381,18 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 			layer.Latency += lat
 		}
 		layer.Latency *= passes
-		lr.Result = layer
-		rep.Layers = append(rep.Layers, lr)
-		total = total.Plus(layer)
+		total.Add(layer)
 	}
 	rep.Total = total
 	return rep
 }
 
 // postProcess charges the digital ReLU / pooling / residual-add units for
-// a non-compute layer: one operation per element per image, with no added
-// latency (the units pipeline behind the array compute, §IV.C inter-layer
-// mapping).
-func (m *Machine) postProcess(l nn.Layer) metrics.Result {
-	var r metrics.Result
+// a non-compute layer to r: one operation per element per image, with no
+// added latency (the units pipeline behind the array compute, §IV.C
+// inter-layer mapping).
+func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
+	var p metrics.Result
 	var ops int64
 	switch l.Kind {
 	case nn.ReLU, nn.Add:
@@ -396,12 +401,12 @@ func (m *Machine) postProcess(l nn.Layer) metrics.Result {
 		// One compare/accumulate per input element inside the windows.
 		ops = l.InputElems()
 	default:
-		return r
+		return
 	}
 	ops *= int64(m.Cfg.BatchSize)
-	r.Counts.DigitalOps = ops
-	r.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	return r
+	p.Counts.DigitalOps = ops
+	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
+	r.Add(&p)
 }
 
 // Placement maps the network's compute layers sequentially onto the
@@ -409,12 +414,11 @@ func (m *Machine) postProcess(l nn.Layer) metrics.Result {
 // new PIM macro), reporting fragmentation and the time-multiplex rounds a
 // network needs when its array demand exceeds the chip.
 func (m *Machine) Placement(net *nn.Network) place.Placement {
-	var demands []place.Demand
-	for _, l := range net.Layers {
-		if !l.IsCompute() {
-			continue
+	demands := make([]place.Demand, 0, net.ComputeCount())
+	for i := range net.Layers {
+		if l := &net.Layers[i]; l.IsCompute() {
+			demands = append(demands, place.Demand{Layer: l.Name, Arrays: m.Map(l).TotalArrays})
 		}
-		demands = append(demands, place.Demand{Layer: l.Name, Arrays: m.Map(l).TotalArrays})
 	}
 	return place.Place(demands, int64(m.Cfg.MacroSize), int64(m.Cfg.Tiles)*int64(m.Cfg.TileSize))
 }

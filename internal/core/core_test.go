@@ -16,7 +16,7 @@ func TestMapSpatialConv(t *testing.T) {
 	m := machine()
 	l := nn.Layer{Kind: nn.Conv, InC: 64, OutC: 64, InH: 224, InW: 224,
 		OutH: 224, OutW: 224, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.Groups != 64 {
 		t.Fatalf("Groups = %d, want 64", mp.Groups)
 	}
@@ -41,7 +41,7 @@ func TestMapConvPartialTile(t *testing.T) {
 	// 14×14 map on 16×16 planes: one partition, 196/256 utilization.
 	l := nn.Layer{Kind: nn.Conv, InC: 512, OutC: 512, InH: 14, InW: 14,
 		OutH: 14, OutW: 14, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.TotalArrays != 512*8 {
 		t.Fatalf("TotalArrays = %d, want %d", mp.TotalArrays, 512*8)
 	}
@@ -56,7 +56,7 @@ func TestMapPointwiseFold(t *testing.T) {
 	// Pointwise with 512 channels folds onto 2 planes of 256.
 	l := nn.Layer{Kind: nn.Conv, InC: 512, OutC: 128, InH: 14, InW: 14,
 		OutH: 14, OutW: 14, KH: 1, KW: 1, Stride: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.Groups != 2 {
 		t.Fatalf("Groups = %d, want 2 fold groups", mp.Groups)
 	}
@@ -76,7 +76,7 @@ func TestMapPointwisePacking(t *testing.T) {
 	// 32-channel pointwise packs 8 positions per plane.
 	l := nn.Layer{Kind: nn.Conv, InC: 32, OutC: 16, InH: 112, InW: 112,
 		OutH: 112, OutW: 112, KH: 1, KW: 1, Stride: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.SerialWindows != 8 {
 		t.Fatalf("SerialWindows = %d, want 8 (packed positions serialize)", mp.SerialWindows)
 	}
@@ -89,7 +89,7 @@ func TestMapDepthwiseParallelChannels(t *testing.T) {
 	m := machine()
 	l := nn.Layer{Kind: nn.Depthwise, InC: 576, OutC: 576, InH: 14, InW: 14,
 		OutH: 14, OutW: 14, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.Groups != 1 {
 		t.Fatalf("Groups = %d, want 1 (no cross-channel accumulation)", mp.Groups)
 	}
@@ -101,7 +101,7 @@ func TestMapDepthwiseParallelChannels(t *testing.T) {
 func TestMapFC(t *testing.T) {
 	m := machine()
 	l := nn.Layer{Kind: nn.FC, InC: 4096, OutC: 1000, InH: 1, InW: 1, OutH: 1, OutW: 1}
-	mp := m.Map(l)
+	mp := m.Map(&l)
 	if mp.Groups != 16 {
 		t.Fatalf("Groups = %d, want 16 (4096/256)", mp.Groups)
 	}

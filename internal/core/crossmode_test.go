@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/inca-arch/inca/internal/arch"
+	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
 	"github.com/inca-arch/inca/internal/sim"
 	"github.com/inca-arch/inca/internal/tensor"
@@ -26,8 +27,9 @@ func TestAnalyticalMatchesFunctionalCounts(t *testing.T) {
 		OutC: 4, OutH: 8, OutW: 8,
 		KH: 3, KW: 3, Stride: 1, Pad: 0,
 	}
-	mp := m.Map(l)
-	analytical := m.pass(mp)
+	mp := m.Map(&l)
+	var analytical metrics.Result
+	m.pass(&analytical, &mp)
 
 	// Functional: real numbers, one read per (window, out-channel,
 	// channel) per image.

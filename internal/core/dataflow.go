@@ -65,11 +65,11 @@ func isPoints(_ arch.Config, net *nn.Network) []dataflow.Mapping {
 func isWorstMultiplex(cfg arch.Config, net *nn.Network) int64 {
 	m := New(cfg)
 	worst := int64(1)
-	for _, l := range net.Layers {
-		if !l.IsCompute() {
+	for i := range net.Layers {
+		if !net.Layers[i].IsCompute() {
 			continue
 		}
-		mp := m.Map(l)
+		mp := m.Map(&net.Layers[i])
 		if mux := ceil64(mp.TotalArrays, int64(cfg.Subarrays())); mux > worst {
 			worst = mux
 		}

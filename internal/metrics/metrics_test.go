@@ -31,17 +31,20 @@ func TestEnergyAddNegativePanics(t *testing.T) {
 }
 
 func TestEnergyPlusAndScale(t *testing.T) {
-	var a, b Energy
-	a.Add(ADC, 1)
-	b.Add(ADC, 2)
-	b.Add(DAC, 4)
-	s := a.Plus(b)
-	if s.Of(ADC) != 3 || s.Of(DAC) != 4 {
-		t.Fatalf("Plus = %+v", s)
+	var a, b Result
+	a.Energy.Add(ADC, 1)
+	b.Energy.Add(ADC, 2)
+	b.Energy.Add(DAC, 4)
+	a.Add(&b)
+	if a.Energy.Of(ADC) != 3 || a.Energy.Of(DAC) != 4 {
+		t.Fatalf("Add = %+v", a.Energy)
 	}
-	h := s.Scaled(0.5)
-	if h.Of(ADC) != 1.5 || h.Of(DAC) != 2 {
-		t.Fatalf("Scaled = %+v", h)
+	a.Scale(0.5)
+	if a.Energy.Of(ADC) != 1.5 || a.Energy.Of(DAC) != 2 {
+		t.Fatalf("Scale = %+v", a.Energy)
+	}
+	if b.Energy.Of(ADC) != 2 || b.Energy.Of(DAC) != 4 {
+		t.Fatalf("Add changed its argument: %+v", b.Energy)
 	}
 }
 
@@ -68,11 +71,16 @@ func TestEnergyString(t *testing.T) {
 }
 
 func TestCountsPlus(t *testing.T) {
-	a := Counts{RRAMReads: 1, ADCConversions: 2, DRAMAccesses: 5}
-	b := Counts{RRAMReads: 10, BufferAccesses: 3}
-	s := a.Plus(b)
-	if s.RRAMReads != 11 || s.ADCConversions != 2 || s.BufferAccesses != 3 || s.DRAMAccesses != 5 {
-		t.Fatalf("Plus = %+v", s)
+	a := Result{Counts: Counts{RRAMReads: 1, ADCConversions: 2, DRAMAccesses: 5}}
+	b := Result{Counts: Counts{RRAMReads: 10, BufferAccesses: 3}}
+	a.Add(&b)
+	if s := a.Counts; s.RRAMReads != 11 || s.ADCConversions != 2 || s.BufferAccesses != 3 || s.DRAMAccesses != 5 {
+		t.Fatalf("Add = %+v", s)
+	}
+	// Scaled counts truncate toward zero, one conversion each.
+	a.Scale(0.5)
+	if s := a.Counts; s.RRAMReads != 5 || s.ADCConversions != 1 || s.BufferAccesses != 1 || s.DRAMAccesses != 2 {
+		t.Fatalf("Scale = %+v", s)
 	}
 }
 
@@ -102,9 +110,13 @@ func TestResultPlus(t *testing.T) {
 	b.Energy.Add(DRAM, 7)
 	a.Counts.RRAMWrites = 3
 	b.Counts.RRAMWrites = 4
-	s := a.Plus(b)
-	if s.Latency != 3 || s.Energy.Of(DRAM) != 12 || s.Counts.RRAMWrites != 7 {
-		t.Fatalf("Result.Plus = %+v", s)
+	a.Add(&b)
+	if a.Latency != 3 || a.Energy.Of(DRAM) != 12 || a.Counts.RRAMWrites != 7 {
+		t.Fatalf("Result.Add = %+v", a)
+	}
+	a.Scale(2.5)
+	if a.Latency != 7.5 || a.Energy.Of(DRAM) != 30 || a.Counts.RRAMWrites != 17 {
+		t.Fatalf("Result.Scale = %+v", a)
 	}
 }
 
@@ -143,20 +155,21 @@ func TestComponentString(t *testing.T) {
 	}
 }
 
-// PROPERTY: Plus is commutative and Total is additive.
+// PROPERTY: Add is commutative and Total is additive.
 func TestPropertyEnergyAdditive(t *testing.T) {
 	f := func(a1, a2, b1, b2 uint16) bool {
-		var a, b Energy
-		a.Add(DRAM, float64(a1))
-		a.Add(ADC, float64(a2))
-		b.Add(DRAM, float64(b1))
-		b.Add(Digital, float64(b2))
-		ab := a.Plus(b)
-		ba := b.Plus(a)
+		var a, b Result
+		a.Energy.Add(DRAM, float64(a1))
+		a.Energy.Add(ADC, float64(a2))
+		b.Energy.Add(DRAM, float64(b1))
+		b.Energy.Add(Digital, float64(b2))
+		ab, ba := a, b
+		ab.Add(&b)
+		ba.Add(&a)
 		if ab != ba {
 			return false
 		}
-		return math.Abs(ab.Total()-(a.Total()+b.Total())) < 1e-9
+		return math.Abs(ab.Energy.Total()-(a.Energy.Total()+b.Energy.Total())) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

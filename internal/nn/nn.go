@@ -158,6 +158,18 @@ type Network struct {
 	Layers                 []Layer
 }
 
+// ComputeCount returns how many of the network's layers perform MACs:
+// the row count of every simulator report.
+func (n *Network) ComputeCount() int {
+	c := 0
+	for i := range n.Layers {
+		if n.Layers[i].IsCompute() {
+			c++
+		}
+	}
+	return c
+}
+
 // ComputeLayers returns the MAC-performing layers in execution order.
 func (n *Network) ComputeLayers() []Layer {
 	var out []Layer

@@ -65,11 +65,11 @@ func osPoints(base arch.Config, _ *nn.Network) []dataflow.Mapping {
 func osWorstMultiplex(cfg arch.Config, net *nn.Network) int64 {
 	m := New(cfg)
 	worst := int64(1)
-	for _, l := range net.Layers {
-		if !l.IsCompute() {
+	for i := range net.Layers {
+		if !net.Layers[i].IsCompute() {
 			continue
 		}
-		g := m.layerGeometry(l)
+		g := m.layerGeometry(&net.Layers[i])
 		mux := (g.crossbars + int64(cfg.Subarrays()) - 1) / int64(cfg.Subarrays())
 		if mux > worst {
 			worst = mux

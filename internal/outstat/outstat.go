@@ -71,7 +71,7 @@ type geometry struct {
 	colsPerCh int64 // accumulator cells per output element (weight bits)
 }
 
-func (m *Machine) layerGeometry(l nn.Layer) geometry {
+func (m *Machine) layerGeometry(l *nn.Layer) geometry {
 	var g geometry
 	g.colsPerCh = int64(m.Cfg.WeightBits / m.Cfg.CellBits)
 	switch l.Kind {
@@ -103,11 +103,11 @@ func (m *Machine) layerGeometry(l nn.Layer) geometry {
 	return g
 }
 
-// pass charges one inference pass over a layer for a single image.
-func (m *Machine) pass(g geometry, inputBytes, outputBytes int64) metrics.Result {
-	var r metrics.Result
+// pass charges one inference pass over a layer for a single image into
+// the zeroed r.
+func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes int64) {
 	if g.positions == 0 || g.depth == 0 {
-		return r
+		return
 	}
 	actBits := int64(m.Cfg.ActivationBits)
 	wBits := int64(m.Cfg.WeightBits)
@@ -200,19 +200,11 @@ func (m *Machine) pass(g geometry, inputBytes, outputBytes int64) metrics.Result
 	} else {
 		r.Latency = computeTime
 	}
-	return r
-}
-
-// forwardLayer returns the per-image forward result for a compute layer.
-func (m *Machine) forwardLayer(l nn.Layer) metrics.Result {
-	g := m.layerGeometry(l)
-	return m.pass(g, l.InputElems(), l.OutputElems())
 }
 
 // utilization returns in-use accumulator cells over allocated cells for
-// a layer.
-func (m *Machine) utilization(l nn.Layer) float64 {
-	g := m.layerGeometry(l)
+// a layer's geometry.
+func (m *Machine) utilization(g *geometry) float64 {
 	if g.crossbars == 0 {
 		return 0
 	}
@@ -234,39 +226,40 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		Network: net.Name,
 		Phase:   phase,
 		Batch:   m.Cfg.BatchSize,
+		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
 	}
 	b := int64(m.Cfg.BatchSize)
 
-	var perLayerLat []float64
+	// sum and max track the per-image layer latencies (summed in layer
+	// order) and the bottleneck stage.
+	var sum, max float64
 	var total metrics.Result
-	for _, l := range net.Layers {
+	for i := range net.Layers {
+		l := &net.Layers[i]
 		if !l.IsCompute() {
-			total = total.Plus(m.postProcess(l))
+			m.postProcess(&total, l)
 			continue
 		}
 		g := m.layerGeometry(l)
-		lr := sim.LayerResult{
-			Layer:          l,
-			Utilization:    m.utilization(l),
+		rep.Layers = append(rep.Layers, sim.LayerResult{
+			Layer:          *l,
+			Utilization:    m.utilization(&g),
 			AllocatedCells: g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		}
-		layer := scale(m.forwardLayer(l), float64(b))
-		lr.Result = layer
-		rep.Layers = append(rep.Layers, lr)
-		total = total.Plus(layer)
-		perLayerLat = append(perLayerLat, layer.Latency/float64(b))
-	}
-
-	// Inference pipelines layer-wise like the WS baseline: one image
-	// flows through all layers, subsequent images follow the bottleneck
-	// stage.
-	var sum, max float64
-	for _, t := range perLayerLat {
+		})
+		layer := &rep.Layers[len(rep.Layers)-1].Result
+		m.pass(layer, &g, l.InputElems(), l.OutputElems())
+		layer.Scale(float64(b))
+		total.Add(layer)
+		t := layer.Latency / float64(b)
 		sum += t
 		if t > max {
 			max = t
 		}
 	}
+
+	// Inference pipelines layer-wise like the WS baseline: one image
+	// flows through all layers, subsequent images follow the bottleneck
+	// stage.
 	total.Latency = sum + float64(b-1)*max
 
 	rep.Total = total
@@ -274,9 +267,10 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 }
 
 // postProcess charges the digital ReLU / pooling / residual-add units
-// for a non-compute layer (element-wise, pipelined behind the arrays).
-func (m *Machine) postProcess(l nn.Layer) metrics.Result {
-	var r metrics.Result
+// for a non-compute layer to r (element-wise, pipelined behind the
+// arrays).
+func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
+	var p metrics.Result
 	var ops int64
 	switch l.Kind {
 	case nn.ReLU, nn.Add:
@@ -284,28 +278,10 @@ func (m *Machine) postProcess(l nn.Layer) metrics.Result {
 	case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
 		ops = l.InputElems()
 	default:
-		return r
+		return
 	}
 	ops *= int64(m.Cfg.BatchSize)
-	r.Counts.DigitalOps = ops
-	r.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	return r
-}
-
-// scale multiplies a result's energy, latency, and counts by f.
-func scale(r metrics.Result, f float64) metrics.Result {
-	out := metrics.Result{
-		Energy:  r.Energy.Scaled(f),
-		Latency: r.Latency * f,
-	}
-	out.Counts = metrics.Counts{
-		RRAMReads:      int64(float64(r.Counts.RRAMReads) * f),
-		RRAMWrites:     int64(float64(r.Counts.RRAMWrites) * f),
-		ADCConversions: int64(float64(r.Counts.ADCConversions) * f),
-		DACConversions: int64(float64(r.Counts.DACConversions) * f),
-		BufferAccesses: int64(float64(r.Counts.BufferAccesses) * f),
-		DRAMAccesses:   int64(float64(r.Counts.DRAMAccesses) * f),
-		DigitalOps:     int64(float64(r.Counts.DigitalOps) * f),
-	}
-	return out
+	p.Counts.DigitalOps = ops
+	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
+	r.Add(&p)
 }

@@ -44,8 +44,8 @@ func TestAspectTradesRefetch(t *testing.T) {
 	l := nn.Layer{Kind: nn.Conv, Name: "conv", InC: 64, OutC: 128, KH: 3, KW: 3,
 		InH: 32, InW: 32, OutH: 32, OutW: 32}
 
-	gTall := New(tall).layerGeometry(l)
-	gWide := New(wide).layerGeometry(l)
+	gTall := New(tall).layerGeometry(&l)
+	gWide := New(wide).layerGeometry(&l)
 	if gTall.posBlocks >= gWide.posBlocks {
 		t.Errorf("tall tile posBlocks %d not below wide %d", gTall.posBlocks, gWide.posBlocks)
 	}
