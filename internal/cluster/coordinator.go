@@ -230,8 +230,10 @@ func (co *Coordinator) ringFor(live []string) (*Ring, error) {
 // request; the traceparent header the client forwards makes the shard's
 // own spans children of the same trace.
 func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.Cell, layers bool) ([]sweep.Result, error) {
-	ctx, span := obs.StartSpan(ctx, SpanDispatch,
-		obs.String("peer", peer), obs.Int("cells", len(part)))
+	ctx, span := obs.StartSpan(ctx, SpanDispatch)
+	if span != nil {
+		span.SetAttr(obs.String("peer", peer), obs.Int("cells", len(part)))
+	}
 	resp, err := co.clients[peer].ShardSweep(ctx, serve.ShardSweepRequest{Cells: serve.WireCells(part), Totals: !layers})
 	if err != nil {
 		span.EndWith(err)
@@ -244,7 +246,9 @@ func (co *Coordinator) dispatch(ctx context.Context, peer string, part []sweep.C
 		// sweep.
 		err = fault.MarkTransient(err)
 	}
-	span.SetAttr(obs.String("shard_id", resp.ShardID))
+	if span != nil {
+		span.SetAttr(obs.String("shard_id", resp.ShardID))
+	}
 	span.EndWith(err)
 	return results, err
 }

@@ -30,11 +30,15 @@ func Standard(macroSize, tileSize, tiles int) HTree {
 	fanins := []int{macroSize, tileSize, tiles}
 	baseE := 0.02e-12 // J per operand-hop at the macro level
 	baseL := 0.05e-9  // s per hop at the macro level
-	h := HTree{Fanins: fanins}
+	h := HTree{
+		Fanins:     fanins,
+		HopEnergy:  make([]float64, len(fanins)),
+		HopLatency: make([]float64, len(fanins)),
+	}
 	for i := range fanins {
 		scale := float64(int64(1) << i) // wire length doubles per level
-		h.HopEnergy = append(h.HopEnergy, baseE*scale)
-		h.HopLatency = append(h.HopLatency, baseL*scale)
+		h.HopEnergy[i] = baseE * scale
+		h.HopLatency[i] = baseL * scale
 	}
 	return h
 }

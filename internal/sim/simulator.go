@@ -72,10 +72,13 @@ func (w wrapped) Simulate(ctx context.Context, net *nn.Network, phase Phase) (re
 	if phase != Inference && phase != Training {
 		return nil, fmt.Errorf("sim: unknown phase %d", int(phase))
 	}
-	ctx, span := obs.StartSpan(ctx, SpanSimulate,
-		obs.String("network", net.Name),
-		obs.String("phase", phase.String()),
-		obs.String("dataflow", w.dataflow))
+	ctx, span := obs.StartSpan(ctx, SpanSimulate)
+	if span != nil {
+		span.SetAttr(
+			obs.String("network", net.Name),
+			obs.String("phase", phase.String()),
+			obs.String("dataflow", w.dataflow))
+	}
 	// Legacy machines panic on inputs they cannot simulate (bad layer
 	// geometry, unsupported shapes). Surface that as a per-call error
 	// instead of letting it unwind a sweep worker goroutine.

@@ -176,7 +176,7 @@ func (p Plan) Cells() ([]Cell, error) {
 	if len(overrides) == 0 {
 		overrides = []Override{{}}
 	}
-	var cells []Cell
+	cells := make([]Cell, 0, len(p.Archs)*len(overrides)*len(p.Networks)*len(p.Phases))
 	for _, a := range p.Archs {
 		if a.Build == nil {
 			return nil, fmt.Errorf("%w: %s", ErrNilBuild, a.Name)

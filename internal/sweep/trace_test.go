@@ -242,6 +242,32 @@ func TestUntracedSweepRuns(t *testing.T) {
 	}
 }
 
+// TestUntracedWarmCellAllocs pins what an untraced sweep pays per warm
+// cell: the worker pool, the channels and the result, and nothing for
+// span attributes or fault sites it has no tracer or injector to hand
+// them to.
+func TestUntracedWarmCellAllocs(t *testing.T) {
+	cells, err := smallPlan().Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells = cells[:1]
+	opt := Options{Workers: 1, Cache: NewCache()}
+	ctx := context.Background()
+	if _, err := RunCells(ctx, cells, opt); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := RunCells(ctx, cells, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const want = 11
+	if allocs > want {
+		t.Fatalf("warm untraced RunCells of one cell makes %v allocations, want at most %d", allocs, want)
+	}
+}
+
 // TestBackoffEventsOnCellSpan pins that retry backoffs surface as
 // events on the cell span (not the attempt spans), one per sleep.
 func TestBackoffEventsOnCellSpan(t *testing.T) {
