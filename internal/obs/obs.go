@@ -258,7 +258,8 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 // the context's span on that span's tracer. When ctx carries no span it
 // returns ctx and a nil (inert) span — so library layers can
 // instrument unconditionally and pay one context lookup when tracing
-// is off.
+// is off. Attributes passed here are boxed and allocated even then:
+// hot paths start the span bare and call SetAttr under span != nil.
 func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {
