@@ -281,7 +281,7 @@ func checkSimulateAxis(t *testing.T, what, name, id string, batch int, raw *json
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	checkAxis(t, what, sweep.Cell{Arch: ax, Config: ax.Base, Network: nn.LeNet5(), Phase: sim.Inference}, want)
+	checkAxis(t, what, sweep.Cell{Axis: &sweep.Axis{Arch: &ax, Config: ax.Base}, Network: nn.LeNet5(), Phase: sim.Inference}, want)
 }
 
 func checkAxis(t *testing.T, what string, c sweep.Cell, want wantAxis) {

@@ -76,8 +76,10 @@ func FuzzCompileSweep(f *testing.F) {
 // panic; an accepted cell's key must be the key sweep.Resolve gives its
 // dataflow and config, as on the coordinator, and the config of an
 // accepted cell on a configurable backend must validate. Every accepted
-// cell must also survive WireCells → cellFromWire with its config bytes
-// and key unchanged.
+// cell must also survive WireCells → cellsFromWire with its config bytes
+// and key unchanged. A request whose cells are all accepted is accepted
+// whole, with the same keys, and its cells share an axis exactly when
+// they agree on dataflow, config bytes and override.
 func FuzzCellFromWire(f *testing.F) {
 	cells, err := wirePlan().Cells()
 	if err != nil {
@@ -105,17 +107,21 @@ func FuzzCellFromWire(f *testing.F) {
 		if !decodeStrict(raw, &req) {
 			return
 		}
-		for _, wc := range req.Cells {
-			c, err := cellFromWire(wc)
+		keys := make([]string, len(req.Cells))
+		rejected := false
+		for i, wc := range req.Cells {
+			single, err := cellsFromWire([]ShardCell{wc})
 			if err != nil {
+				rejected = true
 				continue
 			}
+			c := single[0]
 			cfg := c.Config
 			ax, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
 			if err != nil {
 				t.Fatalf("cell %d: accepted cell does not resolve: %v", wc.Seq, err)
 			}
-			want := sweep.Cell{Arch: ax, Config: cfg, Network: c.Network, Phase: c.Phase}.Key()
+			want := sweep.Cell{Axis: &sweep.Axis{Arch: &ax, Config: cfg}, Network: c.Network, Phase: c.Phase}.Key()
 			if c.Key() != want {
 				t.Fatalf("cell %d: key %s, Resolve gives %s", wc.Seq, c.Key(), want)
 			}
@@ -128,16 +134,38 @@ func FuzzCellFromWire(f *testing.F) {
 					t.Fatalf("cell %d: accepted an invalid %s config: %v", wc.Seq, d.Caps.ID, err)
 				}
 			}
-			back := WireCells([]sweep.Cell{c})
+			back := WireCells(single)
 			if !bytes.Equal(back[0].Config, wc.Config) {
 				t.Fatalf("cell %d: config re-encodes to %x, want %x", wc.Seq, back[0].Config, wc.Config)
 			}
-			c2, err := cellFromWire(back[0])
+			again, err := cellsFromWire(back)
 			if err != nil {
 				t.Fatalf("cell %d: re-encoded cell rejected: %v", wc.Seq, err)
 			}
-			if c2.Key() != c.Key() {
-				t.Fatalf("cell %d: key %s after the round trip, want %s", wc.Seq, c2.Key(), c.Key())
+			if again[0].Key() != c.Key() {
+				t.Fatalf("cell %d: key %s after the round trip, want %s", wc.Seq, again[0].Key(), c.Key())
+			}
+			keys[i] = c.Key()
+		}
+		// Rebuilt together, the cells keep their keys, and only cells
+		// that agree on dataflow, config bytes and override share an axis.
+		all, err := cellsFromWire(req.Cells)
+		if (err != nil) != rejected {
+			t.Fatalf("request rejected: %v, a cell rejected alone: %v", err, rejected)
+		}
+		if err != nil {
+			return
+		}
+		for i, c := range all {
+			if c.Key() != keys[i] {
+				t.Fatalf("cell %d: key %s in the request, %q alone", i, c.Key(), keys[i])
+			}
+			for j := range i {
+				wi, wj := req.Cells[i], req.Cells[j]
+				same := wi.Dataflow == wj.Dataflow && wi.Override == wj.Override && bytes.Equal(wi.Config, wj.Config)
+				if (c.Axis == all[j].Axis) != same {
+					t.Fatalf("cells %d and %d: shared axis %v, same wire axis %v", j, i, c.Axis == all[j].Axis, same)
+				}
 			}
 		}
 	})

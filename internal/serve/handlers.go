@@ -110,7 +110,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cells := []sweep.Cell{{Arch: ax, Config: ax.Base, Network: net, Phase: phase}}
+	cells := []sweep.Cell{{Axis: &sweep.Axis{Arch: &ax, Config: ax.Base}, Network: net, Phase: phase}}
 	s.coalesced(w, r, req, func(w http.ResponseWriter, r *http.Request) {
 		s.admitted(w, r, func(ctx context.Context) {
 			// The report is the response body (or its per-layer CSV).

@@ -145,8 +145,10 @@ func compileSweep(req SweepRequest) (compiledSweep, error) {
 
 // maxSweepCells bounds the cells one sweep plan may expand to. A plan's
 // size is the product of its axis lengths, so a body far below
-// MaxBodyBytes can name hundreds of thousands of cells; at about 728 B a
-// cell, the cap keeps one compiled plan near 7 MiB.
+// MaxBodyBytes can name hundreds of thousands of cells. A cell is 32 B
+// and shares its (arch, override) axis (376 B, plus its 368-B arch);
+// even with an axis and an arch per cell, the cap keeps one compiled
+// plan under 8 MiB.
 const maxSweepCells = 10000
 
 // checkPlanSize rejects a plan of more than maxSweepCells cells before

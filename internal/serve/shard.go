@@ -117,19 +117,24 @@ type Sharder interface {
 }
 
 // WireCells lowers resolved sweep cells onto their wire form. It is the
-// inverse of cellFromWire and is exported for the coordinator. The
-// cells' config encodings share one backing array.
+// inverse of cellsFromWire and is exported for the coordinator. A run
+// of cells that share an axis, as a plan's cells and their partitions
+// do, encodes its config once and shares the bytes.
 func WireCells(cells []sweep.Cell) []ShardCell {
 	out := make([]ShardCell, 0, len(cells))
 	var buf []byte
+	var cfg []byte
 	for i := range cells {
 		c := &cells[i]
-		start := len(buf)
-		buf = c.Config.AppendWire(buf)
+		if i == 0 || c.Axis != cells[i-1].Axis {
+			start := len(buf)
+			buf = c.Config.AppendWire(buf)
+			cfg = buf[start:len(buf):len(buf)]
+		}
 		out = append(out, ShardCell{
 			Seq:      c.Seq,
 			Dataflow: c.Arch.Dataflow,
-			Config:   buf[start:len(buf):len(buf)],
+			Config:   cfg,
 			Override: c.Override,
 			Model:    c.Network.Name,
 			Phase:    c.Phase.String(),
@@ -138,47 +143,69 @@ func WireCells(cells []sweep.Cell) []ShardCell {
 	return out
 }
 
-// cellFromWire rebuilds one resolved sweep cell from its wire form. The
-// axis comes from sweep.Resolve over the wire's dataflow and config, the
-// same call that built it on the coordinator, so the round trip
-// preserves the cell's cache key: the binary decode restores the exact
-// Config, and Resolve derives the axis name and fixed-ness from it and
-// the registry. The config is validated unless the backend ignores it
-// (not Configurable, such as the GPU model, whose zero Config fails
-// validation).
-func cellFromWire(wc ShardCell) (sweep.Cell, error) {
-	if wc.Dataflow == "" {
-		return sweep.Cell{}, fmt.Errorf("cell %d names no dataflow", wc.Seq)
+// wireAxisKey is what the cells that share an axis agree on: the
+// dataflow as the wire spells it, the override and the config bytes.
+type wireAxisKey struct{ dataflow, override, config string }
+
+// cellsFromWire rebuilds resolved sweep cells from their wire form,
+// resolving each distinct wireAxisKey once: the cells that share one
+// point at one axis. The axis comes from sweep.Resolve over the wire's
+// dataflow and config, the same call that built it on the coordinator,
+// so the round trip preserves each cell's cache key: the binary decode
+// restores the exact Config, and Resolve derives the axis name and
+// fixed-ness from it and the registry. The config is validated unless
+// the backend ignores it (not Configurable, such as the GPU model, whose
+// zero Config fails validation).
+func cellsFromWire(wire []ShardCell) ([]sweep.Cell, error) {
+	cells := make([]sweep.Cell, 0, len(wire))
+	axes := make(map[wireAxisKey]*sweep.Axis)
+	for _, wc := range wire {
+		if wc.Dataflow == "" {
+			return nil, fmt.Errorf("cell %d names no dataflow", wc.Seq)
+		}
+		net, err := nn.ByName(wc.Model)
+		if err != nil {
+			return nil, err
+		}
+		phase, err := sim.ParsePhase(wc.Phase)
+		if err != nil {
+			return nil, err
+		}
+		// The key is built inside the index expressions, where the
+		// config's string conversion does not allocate.
+		ax := axes[wireAxisKey{wc.Dataflow, wc.Override, string(wc.Config)}]
+		if ax == nil {
+			if ax, err = axisFromWire(wc); err != nil {
+				return nil, err
+			}
+			axes[wireAxisKey{wc.Dataflow, wc.Override, string(wc.Config)}] = ax
+		}
+		cells = append(cells, sweep.Cell{Seq: wc.Seq, Axis: ax, Network: net, Phase: phase})
 	}
-	net, err := nn.ByName(wc.Model)
-	if err != nil {
-		return sweep.Cell{}, err
-	}
-	phase, err := sim.ParsePhase(wc.Phase)
-	if err != nil {
-		return sweep.Cell{}, err
-	}
+	return cells, nil
+}
+
+// axisFromWire decodes, resolves and validates one wire cell's axis.
+func axisFromWire(wc ShardCell) (*sweep.Axis, error) {
 	cfg, err := arch.DecodeWire(wc.Config)
 	if err != nil {
-		return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
+		return nil, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 	}
-	ax, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
+	a, err := sweep.Resolve(wc.Dataflow, &cfg, 0)
 	if err != nil {
-		return sweep.Cell{}, fmt.Errorf("cell %d: %w", wc.Seq, err)
+		return nil, fmt.Errorf("cell %d: %w", wc.Seq, err)
 	}
-	if !ax.Fixed {
+	if !a.Fixed {
 		if err := cfg.Validate(); err != nil {
-			return sweep.Cell{}, fmt.Errorf("cell %d config: %w", wc.Seq, err)
+			return nil, fmt.Errorf("cell %d config: %w", wc.Seq, err)
 		}
 	}
-	return sweep.Cell{
-		Seq:      wc.Seq,
-		Arch:     ax,
-		Override: wc.Override,
-		Config:   cfg,
-		Network:  net,
-		Phase:    phase,
-	}, nil
+	w := &struct {
+		axis sweep.Axis
+		arch sweep.Arch
+	}{arch: a}
+	w.axis = sweep.Axis{Arch: &w.arch, Override: wc.Override, Config: cfg}
+	return &w.axis, nil
 }
 
 // handleShardSweep evaluates an explicit cell list for a cluster
@@ -197,14 +224,10 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("shard sweep request names no cells"))
 		return
 	}
-	cells := make([]sweep.Cell, 0, len(req.Cells))
-	for _, wc := range req.Cells {
-		c, err := cellFromWire(wc)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		cells = append(cells, c)
+	cells, err := cellsFromWire(req.Cells)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	s.admitted(w, r, func(ctx context.Context) {
 		// A shard never re-shards: its cells run on the local engine and
@@ -225,7 +248,7 @@ func (s *Server) handleShardSweep(w http.ResponseWriter, r *http.Request) {
 
 // wireResults lowers engine results onto a shard response's cells — the
 // inverse of ShardResults. Each cell echoes its Seq from the request
-// (cellFromWire carried it into the engine cell). With layers false the
+// (cellsFromWire carried it into the engine cell). With layers false the
 // reports go out totals-only.
 func wireResults(results []sweep.Result, layers bool) []ShardCellResult {
 	out := make([]ShardCellResult, 0, len(results))

@@ -141,17 +141,90 @@ func TestShardWireKeepsConfigExact(t *testing.T) {
 	if !decodeStrict(raw, &req) {
 		t.Fatalf("request %s does not decode", raw)
 	}
-	for i, wc := range req.Cells {
-		got, err := cellFromWire(wc)
-		if err != nil {
-			t.Fatalf("cell %d: %v", i, err)
-		}
+	rebuilt, err := cellsFromWire(req.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range rebuilt {
 		if got.Key() != cells[i].Key() {
 			t.Errorf("cell %d: shard key %q, coordinator key %q", i, got.Key(), cells[i].Key())
 		}
 		if got.Config != cells[i].Config || !bytes.Equal(got.Config.AppendWire(nil), cells[i].Config.AppendWire(nil)) {
 			t.Errorf("cell %d: config changed on the wire\nwant %#v\ngot  %#v", i, cells[i].Config, got.Config)
 		}
+	}
+}
+
+// TestShardResolvesEachConfigOnce rebuilds a request as the shard does:
+// cells that agree on dataflow, config bytes and override share one
+// axis; the same config bytes under another dataflow spelling or
+// another override name get their own axis; and every rebuilt key is
+// the coordinator's.
+func TestShardResolvesEachConfigOnce(t *testing.T) {
+	cells, err := sweep.Plan{
+		Archs:    []sweep.Arch{sweep.INCAArch(), sweep.BaselineArch(), sweep.GPUArch()},
+		Networks: []*nn.Network{nn.LeNet5(), nn.VGG16CIFAR()},
+		Phases:   []sim.Phase{sim.Inference, sim.Training},
+		// "same" leaves the config as it is, so its cells carry the base
+		// config's bytes under another override name; the GPU's Fixed
+		// axis ignores both overrides.
+		Overrides: []sweep.Override{
+			{Name: "base", Apply: func(c arch.Config) arch.Config { return c }},
+			{Name: "same", Apply: func(c arch.Config) arch.Config { return c }},
+			{Name: "batch=2", Apply: func(c arch.Config) arch.Config { c.BatchSize = 2; return c }},
+		},
+	}.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := WireCells(cells)
+	// INCA's base config again under the "inca" alias, once with its
+	// override name and once with a new one.
+	alias := wire[0]
+	alias.Seq, alias.Dataflow = len(wire), "inca"
+	renamed := wire[0]
+	renamed.Seq, renamed.Override = len(wire)+1, "renamed"
+	wire = append(wire, alias, renamed)
+	raw, err := json.Marshal(ShardSweepRequest{Cells: wire})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req ShardSweepRequest
+	if !decodeStrict(raw, &req) {
+		t.Fatalf("request %s does not decode", raw)
+	}
+	rebuilt, err := cellsFromWire(req.Cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rebuilt) != len(wire) {
+		t.Fatalf("rebuilt %d cells, want %d", len(rebuilt), len(wire))
+	}
+	for i, c := range cells {
+		if got := rebuilt[i].Key(); got != c.Key() {
+			t.Errorf("cell %d: shard key %q, coordinator key %q", i, got, c.Key())
+		}
+	}
+	if got, want := rebuilt[len(cells)].Key(), cells[0].Key(); got != want {
+		t.Errorf("aliased cell: key %q, want %q", got, want)
+	}
+	axes := make(map[*sweep.Axis]bool)
+	for i, c := range rebuilt {
+		axes[c.Axis] = true
+		for j := range i {
+			wi, wj := req.Cells[i], req.Cells[j]
+			same := wi.Dataflow == wj.Dataflow && wi.Override == wj.Override && bytes.Equal(wi.Config, wj.Config)
+			if (c.Axis == rebuilt[j].Axis) != same {
+				t.Errorf("cells %d and %d: shared axis %v, same wire axis %v", j, i, c.Axis == rebuilt[j].Axis, same)
+			}
+		}
+	}
+	// 3 archs × 3 overrides, plus the alias and the renamed override.
+	if len(axes) != 11 {
+		t.Errorf("rebuilt %d axes, want 11", len(axes))
+	}
+	if !bytes.Equal(req.Cells[0].Config, req.Cells[4].Config) || rebuilt[0].Axis == rebuilt[4].Axis {
+		t.Error(`"base" and "same" must carry equal config bytes on distinct axes`)
 	}
 }
 
@@ -345,7 +418,7 @@ func FuzzShardResults(f *testing.F) {
 // BenchmarkShardRoundTrip is the layer probe for the shard wire over
 // eight cells. The request half lowers the cells to the wire, encodes
 // the request as the coordinator's client does, and decodes it strictly
-// and rebuilds every cell as the shard does. The response halves take
+// and rebuilds the cells as the shard does. The response halves take
 // the warm cells' reports (already evaluated), encode them as the shard
 // does, decode them as the coordinator's client does, and lift them back
 // into engine results — with full reports, as /v1/simulate and
@@ -372,10 +445,8 @@ func BenchmarkShardRoundTrip(b *testing.B) {
 			if !decodeStrict(raw, &req) {
 				b.Fatal("request does not decode")
 			}
-			for _, wc := range req.Cells {
-				if _, err := cellFromWire(wc); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := cellsFromWire(req.Cells); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"context"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/nn"
@@ -124,5 +126,49 @@ func TestPartitionByKey(t *testing.T) {
 	}
 	if total != len(cells) {
 		t.Fatalf("partition covers %d cells, want %d", total, len(cells))
+	}
+}
+
+// TestPlanCellsAllocs pins what compiling a plan costs: the same few
+// allocations (the archs, the axes and the cells) whatever the number
+// of archs and overrides, because each (arch, override) resolves into
+// one shared axis rather than into every cell.
+func TestPlanCellsAllocs(t *testing.T) {
+	nets := []*nn.Network{nn.LeNet5(), nn.VGG16CIFAR()}
+	phases := []sim.Phase{sim.Inference, sim.Training}
+	var overrides []Override
+	for b := 1; b <= 8; b++ {
+		overrides = append(overrides, Override{Name: "batch=" + strconv.Itoa(b),
+			Apply: func(c arch.Config) arch.Config { c.BatchSize = b; return c }})
+	}
+	small := Plan{Archs: []Arch{INCAArch()}, Networks: nets[:1], Phases: phases[:1]}
+	large := Plan{
+		Archs:     []Arch{INCAArch(), BaselineArch(), GPUArch(), OutStatArch()},
+		Networks:  nets,
+		Phases:    phases,
+		Overrides: overrides,
+	}
+	count := func(p Plan) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := p.Cells(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const want = 3
+	if got := count(small); got != want {
+		t.Errorf("a 1-cell plan compiles in %v allocations, want %d", got, want)
+	}
+	if got := count(large); got != want {
+		t.Errorf("a 4-arch, 8-override plan compiles in %v allocations, want %d", got, want)
+	}
+}
+
+// TestCellSize pins a cell to a few words: its axis carries the arch
+// and the config, so a field that drags a config back into every cell
+// (and every Result) fails here.
+func TestCellSize(t *testing.T) {
+	if size := unsafe.Sizeof(Cell{}); size > 64 {
+		t.Fatalf("sweep.Cell is %d bytes, want at most 64", size)
 	}
 }

@@ -10,6 +10,8 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
@@ -136,16 +138,43 @@ type Plan struct {
 	Overrides []Override
 }
 
-// Cell is one fully-resolved evaluation of the plan's cross product.
+// Axis is one resolved (arch, override) pair of a plan: the arch, the
+// override's name and the configuration the override gives it. Every
+// cell of the pair points at it, so the cache-key prefix the cells
+// share is rendered once per axis, on first use (see Cell.Key); cells
+// that never run, such as a coalesced request's compiled plan, never
+// render it. An axis must not be copied once its cells exist.
+type Axis struct {
+	Arch     *Arch
+	Override string // name of the applied override, "" for the base config
+	Config   arch.Config
+
+	once   sync.Once
+	prefix string
+}
+
+// keyPrefix returns "arch/dataflow/config/", rendering it on first use.
+func (a *Axis) keyPrefix() string {
+	a.once.Do(func() {
+		cfgID := "fixed"
+		if !a.Arch.Fixed {
+			cfgID = a.Config.Fingerprint()
+		}
+		a.prefix = a.Arch.Name + "/" + a.Arch.Dataflow + "/" + cfgID + "/"
+	})
+	return a.prefix
+}
+
+// Cell is one fully-resolved evaluation of the plan's cross product: an
+// axis, a network and a phase. The axis is embedded, so a cell reads
+// its Arch, Override and Config directly.
 type Cell struct {
 	// Seq is the cell's position in deterministic plan order
 	// (archs, outermost, then overrides, networks, phases).
-	Seq      int
-	Arch     Arch
-	Override string // name of the applied override, "" for the base config
-	Config   arch.Config
-	Network  *nn.Network
-	Phase    sim.Phase
+	Seq int
+	*Axis
+	Network *nn.Network
+	Phase   sim.Phase
 }
 
 // Dataflow returns the registry ID of the backend evaluating this cell.
@@ -157,38 +186,45 @@ func (c Cell) Dataflow() string { return c.Arch.Dataflow }
 // byte-identical reports, so the memo cache, the result store, ring
 // placement, fault sites and the cell span all address the cell by it.
 func (c Cell) Key() string {
-	cfgID := "fixed"
-	if !c.Arch.Fixed {
-		cfgID = c.Config.Fingerprint()
-	}
-	return c.Arch.Name + "/" + c.Arch.Dataflow + "/" + cfgID + "/" + c.Network.Name + "/" + c.Phase.String()
+	return c.keyPrefix() + c.Network.Name + "/" + c.Phase.String()
 }
 
+// baseOnly is the override axis of a plan that declares none.
+var baseOnly = []Override{{}}
+
 // Cells expands the plan into its deterministic cell sequence,
-// validating the axes. Fixed architectures ignore the override axis but
-// still produce one cell per override so result tables stay rectangular;
-// the cache collapses them to a single evaluation.
+// validating the axes. Each (arch, override) pair resolves once into an
+// Axis that its cells share; the plan's archs are copied once, so later
+// changes to p.Archs do not reach the cells. Fixed architectures ignore
+// the override axis but still produce one cell per override so result
+// tables stay rectangular; the cache collapses them to a single
+// evaluation. Expansion makes three allocations whatever the plan's
+// size: the archs, the axes and the cells.
 func (p Plan) Cells() ([]Cell, error) {
 	if len(p.Archs) == 0 || len(p.Networks) == 0 || len(p.Phases) == 0 {
 		return nil, ErrEmptyPlan
 	}
 	overrides := p.Overrides
 	if len(overrides) == 0 {
-		overrides = []Override{{}}
+		overrides = baseOnly
 	}
-	cells := make([]Cell, 0, len(p.Archs)*len(overrides)*len(p.Networks)*len(p.Phases))
-	for _, a := range p.Archs {
+	archs := slices.Clone(p.Archs)
+	axes := make([]Axis, len(archs)*len(overrides))
+	cells := make([]Cell, 0, len(axes)*len(p.Networks)*len(p.Phases))
+	for i := range archs {
+		a := &archs[i]
 		if a.Build == nil {
 			return nil, fmt.Errorf("%w: %s", ErrNilBuild, a.Name)
 		}
-		for _, ov := range overrides {
-			cfg := a.Base
+		for j, ov := range overrides {
+			ax := &axes[i*len(overrides)+j]
+			ax.Arch, ax.Override, ax.Config = a, ov.Name, a.Base
 			if ov.Name != "" || ov.Apply != nil {
 				if ov.Apply == nil {
 					return nil, fmt.Errorf("%w: %s", ErrNilOverride, ov.Name)
 				}
 				if !a.Fixed {
-					cfg = ov.Apply(cfg)
+					ax.Config = ov.Apply(ax.Config)
 				}
 			}
 			for _, net := range p.Networks {
@@ -196,14 +232,7 @@ func (p Plan) Cells() ([]Cell, error) {
 					return nil, ErrNilNetwork
 				}
 				for _, ph := range p.Phases {
-					cells = append(cells, Cell{
-						Seq:      len(cells),
-						Arch:     a,
-						Override: ov.Name,
-						Config:   cfg,
-						Network:  net,
-						Phase:    ph,
-					})
+					cells = append(cells, Cell{Seq: len(cells), Axis: ax, Network: net, Phase: ph})
 				}
 			}
 		}
