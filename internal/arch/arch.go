@@ -195,14 +195,14 @@ func (c Config) Validate() error {
 }
 
 // Subarrays returns the total subarray (or 3D-array) count.
-func (c Config) Subarrays() int { return c.Tiles * c.TileSize * c.MacroSize }
+func (c *Config) Subarrays() int { return c.Tiles * c.TileSize * c.MacroSize }
 
 // ActPlanes returns how many bit-plane arrays one activation value needs:
 // with single-bit cells (Table II) this equals the activation precision;
 // multi-level cells pack CellBits bits per device and shrink the array
 // demand proportionally (at the cost of ADC resolution — an ablation knob,
 // not a paper configuration).
-func (c Config) ActPlanes() int {
+func (c *Config) ActPlanes() int {
 	if c.CellBits < 1 {
 		return c.ActivationBits
 	}
@@ -211,19 +211,19 @@ func (c Config) ActPlanes() int {
 
 // CellsPerSubarray returns the RRAM cell count of one subarray including
 // stacked planes.
-func (c Config) CellsPerSubarray() int {
+func (c *Config) CellsPerSubarray() int {
 	return c.SubarrayRows * c.SubarrayCols * c.StackedPlanes
 }
 
 // TotalCells returns the accelerator's total RRAM cell count. Table II's
 // two designs are iso-capacity: 16×16×64 == 128×128.
-func (c Config) TotalCells() int64 {
+func (c *Config) TotalCells() int64 {
 	return int64(c.Subarrays()) * int64(c.CellsPerSubarray())
 }
 
 // ADCCount returns the number of ADCs (subarrays divided by the sharing
 // factor, at least one per macro).
-func (c Config) ADCCount() int {
+func (c *Config) ADCCount() int {
 	n := c.Subarrays() / c.SubarraysPerADC
 	if n < 1 {
 		n = 1
@@ -238,7 +238,7 @@ func (c Config) ADC() analog.ADC { return analog.NewADC(c.ADCBits) }
 // per row for the 2D baseline, one per pillar (rows × cols) for INCA's 3D
 // arrays (Table V lists 128 vs 256 per macro unit; the ratio is what
 // matters — INCA needs twice the drivers of the baseline per macro).
-func (c Config) DACsPerSubarray() int {
+func (c *Config) DACsPerSubarray() int {
 	if c.StackedPlanes > 1 {
 		return c.SubarrayRows * c.SubarrayCols
 	}

@@ -110,10 +110,11 @@ func TestADCCount(t *testing.T) {
 }
 
 func TestDACsPerSubarray(t *testing.T) {
-	if got := INCA().DACsPerSubarray(); got != 256 {
+	inca, base := INCA(), Baseline()
+	if got := inca.DACsPerSubarray(); got != 256 {
 		t.Fatalf("INCA DACs = %d, want 256", got)
 	}
-	if got := Baseline().DACsPerSubarray(); got != 128 {
+	if got := base.DACsPerSubarray(); got != 128 {
 		t.Fatalf("baseline DACs = %d, want 128", got)
 	}
 }

@@ -101,7 +101,7 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	}
 	actBits := int64(m.Cfg.ActivationBits)
 	cellsPerXbar := int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols)
-	dev := m.Cfg.Device
+	dev := &m.Cfg.Device
 
 	// --- Array events, per position per input-bit cycle ---
 	// Bit-serial inputs through 1-bit DACs: a row whose input bit is 0

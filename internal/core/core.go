@@ -174,7 +174,7 @@ func (m *Machine) pass(r *metrics.Result, mp *Mapping) {
 	b := int64(m.Cfg.BatchSize)
 	actPlanes := int64(m.Cfg.ActPlanes())
 	wBits := int64(m.Cfg.WeightBits)
-	dev := m.Cfg.Device
+	dev := &m.Cfg.Device
 
 	// Per window, per output channel, per weight-bit cycle:
 	//   reads: window cells × channels × activation bit-plane arrays × B

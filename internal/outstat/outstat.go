@@ -111,7 +111,7 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	}
 	actBits := int64(m.Cfg.ActivationBits)
 	wBits := int64(m.Cfg.WeightBits)
-	dev := m.Cfg.Device
+	dev := &m.Cfg.Device
 
 	// --- Array events, per image ---
 	// Each output element accumulates over K steps; a step drives wb
