@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/inca-arch/inca/internal/arch"
@@ -68,8 +69,12 @@ func stubBackend(id string) *dataflow.Backend {
 	}
 }
 
+// registerStub puts the stub backend in the process-wide registry once,
+// so the package can run with -count above 1.
+var registerStub sync.Once
+
 func TestRegistryLookup(t *testing.T) {
-	dataflow.Register(stubBackend("stub-conf"))
+	registerStub.Do(func() { dataflow.Register(stubBackend("stub-conf")) })
 	if _, err := dataflow.Get("STUB-CONF"); err != nil {
 		t.Errorf("case-insensitive lookup failed: %v", err)
 	}
