@@ -43,7 +43,7 @@ api-surface-update:
 # -cpu 1 because the parallel kernels' allocation counts vary with
 # goroutine scheduling at more procs.
 BENCH_PROBES = $(GO) test -run '^$$' \
-	-bench '^Benchmark(Config(Fingerprint|Binary)|PaperSweep(Serial|Cached)|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
+	-bench '^Benchmark(Config(Fingerprint|Binary)|PaperSweep(Serial|Cached)|PlanCells|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
 	-benchmem -benchtime 20x -cpu 1 \
 	./internal/arch/ ./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/
 

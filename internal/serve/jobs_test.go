@@ -536,3 +536,26 @@ func TestSweepPlanSizeCap(t *testing.T) {
 		t.Fatalf("at-cap plan: %d cells, %v", len(cs.cells), err)
 	}
 }
+
+// BenchmarkPlanCells is the layer probe for compiling a sweep request:
+// the dashboard's Fig. 11 panel (inca, baseline and gpu × two models ×
+// both phases, 12 cells) through compileSweep, which every /v1/sweep
+// request runs before coalescing, whether or not its flight then
+// evaluates the cells.
+func BenchmarkPlanCells(b *testing.B) {
+	req := SweepRequest{
+		Archs:  []string{"inca", "baseline", "gpu"},
+		Models: []string{"VGG16", "MobileNetV2"},
+		Phases: []string{"inference", "training"},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cs, err := compileSweep(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cs.cells) != 12 {
+			b.Fatalf("compiled %d cells, want 12", len(cs.cells))
+		}
+	}
+}
