@@ -189,9 +189,6 @@ func (c Cell) Key() string {
 	return c.keyPrefix() + c.Network.Name + "/" + c.Phase.String()
 }
 
-// baseOnly is the override axis of a plan that declares none.
-var baseOnly = []Override{{}}
-
 // Cells expands the plan into its deterministic cell sequence,
 // validating the axes. Each (arch, override) pair resolves once into an
 // Axis that its cells share; the plan's archs are copied once, so later
@@ -206,7 +203,7 @@ func (p Plan) Cells() ([]Cell, error) {
 	}
 	overrides := p.Overrides
 	if len(overrides) == 0 {
-		overrides = baseOnly
+		overrides = []Override{{}}
 	}
 	archs := slices.Clone(p.Archs)
 	axes := make([]Axis, len(archs)*len(overrides))
