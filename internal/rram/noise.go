@@ -43,16 +43,15 @@ func (n *NoiseModel) Perturb(v, scale float64) float64 {
 // the tensor's typical signal level, a robust proxy for the conductance
 // range the data is mapped onto.
 func (n *NoiseModel) PerturbTensor(t *tensor.Tensor) *tensor.Tensor {
-	if n.Sigma == 0 {
-		return t.Clone()
-	}
-	scale := t.RMS()
-	out := t.Clone()
-	data := out.Data()
-	for i := range data {
-		data[i] = n.Perturb(data[i], scale)
-	}
-	return out
+	return n.PerturbTensorInto(nil, t)
+}
+
+// PerturbTensorInto computes PerturbTensor(t) into dst when dst already
+// has t's shape, and into a new tensor otherwise, and returns the result.
+// It draws exactly the stream PerturbTensor draws. dst must not share
+// storage with t.
+func (n *NoiseModel) PerturbTensorInto(dst, t *tensor.Tensor) *tensor.Tensor {
+	return n.PerturbInPlace(t.ReshapeInto(dst, t.Dims()...))
 }
 
 // PerturbInPlace applies the same additive RMS-scaled noise directly into

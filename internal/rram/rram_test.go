@@ -126,6 +126,30 @@ func TestNoiseModelNegativeSigmaPanics(t *testing.T) {
 
 // TestCrossbarMVMMatchesMatVec validates the WS array's functional
 // behaviour against the tensor reference.
+// PerturbTensorInto must draw exactly PerturbTensor's stream, into a
+// reused destination or a fresh one, so that the training engine's
+// scratch reuse moves no RNG draw.
+func TestPerturbTensorIntoMatchesPerturbTensor(t *testing.T) {
+	x := tensor.Randn(rand.New(rand.NewSource(5)), 1, 3, 4, 5)
+	stale := tensor.New(3, 4, 5)
+	stale.Fill(math.NaN())
+	for _, dst := range []*tensor.Tensor{nil, stale, tensor.New(60)} {
+		ref, n := NewNoiseModel(0.05, 17), NewNoiseModel(0.05, 17)
+		want, got := ref.PerturbTensor(x), n.PerturbTensorInto(dst, x)
+		if got.Rank() != 3 || (dst == stale) != (got == stale) {
+			t.Fatalf("destination %v: got shape %v, reused %v", dst, got.Dims(), got == stale)
+		}
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("destination %v: element %d is %v, want %v", dst, i, got.Data()[i], v)
+			}
+		}
+		if a, b := ref.Perturb(0, 1), n.Perturb(0, 1); a != b {
+			t.Fatalf("destination %v: the next draw is %v, want %v", dst, b, a)
+		}
+	}
+}
+
 func TestCrossbarMVMMatchesMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := tensor.Randn(rng, 1, 16, 8)

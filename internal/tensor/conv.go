@@ -66,13 +66,16 @@ func Conv2DInto(out, x, w *Tensor, spec ConvSpec) *Tensor {
 	spec.checkKernel("Conv2D", h, wd, kh, kw)
 	g := convGeom{c: c, h: h, w: wd, n: n, kh: kh, kw: kw,
 		oh: spec.OutSize(h, kh), ow: spec.OutSize(wd, kw), stride: spec.Stride, pad: spec.Pad}
-	out = reuse(out, n, g.oh, g.ow)
+	// conv2DChannels writes every output element.
+	dst := shaped(out, n, g.oh, g.ow)
 	// Output channels are independent, so they parallelize without
 	// changing any per-element reduction order.
-	parallelFor(n, 2*int64(g.oh)*int64(g.ow)*int64(c)*int64(kh)*int64(kw), func(lo, hi int) {
-		conv2DChannels(g, x.data, w.data, out.data, lo, hi)
-	})
-	return out
+	if flops := 2 * int64(g.oh) * int64(g.ow) * int64(c) * int64(kh) * int64(kw); serialFor(n, flops) {
+		conv2DChannels(g, x.data, w.data, dst.data, 0, n)
+	} else {
+		parallelFor(n, flops, func(lo, hi int) { conv2DChannels(g, x.data, w.data, dst.data, lo, hi) })
+	}
+	return dst
 }
 
 // convGeom is the geometry of one convolution: c input channels of h×w,
@@ -218,31 +221,39 @@ func Im2Col(x *Tensor, kh, kw int, spec ConvSpec) *Tensor {
 	}
 	c, h, wd := x.Dim(0), x.Dim(1), x.Dim(2)
 	spec.checkKernel("Im2Col", h, wd, kh, kw)
-	oh, ow := spec.OutSize(h, kh), spec.OutSize(wd, kw)
-	out := New(c*kh*kw, oh*ow)
+	out := New(c*kh*kw, spec.OutSize(h, kh)*spec.OutSize(wd, kw))
 	// Each input channel fills its own kh*kw output rows: pure disjoint
 	// copies, parallel over channels.
-	parallelFor(c, int64(kh)*int64(kw)*int64(oh)*int64(ow), func(lo, hi int) {
-		for ic := lo; ic < hi; ic++ {
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					row := (ic*kh+ky)*kw + kx
-					for oy := 0; oy < oh; oy++ {
-						iy := oy*spec.Stride - spec.Pad + ky
-						for ox := 0; ox < ow; ox++ {
-							ix := ox*spec.Stride - spec.Pad + kx
-							v := 0.0
-							if iy >= 0 && iy < h && ix >= 0 && ix < wd {
-								v = x.data[(ic*h+iy)*wd+ix]
-							}
-							out.data[row*(oh*ow)+oy*ow+ox] = v
+	if flops := int64(kh) * int64(kw) * int64(out.dims[1]); serialFor(c, flops) {
+		im2colChannels(x, out, kh, kw, spec, 0, c)
+	} else {
+		parallelFor(c, flops, func(lo, hi int) { im2colChannels(x, out, kh, kw, spec, lo, hi) })
+	}
+	return out
+}
+
+// im2colChannels fills the Im2Col rows of input channels [lo, hi).
+func im2colChannels(x, out *Tensor, kh, kw int, spec ConvSpec, lo, hi int) {
+	h, wd := x.Dim(1), x.Dim(2)
+	oh, ow := spec.OutSize(h, kh), spec.OutSize(wd, kw)
+	for ic := lo; ic < hi; ic++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				row := (ic*kh+ky)*kw + kx
+				for oy := 0; oy < oh; oy++ {
+					iy := oy*spec.Stride - spec.Pad + ky
+					for ox := 0; ox < ow; ox++ {
+						ix := ox*spec.Stride - spec.Pad + kx
+						v := 0.0
+						if iy >= 0 && iy < h && ix >= 0 && ix < wd {
+							v = x.data[(ic*h+iy)*wd+ix]
 						}
+						out.data[row*(oh*ow)+oy*ow+ox] = v
 					}
 				}
 			}
 		}
-	})
-	return out
+	}
 }
 
 // matMulBlock is the column-tile width of the blocked MatMul: 512 float64
@@ -266,26 +277,34 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims mismatch: %d vs %d", k, k2))
 	}
 	out := New(m, n)
-	parallelFor(m, 2*int64(k)*int64(n), func(lo, hi int) {
-		for jb := 0; jb < n; jb += matMulBlock {
-			je := min(jb+matMulBlock, n)
-			for i := lo; i < hi; i++ {
-				arow := a.data[i*k : (i+1)*k]
-				orow := out.data[i*n+jb : i*n+je]
-				for p := 0; p < k; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := b.data[p*n+jb : p*n+je]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
+	if flops := 2 * int64(k) * int64(n); serialFor(m, flops) {
+		matMulRows(a, b, out, 0, m)
+	} else {
+		parallelFor(m, flops, func(lo, hi int) { matMulRows(a, b, out, lo, hi) })
+	}
+	return out
+}
+
+// matMulRows computes rows [lo, hi) of out = a×b.
+func matMulRows(a, b, out *Tensor, lo, hi int) {
+	k, n := a.Dim(1), b.Dim(1)
+	for jb := 0; jb < n; jb += matMulBlock {
+		je := min(jb+matMulBlock, n)
+		for i := lo; i < hi; i++ {
+			arow := a.data[i*k : (i+1)*k]
+			orow := out.data[i*n+jb : i*n+je]
+			for p := 0; p < k; p++ {
+				av := arow[p]
+				if av == 0 {
+					continue
+				}
+				brow := b.data[p*n+jb : p*n+je]
+				for j, bv := range brow {
+					orow[j] += av * bv
 				}
 			}
 		}
-	})
-	return out
+	}
 }
 
 // Conv2DIm2Col computes the same result as Conv2D via the unrolled

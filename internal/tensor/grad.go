@@ -6,7 +6,11 @@ import (
 )
 
 // MatVec returns the matrix-vector product a [M,N] × x [N] -> [M].
-func MatVec(a, x *Tensor) *Tensor {
+func MatVec(a, x *Tensor) *Tensor { return MatVecInto(nil, a, x) }
+
+// MatVecInto computes MatVec(a, x) into out when out already has the
+// result's shape, and into a new tensor otherwise, and returns the result.
+func MatVecInto(out, a, x *Tensor) *Tensor {
 	if a.Rank() != 2 || x.Rank() != 1 {
 		panic(fmt.Sprintf("tensor: MatVec wants a rank 2 and x rank 1, got %v and %v", a.Dims(), x.Dims()))
 	}
@@ -14,7 +18,7 @@ func MatVec(a, x *Tensor) *Tensor {
 	if x.Dim(0) != n {
 		panic(fmt.Sprintf("tensor: MatVec dims mismatch: a %v, x %v", a.Dims(), x.Dims()))
 	}
-	out := New(m)
+	out = shaped(out, m)
 	for i := 0; i < m; i++ {
 		row := a.data[i*n : (i+1)*n]
 		sum := 0.0
@@ -28,12 +32,16 @@ func MatVec(a, x *Tensor) *Tensor {
 
 // MatVecT returns aᵀ × x for a [M,N] and x [M] -> [N], i.e. the
 // transposed-weight product used in FC backpropagation (paper Eq. 3).
-func MatVecT(a, x *Tensor) *Tensor {
+func MatVecT(a, x *Tensor) *Tensor { return MatVecTInto(nil, a, x) }
+
+// MatVecTInto computes MatVecT(a, x) into out when out already has the
+// result's shape, and into a new tensor otherwise, and returns the result.
+func MatVecTInto(out, a, x *Tensor) *Tensor {
 	m, n := a.Dim(0), a.Dim(1)
 	if x.Dim(0) != m {
 		panic(fmt.Sprintf("tensor: MatVecT dims mismatch: a %v, x %v", a.Dims(), x.Dims()))
 	}
-	out := New(n)
+	out = reuse(out, n)
 	for i := 0; i < m; i++ {
 		xi := x.data[i]
 		if xi == 0 {
@@ -49,9 +57,13 @@ func MatVecT(a, x *Tensor) *Tensor {
 
 // Outer returns the outer product x [M] ⊗ y [N] -> [M,N], the FC weight
 // gradient (δ ⊗ input).
-func Outer(x, y *Tensor) *Tensor {
+func Outer(x, y *Tensor) *Tensor { return OuterInto(nil, x, y) }
+
+// OuterInto computes Outer(x, y) into out when out already has the
+// result's shape, and into a new tensor otherwise, and returns the result.
+func OuterInto(out, x, y *Tensor) *Tensor {
 	m, n := x.Dim(0), y.Dim(0)
-	out := New(m, n)
+	out = shaped(out, m, n)
 	for i := 0; i < m; i++ {
 		xi := x.data[i]
 		for j := 0; j < n; j++ {
@@ -78,6 +90,13 @@ func Outer(x, y *Tensor) *Tensor {
 // every delta counts, zeros included, but the structural zeros of the
 // rotated-kernel formulation still do not: there 0×Inf would be NaN.
 func ConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
+	return ConvBackwardInputInto(nil, w, delta, spec, inH, inW)
+}
+
+// ConvBackwardInputInto computes ConvBackwardInput into dx when dx already
+// has the result's shape, and into a new tensor otherwise, and returns the
+// result.
+func ConvBackwardInputInto(dx, w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
 	spec.validate()
 	if w.Rank() != 4 || delta.Rank() != 3 {
 		panic(fmt.Sprintf("tensor: ConvBackwardInput wants w rank 4 and delta rank 3, got %v and %v", w.Dims(), delta.Dims()))
@@ -87,13 +106,17 @@ func ConvBackwardInput(w, delta *Tensor, spec ConvSpec, inH, inW int) *Tensor {
 		oh: delta.Dim(1), ow: delta.Dim(2), stride: spec.Stride, pad: spec.Pad}
 	spec.checkKernel("ConvBackwardInput", inH, inW, kh, kw)
 	g.checkDelta("ConvBackwardInput", delta)
-	dx := New(c, inH, inW)
+	dst := reuse(dx, c, inH, inW)
 	skipZeros := allFinite(w.data)
 	// Each input channel owns its own dx plane.
-	parallelFor(c, 2*int64(n)*int64(g.oh)*int64(g.ow)*int64(kh)*int64(kw), func(lo, hi int) {
-		convBackwardInputChannels(g, w.data, delta.data, dx.data, skipZeros, lo, hi)
-	})
-	return dx
+	if flops := 2 * int64(n) * int64(g.oh) * int64(g.ow) * int64(kh) * int64(kw); serialFor(c, flops) {
+		convBackwardInputChannels(g, w.data, delta.data, dst.data, skipZeros, 0, c)
+	} else {
+		parallelFor(c, flops, func(lo, hi int) {
+			convBackwardInputChannels(g, w.data, delta.data, dst.data, skipZeros, lo, hi)
+		})
+	}
+	return dst
 }
 
 func convBackwardInputChannels(g convGeom, wd, dd, dxd []float64, skipZeros bool, lo, hi int) {
@@ -162,13 +185,17 @@ func ConvBackwardWeightsInto(dw, x, delta *Tensor, spec ConvSpec, kh, kw int) *T
 		xp = Pad(x, g.pad, g.pad)
 		g.h, g.w, g.pad = xp.Dim(1), xp.Dim(2), 0
 	}
-	dw = reuse(dw, g.n, g.c, kh, kw)
+	dst := reuse(dw, g.n, g.c, kh, kw)
 	skipZeros := allFinite(x.data)
 	// Each output-gradient channel owns a disjoint [c, kh, kw] slab of dw.
-	parallelFor(g.n, 2*int64(g.c)*int64(kh)*int64(kw)*int64(g.oh)*int64(g.ow), func(lo, hi int) {
-		convBackwardWeightsChannels(g, xp.data, delta.data, dw.data, skipZeros, lo, hi)
-	})
-	return dw
+	if flops := 2 * int64(g.c) * int64(kh) * int64(kw) * int64(g.oh) * int64(g.ow); serialFor(g.n, flops) {
+		convBackwardWeightsChannels(g, xp.data, delta.data, dst.data, skipZeros, 0, g.n)
+	} else {
+		parallelFor(g.n, flops, func(lo, hi int) {
+			convBackwardWeightsChannels(g, xp.data, delta.data, dst.data, skipZeros, lo, hi)
+		})
+	}
+	return dst
 }
 
 func convBackwardWeightsChannels(g convGeom, xd, dd, dwd []float64, skipZeros bool, lo, hi int) {

@@ -162,6 +162,21 @@ func parallelChunks(n int, body func(chunk, lo, hi int)) int {
 // x 16 images) stay serial.
 const minParallelFlops = 1 << 16
 
+// serialFor reports whether n items of about flopsPerItem work each are
+// too little to split, counting the call in the kernel stats when they
+// are. A kernel then calls its body directly over [0, n): the closure it
+// hands parallelFor escapes to the heap, so it is built only for work
+// that may split.
+func serialFor(n int, flopsPerItem int64) bool {
+	if flopsPerItem*int64(n) >= minParallelFlops {
+		return false
+	}
+	if s := statsHook.Load(); s != nil && n > 0 {
+		s.record(n, 1)
+	}
+	return true
+}
+
 // parallelFor runs body over contiguous sub-ranges of [0, n) on up to
 // Parallelism() workers. flopsPerItem is a rough work estimate per index
 // used to keep small problems serial. body must write only to output
@@ -171,10 +186,7 @@ func parallelFor(n int, flopsPerItem int64, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if flopsPerItem*int64(n) < minParallelFlops {
-		if s := statsHook.Load(); s != nil {
-			s.record(n, 1)
-		}
+	if serialFor(n, flopsPerItem) {
 		body(0, n)
 		return
 	}

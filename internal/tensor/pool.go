@@ -16,14 +16,19 @@ type MaxPoolResult struct {
 
 // MaxPool2D applies k×k max pooling with the given stride to x [C,H,W].
 func MaxPool2D(x *Tensor, k, stride int) MaxPoolResult {
-	if x.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: MaxPool2D wants rank-3 x, got %v", x.Dims()))
+	return MaxPool2DInto(MaxPoolResult{}, x, k, stride)
+}
+
+// MaxPool2DInto computes MaxPool2D(x, k, stride), reusing dst.Out and
+// dst.ArgMax when each already has the result's shape and allocating
+// afresh otherwise, and returns the result.
+func MaxPool2DInto(dst MaxPoolResult, x *Tensor, k, stride int) MaxPoolResult {
+	c, h, w, oh, ow := poolGeom("MaxPool2D", x, k, stride)
+	out := shaped(dst.Out, c, oh, ow)
+	arg := dst.ArgMax
+	if len(arg) != len(out.data) {
+		arg = make([]int, len(out.data))
 	}
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh := (h-k)/stride + 1
-	ow := (w-k)/stride + 1
-	out := New(c, oh, ow)
-	arg := make([]int, c*oh*ow)
 	for ic := 0; ic < c; ic++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -51,6 +56,24 @@ func MaxPool2D(x *Tensor, k, stride int) MaxPoolResult {
 	return MaxPoolResult{Out: out, ArgMax: arg}
 }
 
+// poolGeom returns the input and output sizes of k×k pooling at the given
+// stride over x [C,H,W], and panics with a clear geometry message when
+// the window is degenerate or does not fit the input. Without this check
+// the pooling loops fail with a confusing index panic or divide by zero.
+func poolGeom(op string, x *Tensor, k, stride int) (c, h, w, oh, ow int) {
+	if x.Rank() != 3 {
+		panic(fmt.Sprintf("tensor: %s wants rank-3 x, got %v", op, x.Dims()))
+	}
+	c, h, w = x.Dim(0), x.Dim(1), x.Dim(2)
+	if k < 1 || stride < 1 {
+		panic(fmt.Sprintf("tensor: %s window %dx%d and stride %d must be at least 1", op, k, k, stride))
+	}
+	if k > h || k > w {
+		panic(fmt.Sprintf("tensor: %s window %dx%d larger than input %dx%d (x %v)", op, k, k, h, w, x.Dims()))
+	}
+	return c, h, w, (h-k)/stride + 1, (w-k)/stride + 1
+}
+
 // MaxPoolBackward scatters the output gradient delta [C,OH,OW] back to
 // input positions recorded in res.ArgMax; all other elements are "dead as
 // 0" (paper §II.B.2). inputDims gives the original input shape [C,H,W].
@@ -70,9 +93,7 @@ func MaxPoolBackwardInto(dx *Tensor, res MaxPoolResult, delta *Tensor, inputDims
 
 // AvgPool2D applies k×k average pooling with the given stride to x [C,H,W].
 func AvgPool2D(x *Tensor, k, stride int) *Tensor {
-	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	oh := (h-k)/stride + 1
-	ow := (w-k)/stride + 1
+	c, h, w, oh, ow := poolGeom("AvgPool2D", x, k, stride)
 	out := New(c, oh, ow)
 	inv := 1.0 / float64(k*k)
 	for ic := 0; ic < c; ic++ {
@@ -114,7 +135,7 @@ func ReLU(x *Tensor) *Tensor {
 // ReLUInto computes ReLU(x) into out when out already has x's shape, and
 // into a new tensor otherwise, and returns the result.
 func ReLUInto(out, x *Tensor) *Tensor {
-	out = reuse(out, x.dims...)
+	out = shaped(out, x.dims...)
 	for i, v := range x.data {
 		if v < 0 {
 			v = 0
@@ -136,21 +157,27 @@ func ReLUBackward(x, delta *Tensor) *Tensor {
 // result.
 func ReLUBackwardInto(out, x, delta *Tensor) *Tensor {
 	x.mustSameShape(delta)
-	out = reuse(out, x.dims...)
-	for i := range x.data {
-		if x.data[i] > 0 {
-			out.data[i] = delta.data[i]
+	out = shaped(out, x.dims...)
+	for i, v := range x.data {
+		d := 0.0
+		if v > 0 {
+			d = delta.data[i]
 		}
+		out.data[i] = d
 	}
 	return out
 }
 
 // Softmax returns the softmax of a rank-1 tensor, computed stably.
-func Softmax(x *Tensor) *Tensor {
+func Softmax(x *Tensor) *Tensor { return SoftmaxInto(nil, x) }
+
+// SoftmaxInto computes Softmax(x) into out when out already has x's shape,
+// and into a new tensor otherwise, and returns the result.
+func SoftmaxInto(out, x *Tensor) *Tensor {
 	if x.Rank() != 1 {
 		panic(fmt.Sprintf("tensor: Softmax wants rank-1 x, got %v", x.Dims()))
 	}
-	out := New(x.Dim(0))
+	out = shaped(out, x.Dim(0))
 	max := math.Inf(-1)
 	for _, v := range x.data {
 		if v > max {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -31,25 +32,32 @@ func New(dims ...int) *Tensor {
 	n := 1
 	for _, d := range dims {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in %v", d, dims))
+			// Formatting a copy keeps dims from escaping, so callers'
+			// variadic dimension lists stay on the stack.
+			panic(fmt.Sprintf("tensor: negative dimension %d in %v", d, slices.Clone(dims)))
 		}
 		n *= d
 	}
 	return &Tensor{dims: append([]int(nil), dims...), data: make([]float64, n)}
 }
 
-// reuse returns t zero-filled when it already has exactly the given
-// dimensions, and New(dims...) otherwise. It backs the kernels' Into
-// forms, which let a caller keep one scratch tensor per call site; the
+// shaped returns t when it already has exactly the given dimensions, and
+// New(dims...) otherwise. A reused t keeps its stale contents, so shaped
+// backs the Into forms of kernels that write every output element; the
+// Into forms let a caller keep one scratch tensor per call site. The
 // destination must not share storage with the kernel's inputs.
-func reuse(t *Tensor, dims ...int) *Tensor {
-	if t == nil || len(t.dims) != len(dims) {
+func shaped(t *Tensor, dims ...int) *Tensor {
+	if t == nil || !slices.Equal(t.dims, dims) {
 		return New(dims...)
 	}
-	for i, d := range dims {
-		if t.dims[i] != d {
-			return New(dims...)
-		}
+	return t
+}
+
+// reuse is shaped with the result zero-filled, for kernels that
+// accumulate into their output.
+func reuse(t *Tensor, dims ...int) *Tensor {
+	if out := shaped(t, dims...); out != t {
+		return out
 	}
 	clear(t.data)
 	return t
@@ -109,7 +117,7 @@ func (t *Tensor) offset(idx ...int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.dims[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for dims %v", idx, t.dims))
+			panic(fmt.Sprintf("tensor: index %v out of range for dims %v", slices.Clone(idx), t.dims))
 		}
 		off = off*t.dims[i] + x
 	}
@@ -123,21 +131,22 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx...)] }
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx...)] = v }
 
 // Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.dims...)
-	copy(c.data, t.data)
-	return c
-}
+func (t *Tensor) Clone() *Tensor { return t.ReshapeInto(nil, t.dims...) }
 
 // Reshape returns a view-copy of t with new dimensions; the element count
 // must match.
-func (t *Tensor) Reshape(dims ...int) *Tensor {
-	c := New(dims...)
-	if len(c.data) != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.dims, dims))
+func (t *Tensor) Reshape(dims ...int) *Tensor { return t.ReshapeInto(nil, dims...) }
+
+// ReshapeInto copies t's elements into dst shaped dims when dst already
+// has those dimensions, and into a new tensor otherwise, and returns the
+// result; the element count must match.
+func (t *Tensor) ReshapeInto(dst *Tensor, dims ...int) *Tensor {
+	dst = shaped(dst, dims...)
+	if len(dst.data) != len(t.data) {
+		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.dims, dst.dims))
 	}
-	copy(c.data, t.data)
-	return c
+	copy(dst.data, t.data)
+	return dst
 }
 
 // Fill sets every element to v.

@@ -46,8 +46,9 @@ func (n NoiseTarget) String() string {
 }
 
 // Layer is one differentiable stage of the network. Forward and Backward
-// may return scratch that the layer overwrites on its next call of the
-// same method; Network.Forward copies such a result before returning it.
+// return scratch the layer owns: a result stays valid until the layer's
+// next call of the same method, which overwrites it. Network.Forward
+// copies its result before returning it.
 type Layer interface {
 	// Forward consumes the previous activation and returns the next.
 	Forward(x *tensor.Tensor) *tensor.Tensor
@@ -68,9 +69,10 @@ type Conv struct {
 
 	readNoise *rram.NoiseModel // transient weight read noise
 
-	x   *tensor.Tensor // cached input
-	out *tensor.Tensor // Forward's scratch result
-	dW  *tensor.Tensor
+	x       *tensor.Tensor // cached input
+	out, dx *tensor.Tensor // Forward's and Backward's scratch results
+	dW      *tensor.Tensor
+	noisyW  *tensor.Tensor // read-noise copy of W, redrawn at every use
 }
 
 // NewConv builds a conv layer with He-style initialization.
@@ -85,11 +87,15 @@ func NewConv(rng *rand.Rand, outC, inC, k int, spec tensor.ConvSpec) *Conv {
 // SetReadNoise attaches transient per-use weight noise.
 func (c *Conv) SetReadNoise(n *rram.NoiseModel) { c.readNoise = n }
 
+// effectiveW returns the weights one use reads. The forward pass is done
+// with its noisy copy before the backward pass draws the next, so one
+// scratch serves both.
 func (c *Conv) effectiveW() *tensor.Tensor {
 	if c.readNoise == nil {
 		return c.W
 	}
-	return c.readNoise.PerturbTensor(c.W)
+	c.noisyW = c.readNoise.PerturbTensorInto(c.noisyW, c.W)
+	return c.noisyW
 }
 
 // Forward implements Eq. 1.
@@ -101,7 +107,8 @@ func (c *Conv) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward implements Eqs. 3 and 4 for the convolution.
 func (c *Conv) Backward(delta *tensor.Tensor) *tensor.Tensor {
-	return tensor.ConvBackwardInput(c.weightGrad(delta), delta, c.Spec, c.x.Dim(1), c.x.Dim(2))
+	c.dx = tensor.ConvBackwardInputInto(c.dx, c.weightGrad(delta), delta, c.Spec, c.x.Dim(1), c.x.Dim(2))
+	return c.dx
 }
 
 // weightGrad stores dW (Eq. 4); see weightGrader.
@@ -127,8 +134,11 @@ type FC struct {
 
 	x      *tensor.Tensor // flattened cached input
 	inDims []int
-	dW     *tensor.Tensor
-	dB     *tensor.Tensor
+	out    *tensor.Tensor // Forward's scratch result
+	dxFlat *tensor.Tensor // Wᵀδ, before it takes the input's shape
+	dx     *tensor.Tensor // Backward's scratch result
+	dW, dB *tensor.Tensor
+	noisyW *tensor.Tensor // read-noise copy of W, as in Conv
 }
 
 // NewFC builds a fully connected layer.
@@ -147,29 +157,31 @@ func (f *FC) effectiveW() *tensor.Tensor {
 	if f.readNoise == nil {
 		return f.W
 	}
-	return f.readNoise.PerturbTensor(f.W)
+	f.noisyW = f.readNoise.PerturbTensorInto(f.noisyW, f.W)
+	return f.noisyW
 }
 
 // Forward flattens x and computes Wx + b.
 func (f *FC) Forward(x *tensor.Tensor) *tensor.Tensor {
-	f.inDims = append([]int(nil), x.Dims()...)
-	f.x = x.Reshape(x.Len())
-	out := tensor.MatVec(f.effectiveW(), f.x)
-	out.AddInPlace(f.B)
-	return out
+	f.inDims = append(f.inDims[:0], x.Dims()...)
+	f.x = x.ReshapeInto(f.x, x.Len())
+	f.out = tensor.MatVecInto(f.out, f.effectiveW(), f.x)
+	f.out.AddInPlace(f.B)
+	return f.out
 }
 
 // Backward computes dW = δ⊗x, dB = δ, and returns Wᵀδ reshaped to the
 // input dimensions.
 func (f *FC) Backward(delta *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.MatVecT(f.weightGrad(delta), delta)
-	return dx.Reshape(f.inDims...)
+	f.dxFlat = tensor.MatVecTInto(f.dxFlat, f.weightGrad(delta), delta)
+	f.dx = f.dxFlat.ReshapeInto(f.dx, f.inDims...)
+	return f.dx
 }
 
 // weightGrad stores dW and dB; see weightGrader.
 func (f *FC) weightGrad(delta *tensor.Tensor) *tensor.Tensor {
-	f.dW = tensor.Outer(delta, f.x)
-	f.dB = delta.Clone()
+	f.dW = tensor.OuterInto(f.dW, delta, f.x)
+	f.dB = delta.ReshapeInto(f.dB, delta.Dims()...)
 	return f.effectiveW()
 }
 
@@ -216,8 +228,8 @@ type MaxPool struct {
 
 // Forward pools and records argmax positions.
 func (p *MaxPool) Forward(x *tensor.Tensor) *tensor.Tensor {
-	p.inDims = append([]int(nil), x.Dims()...)
-	p.res = tensor.MaxPool2D(x, p.K, p.K)
+	p.inDims = append(p.inDims[:0], x.Dims()...)
+	p.res = tensor.MaxPool2DInto(p.res, x, p.K, p.K)
 	return p.res.Out
 }
 
@@ -242,6 +254,10 @@ type Network struct {
 	// Quant, when non-nil, applies post-training quantization during
 	// forward passes (Table I protocol).
 	Quant *QuantSpec
+
+	// noisy holds each compute layer's noisy input, by layer index: the
+	// layer caches it for its backward pass.
+	noisy []*tensor.Tensor
 }
 
 // QuantSpec selects evaluation-time bit depths (0 disables an operand).
@@ -253,24 +269,28 @@ type QuantSpec struct {
 // Forward runs the network on one image. Device effects on activations —
 // noise and quantization — apply where the data physically sits in RRAM:
 // at the *inputs* of compute layers. The final logits live in digital
-// post-processing and are never perturbed.
+// post-processing and are never perturbed. The result is the caller's.
 func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range n.Layers {
+	return n.forward(x).Clone()
+}
+
+// forward is Forward returning the last layer's scratch, valid until the
+// next pass.
+func (n *Network) forward(x *tensor.Tensor) *tensor.Tensor {
+	if n.ActNoise != nil && len(n.noisy) != len(n.Layers) {
+		n.noisy = make([]*tensor.Tensor, len(n.Layers))
+	}
+	for i, l := range n.Layers {
 		if _, isConv := l.(*Conv); isConv || isFC(l) {
 			if n.ActNoise != nil {
-				x = n.ActNoise.PerturbTensor(x)
+				n.noisy[i] = n.ActNoise.PerturbTensorInto(n.noisy[i], x)
+				x = n.noisy[i]
 			}
 			if n.Quant != nil && n.Quant.ActivationBits > 0 {
 				x = fixed.QuantizeTensor(x, n.Quant.ActivationBits)
 			}
 		}
 		x = l.Forward(x)
-	}
-	if len(n.Layers) > 0 {
-		switch n.Layers[len(n.Layers)-1].(type) {
-		case *Conv, *ReLU:
-			x = x.Clone() // the layer's scratch: the caller keeps this one
-		}
 	}
 	return x
 }

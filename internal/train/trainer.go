@@ -10,10 +10,16 @@ import (
 
 // SoftmaxCrossEntropy returns the loss and dL/dlogits for one sample.
 func SoftmaxCrossEntropy(logits *tensor.Tensor, label int) (loss float64, delta *tensor.Tensor) {
-	p := tensor.Softmax(logits)
-	loss = -math.Log(math.Max(p.At(label), 1e-12))
-	delta = p.Clone()
-	delta.Set(delta.At(label)-1, label)
+	return softmaxCrossEntropyInto(nil, logits, label)
+}
+
+// softmaxCrossEntropyInto is SoftmaxCrossEntropy computing the softmax,
+// and from it dL/dlogits, in delta when delta already has logits' shape.
+func softmaxCrossEntropyInto(delta, logits *tensor.Tensor, label int) (float64, *tensor.Tensor) {
+	delta = tensor.SoftmaxInto(delta, logits)
+	d := delta.Data()
+	loss := -math.Log(math.Max(d[label], 1e-12))
+	d[label]--
 	return loss, delta
 }
 
@@ -75,11 +81,12 @@ func (t *Trainer) Train(ds *data.Dataset, epochs int) float64 {
 	}
 	lastLoss := 0.0
 	steps := 0
+	var delta *tensor.Tensor // the loss gradient's scratch
 	for e := 0; e < epochs; e++ {
 		sum := 0.0
 		for _, s := range ds.Samples {
-			out := t.Net.Forward(s.Image)
-			loss, delta := SoftmaxCrossEntropy(out, s.Label)
+			var loss float64
+			loss, delta = softmaxCrossEntropyInto(delta, t.Net.forward(s.Image), s.Label)
 			sum += loss
 			sanitize(delta)
 			t.Net.Backward(delta)
