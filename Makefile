@@ -39,13 +39,13 @@ api-surface-update:
 # benchmarks on the paths the BENCHMARK.json workloads cross (config
 # fingerprint and binary codec, sweep engine and memo cache, result
 # store, shard wire, the SmallCNN training kernels and one noise-train
-# trial, the disabled tracer). They run at
-# -cpu 1 because the parallel kernels' allocation counts vary with
-# goroutine scheduling at more procs.
+# trial, the disabled tracer, one analytical Simulate per dataflow).
+# They run at -cpu 1 because the parallel kernels' allocation counts
+# vary with goroutine scheduling at more procs.
 BENCH_PROBES = $(GO) test -run '^$$' \
-	-bench '^Benchmark(Config(Fingerprint|Binary)|PaperSweep(Serial|Cached)|PlanCells|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled)$$' \
+	-bench '^Benchmark(Config(Fingerprint|Binary)|PaperSweep(Serial|Cached)|PlanCells|Store(Put|Get)|ShardRoundTrip|Conv2D|ConvBackward(Input|Weights)|NoiseTrial|StartSpanDisabled|Simulate)$$' \
 	-benchmem -benchtime 20x -cpu 1 \
-	./internal/arch/ ./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/
+	./internal/arch/ ./internal/sweep/ ./internal/store/ ./internal/serve/ ./internal/tensor/ ./internal/train/ ./internal/obs/ ./internal/conformance/
 
 # Allocation-budget gate: runs the probes and fails when any probe's
 # allocs/op or B/op leaves its margins in scripts/bench_budget.txt, in

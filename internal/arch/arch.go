@@ -185,6 +185,12 @@ func (c Config) Validate() error {
 	if c.ADCBits < 1 || c.WeightBits < 2 || c.ActivationBits < 2 {
 		return fmt.Errorf("arch: invalid precisions")
 	}
+	if c.CellBits < 1 || c.CellBits > c.WeightBits {
+		return fmt.Errorf("arch: invalid cell bits %d for %d-bit weights", c.CellBits, c.WeightBits)
+	}
+	if c.SubarraysPerADC < 1 {
+		return fmt.Errorf("arch: invalid ADC sharing %d", c.SubarraysPerADC)
+	}
 	if c.BatchSize < 1 {
 		return fmt.Errorf("arch: invalid batch size %d", c.BatchSize)
 	}

@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -140,5 +141,26 @@ func TestValidateCatchesBadConfig(t *testing.T) {
 	c.Device.ROff = 1
 	if c.Validate() == nil {
 		t.Fatal("accepted bad device")
+	}
+	// The simulators divide by CellBits, WeightBits/CellBits and
+	// SubarraysPerADC, so each must be rejected before it reaches them.
+	for _, base := range []Config{INCA(), Baseline(), OutStationary()} {
+		for _, bits := range []int{-1, 0, base.WeightBits + 1} {
+			c = base
+			c.CellBits = bits
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "arch: invalid cell bits") {
+				t.Errorf("%s: CellBits %d: err = %v, want invalid cell bits", base.Name, bits, err)
+			}
+		}
+		c = base
+		c.SubarraysPerADC = 0
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "arch: invalid ADC sharing") {
+			t.Errorf("%s: SubarraysPerADC 0: err = %v, want invalid ADC sharing", base.Name, err)
+		}
+		c = base
+		c.CellBits = c.WeightBits
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: CellBits = WeightBits rejected: %v", base.Name, err)
+		}
 	}
 }

@@ -11,38 +11,18 @@ package baseline
 
 import (
 	"github.com/inca-arch/inca/internal/analog"
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/mem"
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
-	"github.com/inca-arch/inca/internal/noc"
 	"github.com/inca-arch/inca/internal/sim"
 )
 
 // Machine is a configured WS baseline accelerator.
-type Machine struct {
-	Cfg  arch.Config
-	hier mem.Hierarchy
-	adc  analog.ADC
-	dac  analog.DAC
-	dig  analog.Digital
-	tree noc.HTree
-}
+type Machine struct{ analytic.Machine }
 
 // New builds a machine from a configuration (normally arch.Baseline()).
-func New(cfg arch.Config) *Machine {
-	if err := cfg.Validate(); err != nil {
-		panic("baseline: " + err.Error())
-	}
-	return &Machine{
-		Cfg:  cfg,
-		hier: mem.Hierarchy{Buf: cfg.Buffer, Dram: cfg.DRAM},
-		adc:  analog.NewADC(cfg.ADCBits),
-		dac:  analog.NewDAC(1),
-		dig:  analog.NewDigital(),
-		tree: noc.Standard(cfg.MacroSize, cfg.TileSize, cfg.Tiles),
-	}
-}
+func New(cfg arch.Config) *Machine { return &Machine{analytic.New("baseline", cfg)} }
 
 // geometry captures how one layer maps onto the unrolled crossbars.
 type geometry struct {
@@ -125,15 +105,15 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	r.Energy.Add(metrics.RRAMArray,
 		float64(usefulReads*cycles)*rowActivity*dev.ReadEnergyAvg()+
 			float64(offReads*cycles)*rowActivity*dev.ReadEnergyOff())
-	r.Energy.Add(metrics.ADC, m.adc.ConversionEnergy(r.Counts.ADCConversions))
-	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*m.dac.EnergyPerConv)
-	r.Energy.Add(metrics.Digital, float64(adds)*m.dig.AddEnergy)
+	r.Energy.Add(metrics.ADC, m.ADC.ConversionEnergy(r.Counts.ADCConversions))
+	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*m.DAC.EnergyPerConv)
+	r.Energy.Add(metrics.Digital, float64(adds)*m.Dig.AddEnergy)
 
 	// Interconnect: per column, the row-block partials reduce through the
 	// macro/tile H-tree, and each input row value broadcasts to every
 	// column block it feeds.
-	reduceJ, _ := m.tree.ReduceCost(g.rowBlocks)
-	bcastJ, _ := m.tree.BroadcastCost(g.colBlocks)
+	reduceJ, _ := m.Tree.ReduceCost(g.rowBlocks)
+	bcastJ, _ := m.Tree.BroadcastCost(g.colBlocks)
 	r.Energy.Add(metrics.Digital,
 		reduceJ*float64(g.cols*cycles)+
 			bcastJ*float64(g.rows*cycles)*rowActivity)
@@ -143,11 +123,8 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// (Eq. 5 × positions); residency is the fraction of the input map that
 	// fits in the 64 KB buffer.
 	fetchBits := g.windowElems * actBits * g.positions
-	resIn := m.hier.ResidentFraction(inputBytes)
-	bufJ, dramJ, lat := m.hier.TrafficCost(fetchBits, resIn, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	memLat := lat
+	resIn := m.Hier.ResidentFraction(inputBytes)
+	memLat := m.Traffic(r, fetchBits, resIn, false)
 	r.Counts.BufferAccesses += m.Cfg.Buffer.Beats(fetchBits)
 	r.Counts.DRAMAccesses += int64(float64(fetchBits/8) * (1 - resIn))
 
@@ -156,11 +133,8 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// One actBits-wide value per output channel per position.
 	outChannels := g.cols / int64(m.Cfg.WeightBits/m.Cfg.CellBits)
 	saveBits := g.positions * outChannels * actBits
-	resOut := m.hier.ResidentFraction(outputBytes)
-	bufJ, dramJ, lat = m.hier.TrafficCost(saveBits, resOut, true)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	memLat += lat
+	resOut := m.Hier.ResidentFraction(outputBytes)
+	memLat += m.Traffic(r, saveBits, resOut, true)
 	r.Counts.BufferAccesses += m.Cfg.Buffer.Beats(saveBits)
 	r.Counts.DRAMAccesses += int64(float64(saveBits/8) * (1 - resOut))
 
@@ -168,7 +142,7 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// Per input-bit cycle the shared per-crossbar ADC scans all columns
 	// serially; crossbars operate in parallel.
 	cycleTime := dev.ReadPulse
-	if t := float64(m.Cfg.SubarrayCols) * m.adc.ConvLatency; t > cycleTime {
+	if t := float64(m.Cfg.SubarrayCols) * m.ADC.ConvLatency; t > cycleTime {
 		cycleTime = t
 	}
 	computeTime := float64(cycles) * cycleTime
@@ -199,11 +173,8 @@ func (m *Machine) gradientLayer(r *metrics.Result, l *nn.Layer, g *geometry) {
 	// Re-read the saved activations of this layer (they were written out
 	// during the forward pass of the batch).
 	bits := l.InputElems() * int64(m.Cfg.ActivationBits)
-	res := m.hier.ResidentFraction(l.InputElems())
-	bufJ, dramJ, lat := m.hier.TrafficCost(bits, res, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	r.Latency += lat
+	res := m.Hier.ResidentFraction(l.InputElems())
+	r.Latency += m.Traffic(r, bits, res, false)
 }
 
 // programWeights charges the one-time cost of writing a network's
@@ -222,11 +193,8 @@ func (m *Machine) programWeights(r *metrics.Result, cells int64, transposed bool
 	// traffic is what makes DRAM the largest slice of the WS breakdown in
 	// Fig. 6 even at CIFAR scale.
 	weightBits := cells / int64(m.Cfg.WeightBits/m.Cfg.CellBits) * int64(m.Cfg.WeightBits)
-	bufJ, dramJ, lat := m.hier.TrafficCost(weightBits, 0, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
+	r.Latency += m.Traffic(r, weightBits, 0, false)
 	r.Counts.DRAMAccesses += weightBits / 8
-	r.Latency += lat
 }
 
 // utilization returns useful/allocated cells for a layer's geometry.
@@ -240,37 +208,18 @@ func (m *Machine) utilization(g *geometry) float64 {
 
 // Simulate executes one batch of the network in the given phase.
 func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
-	rep := &sim.Report{
-		Arch:    m.Cfg.Name,
-		Network: net.Name,
-		Phase:   phase,
-		Batch:   m.Cfg.BatchSize,
-		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
-	}
 	b := int64(m.Cfg.BatchSize)
 
-	// sum and max track the per-image layer latencies (summed in layer
-	// order) and the bottleneck stage; cells counts the useful weight
-	// cells programmed, and in training rewritten by the update.
-	var sum, max float64
+	// cells counts the useful weight cells programmed, and in training
+	// rewritten by the update.
 	var cells int64
-	var total metrics.Result
-	for i := range net.Layers {
-		l := &net.Layers[i]
-		if !l.IsCompute() {
-			// Shared digital post-processing units (ReLU/pooling/adders,
-			// Table V) — element-wise, pipelined behind the crossbars.
-			m.postProcess(&total, l)
-			continue
-		}
+	rep, sum, max := m.Walk(net, phase, metrics.Result{}, func(row *sim.LayerResult) {
+		l := &row.Layer
 		g := m.layerGeometry(l)
 		cells += g.usefulCells
-		rep.Layers = append(rep.Layers, sim.LayerResult{
-			Layer:          *l,
-			Utilization:    m.utilization(&g),
-			AllocatedCells: g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		})
-		layer := &rep.Layers[len(rep.Layers)-1].Result
+		row.Utilization = m.utilization(&g)
+		row.AllocatedCells = g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols)
+		layer := &row.Result
 		m.pass(layer, &g, l.InputElems(), l.OutputElems())
 		layer.Scale(float64(b)) // every image repeats the work
 
@@ -278,11 +227,8 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 			// Activations must round-trip to memory for the backward pass;
 			// the batch working set almost never fits on chip.
 			actBits := l.InputElems() * int64(m.Cfg.ActivationBits) * b
-			res := m.hier.ResidentFraction(l.InputElems() * b)
-			bufJ, dramJ, lat := m.hier.TrafficCost(actBits, res, true)
-			layer.Energy.Add(metrics.Buffer, bufJ)
-			layer.Energy.Add(metrics.DRAM, dramJ)
-			layer.Latency += lat
+			res := m.Hier.ResidentFraction(l.InputElems() * b)
+			layer.Latency += m.Traffic(layer, actBits, res, true)
 
 			var step metrics.Result
 			m.backwardLayer(&step, l)
@@ -293,13 +239,8 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 			step.Scale(float64(b))
 			layer.Add(&step)
 		}
-		total.Add(layer)
-		t := layer.Latency / float64(b)
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
+	})
+	total := &rep.Total
 
 	// Latency composition. Inference pipelines layer-wise (ISAAC): one
 	// image flows through all layers, subsequent images follow the
@@ -326,27 +267,5 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		upd.Latency = float64(cells/int64(m.Cfg.SubarrayCols)+1) * m.Cfg.Device.WritePulse / float64(m.Cfg.Subarrays())
 		total.Add(&upd)
 	}
-
-	rep.Total = total
 	return rep
-}
-
-// postProcess charges the digital ReLU / pooling / residual-add units for
-// a non-compute layer to r (one operation per element per image, no added
-// latency — the units pipeline behind the crossbar stages).
-func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
-	var p metrics.Result
-	var ops int64
-	switch l.Kind {
-	case nn.ReLU, nn.Add:
-		ops = l.OutputElems()
-	case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
-		ops = l.InputElems()
-	default:
-		return
-	}
-	ops *= int64(m.Cfg.BatchSize)
-	p.Counts.DigitalOps = ops
-	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	r.Add(&p)
 }

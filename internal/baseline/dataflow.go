@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
@@ -31,10 +32,9 @@ func init() {
 // periphery but scan more columns per shared ADC; the legal points are
 // bounded by the input buffer — one unrolled window per output position
 // must fit the 64 KB stream buffer (crossbar rows × activation bits) —
-// and by total crossbar demand staying within a multiplex bound of the
-// chip's array budget.
-const maxWSMultiplex = 64
-
+// and by the whole network's crossbar demand (every layer stays
+// resident for the pipeline) multiplexing at most analytic.MaxMultiplex
+// rounds over the chip.
 var wsArraySizes = []int{32, 64, 128, 256}
 
 // wsPoints lists every square crossbar size.
@@ -63,5 +63,5 @@ func wsFits(cfg arch.Config, net *nn.Network) bool {
 		}
 		crossbars += g.crossbars
 	}
-	return crossbars <= int64(cfg.Subarrays())*maxWSMultiplex
+	return m.Multiplex(crossbars) <= analytic.MaxMultiplex
 }

@@ -123,3 +123,27 @@ func TestSimulateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// simulateSink keeps the compiler from discarding a benchmarked report.
+var simulateSink *sim.Report
+
+// BenchmarkSimulate is the layer probe for the simulator cell: one
+// analytical Simulate call per dataflow on the two deepest zoo networks,
+// with no sweep engine, cache or tracing around it.
+func BenchmarkSimulate(b *testing.B) {
+	for _, id := range []string{"is", "ws", "os"} {
+		d, err := dataflow.Get(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := d.Machine(d.Default)
+		for _, net := range []*nn.Network{nn.ResNet50(), nn.MobileNetV2()} {
+			b.Run(id+"/"+net.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					simulateSink = m.Simulate(net, sim.Inference)
+				}
+			})
+		}
+	}
+}

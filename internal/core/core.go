@@ -13,40 +13,19 @@
 package core
 
 import (
-	"github.com/inca-arch/inca/internal/analog"
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/mem"
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
-	"github.com/inca-arch/inca/internal/noc"
 	"github.com/inca-arch/inca/internal/place"
 	"github.com/inca-arch/inca/internal/sim"
 )
 
 // Machine is a configured INCA accelerator.
-type Machine struct {
-	Cfg  arch.Config
-	hier mem.Hierarchy
-	adc  analog.ADC
-	dac  analog.DAC
-	dig  analog.Digital
-	tree noc.HTree
-}
+type Machine struct{ analytic.Machine }
 
 // New builds a machine from a configuration (normally arch.INCA()).
-func New(cfg arch.Config) *Machine {
-	if err := cfg.Validate(); err != nil {
-		panic("core: " + err.Error())
-	}
-	return &Machine{
-		Cfg:  cfg,
-		hier: mem.Hierarchy{Buf: cfg.Buffer, Dram: cfg.DRAM},
-		adc:  analog.NewADC(cfg.ADCBits),
-		dac:  analog.NewDAC(1),
-		dig:  analog.NewDigital(),
-		tree: noc.Standard(cfg.MacroSize, cfg.TileSize, cfg.Tiles),
-	}
-}
+func New(cfg arch.Config) *Machine { return &Machine{analytic.New("core", cfg)} }
 
 // Mapping captures how one layer's activations map onto the 3D arrays.
 //
@@ -78,10 +57,9 @@ type Mapping struct {
 }
 
 // Map computes the intra-layer mapping of §IV.C for a compute layer.
-func (m *Machine) Map(l *nn.Layer) Mapping {
+func (m *Machine) Map(l *nn.Layer) (mp Mapping) {
 	s := m.Cfg.SubarrayRows // square subarrays
 	cellsPerPlane := s * s
-	var mp Mapping
 	switch {
 	case l.Kind == nn.Conv && l.KH == 1 && l.KW == 1:
 		// Pointwise: fold input channels onto the plane ("we fold the
@@ -203,16 +181,16 @@ func (m *Machine) pass(r *metrics.Result, mp *Mapping) {
 	// 2T1R gating keeps unselected cells off: no off-cell leakage charge —
 	// one of the structural IS advantages.
 	r.Energy.Add(metrics.RRAMArray, float64(r.Counts.RRAMReads)*pillarActivity*dev.ReadEnergyAvg())
-	r.Energy.Add(metrics.ADC, m.adc.ConversionEnergy(r.Counts.ADCConversions))
-	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*pillarActivity*m.dac.EnergyPerConv)
-	r.Energy.Add(metrics.Digital, float64(adds)*m.dig.AddEnergy)
+	r.Energy.Add(metrics.ADC, m.ADC.ConversionEnergy(r.Counts.ADCConversions))
+	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*pillarActivity*m.DAC.EnergyPerConv)
+	r.Energy.Add(metrics.Digital, float64(adds)*m.Dig.AddEnergy)
 
 	// Interconnect: the per-plane converted partials reduce through the
 	// macro/tile adder H-tree, and each streamed weight bit broadcasts to
 	// the partition arrays sharing the kernel.
-	reduceJ, _ := m.tree.ReduceCost(ceil64(arraysPerWindow, int64(m.Cfg.SubarraysPerADC)))
+	reduceJ, _ := m.Tree.ReduceCost(ceil64(arraysPerWindow, int64(m.Cfg.SubarraysPerADC)))
 	partitions := ceil64(mp.TotalArrays, int64(mp.Groups)*actPlanes)
-	bcastJ, _ := m.tree.BroadcastCost(partitions)
+	bcastJ, _ := m.Tree.BroadcastCost(partitions)
 	// One broadcast per streamed kernel value per serialized cycle serves
 	// every parallel partition array at once.
 	bcastCycles := float64(mp.SerialWindows * mp.SerialOut * wBits)
@@ -224,10 +202,8 @@ func (m *Machine) pass(r *metrics.Result, mp *Mapping) {
 	// Weight fetch: each kernel is fetched once per batch and reused for
 	// every window and every plane (the IS key insight).
 	fetchBits := mp.WeightBytes * 8
-	res := m.hier.ResidentFraction(mp.WeightBytes)
-	bufJ, dramJ, memLat := m.hier.TrafficCost(fetchBits, res, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
+	res := m.Hier.ResidentFraction(mp.WeightBytes)
+	memLat := m.Traffic(r, fetchBits, res, false)
 	r.Counts.BufferAccesses = m.Cfg.Buffer.Beats(fetchBits)
 	r.Counts.DRAMAccesses = int64(float64(fetchBits/8) * (1 - res))
 
@@ -239,11 +215,10 @@ func (m *Machine) pass(r *metrics.Result, mp *Mapping) {
 	//     time-multiplexed, and
 	//   * ADC throughput: macro-shared 4-bit converters drain at most
 	//     ADCCount × readPulse/convLatency conversions per read cycle.
-	multiplex := ceil64(mp.TotalArrays, int64(m.Cfg.Subarrays()))
-	serialCycles := mp.SerialWindows * mp.SerialOut * wBits * multiplex
+	serialCycles := mp.SerialWindows * mp.SerialOut * wBits * m.Multiplex(mp.TotalArrays)
 	readBound := float64(serialCycles) * dev.ReadPulse
 
-	adcBound := float64(r.Counts.ADCConversions) * m.adc.ConvLatency / float64(m.Cfg.ADCCount())
+	adcBound := float64(r.Counts.ADCConversions) * m.ADC.ConvLatency / float64(m.Cfg.ADCCount())
 
 	compute := readBound
 	if adcBound > compute {
@@ -300,7 +275,7 @@ func (m *Machine) backwardLayer(r *metrics.Result, l *nn.Layer) {
 	// AND-gate ReLU gradient.
 	var relu metrics.Result
 	relu.Counts.DigitalOps = l.InputElems() * int64(m.Cfg.BatchSize)
-	relu.Energy.Add(metrics.Digital, float64(relu.Counts.DigitalOps)*m.dig.AddEnergy)
+	relu.Energy.Add(metrics.Digital, float64(relu.Counts.DigitalOps)*m.Dig.AddEnergy)
 	r.Add(&relu)
 }
 
@@ -312,31 +287,20 @@ func (m *Machine) backwardLayer(r *metrics.Result, l *nn.Layer) {
 func (m *Machine) updateLayer(r *metrics.Result, l *nn.Layer, mp *Mapping) {
 	m.pass(r, mp)
 	bits := l.WeightParams() * int64(m.Cfg.WeightBits)
-	res := m.hier.ResidentFraction(bits / 8)
-	bufJ, dramJ, lat := m.hier.TrafficCost(bits, res, true)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	r.Latency += lat
+	res := m.Hier.ResidentFraction(bits / 8)
+	r.Latency += m.Traffic(r, bits, res, true)
 }
 
-// Simulate executes one batch of the network in the given phase.
+// Simulate executes one batch of the network in the given phase. The
+// total latency is the input load plus every layer's latency in order:
+// layers run one after another on the resident activations.
 func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
-	rep := &sim.Report{
-		Arch:    m.Cfg.Name,
-		Network: net.Name,
-		Phase:   phase,
-		Batch:   m.Cfg.BatchSize,
-		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
-	}
-	var total metrics.Result
-
 	// Load the input images from DRAM into the first layer's arrays.
 	inputBytes := int64(net.InputC*net.InputH*net.InputW) * int64(m.Cfg.BatchSize)
 	var load metrics.Result
 	load.Energy.Add(metrics.DRAM, m.Cfg.DRAM.Energy(inputBytes))
 	load.Latency = m.Cfg.DRAM.TransferTime(inputBytes, 0.5)
 	m.writeActivations(&load, int64(net.InputC*net.InputH*net.InputW))
-	total.Add(&load)
 
 	// Batches wider than the 3D stack depth spill into multiple plane
 	// passes: energy already scales with BatchSize, but the latency
@@ -346,22 +310,12 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 		passes = float64(ceilInt(m.Cfg.BatchSize, m.Cfg.StackedPlanes))
 	}
 
-	for i := range net.Layers {
-		l := &net.Layers[i]
-		if !l.IsCompute() {
-			// Post-processing units (ReLU, pooling, residual adders)
-			// operate element-wise in the digital tile periphery,
-			// pipelined behind the array compute.
-			m.postProcess(&total, l)
-			continue
-		}
+	rep, _, _ := m.Walk(net, phase, load, func(row *sim.LayerResult) {
+		l := &row.Layer
 		mp := m.Map(l)
-		rep.Layers = append(rep.Layers, sim.LayerResult{
-			Layer:          *l,
-			Utilization:    mp.Utilization,
-			AllocatedCells: mp.TotalArrays * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		})
-		layer := &rep.Layers[len(rep.Layers)-1].Result
+		row.Utilization = mp.Utilization
+		row.AllocatedCells = mp.TotalArrays * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols)
+		layer := &row.Result
 		m.forwardLayer(layer, l, &mp)
 		if phase == sim.Training {
 			var step metrics.Result
@@ -373,40 +327,12 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 			// Transposed weights are fetched again from the ordinary
 			// weight buffer ("the training process may double the accesses
 			// in INCA", §V.B.1).
-			fetchBits := mp.WeightBytes * 8
-			res := m.hier.ResidentFraction(mp.WeightBytes)
-			bufJ, dramJ, lat := m.hier.TrafficCost(fetchBits, res, false)
-			layer.Energy.Add(metrics.Buffer, bufJ)
-			layer.Energy.Add(metrics.DRAM, dramJ)
-			layer.Latency += lat
+			res := m.Hier.ResidentFraction(mp.WeightBytes)
+			layer.Latency += m.Traffic(layer, mp.WeightBytes*8, res, false)
 		}
 		layer.Latency *= passes
-		total.Add(layer)
-	}
-	rep.Total = total
+	})
 	return rep
-}
-
-// postProcess charges the digital ReLU / pooling / residual-add units for
-// a non-compute layer to r: one operation per element per image, with no
-// added latency (the units pipeline behind the array compute, §IV.C
-// inter-layer mapping).
-func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
-	var p metrics.Result
-	var ops int64
-	switch l.Kind {
-	case nn.ReLU, nn.Add:
-		ops = l.OutputElems()
-	case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
-		// One compare/accumulate per input element inside the windows.
-		ops = l.InputElems()
-	default:
-		return
-	}
-	ops *= int64(m.Cfg.BatchSize)
-	p.Counts.DigitalOps = ops
-	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	r.Add(&p)
 }
 
 // Placement maps the network's compute layers sequentially onto the

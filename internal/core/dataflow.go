@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
@@ -23,17 +24,15 @@ func init() {
 		Default: arch.INCA(),
 		Machine: func(cfg arch.Config) sim.Machine { return New(cfg) },
 		Points:  isPoints,
-		Fits:    func(cfg arch.Config, net *nn.Network) bool { return isWorstMultiplex(cfg, net) <= maxMultiplex },
+		Fits:    isFits,
 	})
 }
 
 // Mapping space: square subarray planes of growing size crossed with
 // stacking depths. The legal points are bounded by two capacities:
-// every conv window must fit one plane (crossbar constraint), and the
-// worst layer's array demand must not multiplex more than maxMultiplex
-// rounds over the chip (a mapping that serializes further is useless).
-const maxMultiplex = 64
-
+// every conv window must fit one plane (crossbar constraint), and no
+// layer's array demand may multiplex more than analytic.MaxMultiplex
+// rounds over the chip.
 var (
 	isArraySizes = []int{8, 16, 32, 64}
 	isPlaneDepth = []int{16, 32, 64, 128}
@@ -60,19 +59,14 @@ func isPoints(_ arch.Config, net *nn.Network) []dataflow.Mapping {
 	return out
 }
 
-// isWorstMultiplex returns the worst per-layer time-multiplex factor of
-// net on cfg (1 = the whole layer fits the chip at once).
-func isWorstMultiplex(cfg arch.Config, net *nn.Network) int64 {
+// isFits reports whether every compute layer of net stays within the
+// multiplex bound on cfg.
+func isFits(cfg arch.Config, net *nn.Network) bool {
 	m := New(cfg)
-	worst := int64(1)
 	for i := range net.Layers {
-		if !net.Layers[i].IsCompute() {
-			continue
-		}
-		mp := m.Map(&net.Layers[i])
-		if mux := ceil64(mp.TotalArrays, int64(cfg.Subarrays())); mux > worst {
-			worst = mux
+		if l := &net.Layers[i]; l.IsCompute() && m.Multiplex(m.Map(l).TotalArrays) > analytic.MaxMultiplex {
+			return false
 		}
 	}
-	return worst
+	return true
 }

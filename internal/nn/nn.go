@@ -74,13 +74,13 @@ type Layer struct {
 
 // IsCompute reports whether the layer performs multiply-accumulates
 // (convolution, depthwise convolution, or fully-connected).
-func (l Layer) IsCompute() bool {
+func (l *Layer) IsCompute() bool {
 	return l.Kind == Conv || l.Kind == Depthwise || l.Kind == FC
 }
 
 // MACs returns the number of multiply-accumulate operations in one forward
 // pass of a single image.
-func (l Layer) MACs() int64 {
+func (l *Layer) MACs() int64 {
 	switch l.Kind {
 	case Conv:
 		return int64(l.OutC) * int64(l.OutH) * int64(l.OutW) *
@@ -96,7 +96,7 @@ func (l Layer) MACs() int64 {
 }
 
 // WeightParams returns the number of weight parameters held by the layer.
-func (l Layer) WeightParams() int64 {
+func (l *Layer) WeightParams() int64 {
 	switch l.Kind {
 	case Conv:
 		return int64(l.OutC) * int64(l.InC) * int64(l.KH) * int64(l.KW)
@@ -110,12 +110,12 @@ func (l Layer) WeightParams() int64 {
 }
 
 // InputElems returns the number of input activation elements.
-func (l Layer) InputElems() int64 {
+func (l *Layer) InputElems() int64 {
 	return int64(l.InC) * int64(l.InH) * int64(l.InW)
 }
 
 // OutputElems returns the number of output activation elements.
-func (l Layer) OutputElems() int64 {
+func (l *Layer) OutputElems() int64 {
 	return int64(l.OutC) * int64(l.OutH) * int64(l.OutW)
 }
 
@@ -123,7 +123,7 @@ func (l Layer) OutputElems() int64 {
 // output element — the quantity that determines how many crossbar rows a
 // WS design can actually use (paper §V.B.4: "3×3 kernels in depthwise
 // convolution only use nine of 128 cells in a column").
-func (l Layer) AccumulationDepth() int64 {
+func (l *Layer) AccumulationDepth() int64 {
 	switch l.Kind {
 	case Conv:
 		return int64(l.InC) * int64(l.KH) * int64(l.KW)

@@ -1,6 +1,7 @@
 package outstat
 
 import (
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
 	"github.com/inca-arch/inca/internal/dataflow"
 	"github.com/inca-arch/inca/internal/nn"
@@ -25,7 +26,7 @@ func init() {
 		Default: arch.OutStationary(),
 		Machine: func(cfg arch.Config) sim.Machine { return New(cfg) },
 		Points:  osPoints,
-		Fits:    func(cfg arch.Config, net *nn.Network) bool { return osWorstMultiplex(cfg, net) <= maxOSMultiplex },
+		Fits:    osFits,
 	})
 }
 
@@ -35,9 +36,7 @@ func init() {
 // tiles keep more positions resident (weights refetched less, the
 // position loop effectively outer), wide tiles keep more channels
 // resident (inputs refetched less). Legal points keep the cell count of
-// the base array and stay within the multiplex bound.
-const maxOSMultiplex = 64
-
+// the base array and stay within analytic.MaxMultiplex.
 var osAspects = [][2]int{{32, 512}, {64, 256}, {128, 128}, {256, 64}, {512, 32}}
 
 // osPoints lists the aspects with base's cell count, each named by the
@@ -61,19 +60,14 @@ func osPoints(base arch.Config, _ *nn.Network) []dataflow.Mapping {
 	return out
 }
 
-// osWorstMultiplex returns the worst per-layer time-multiplex factor.
-func osWorstMultiplex(cfg arch.Config, net *nn.Network) int64 {
+// osFits reports whether every compute layer of net stays within the
+// multiplex bound on cfg.
+func osFits(cfg arch.Config, net *nn.Network) bool {
 	m := New(cfg)
-	worst := int64(1)
 	for i := range net.Layers {
-		if !net.Layers[i].IsCompute() {
-			continue
-		}
-		g := m.layerGeometry(&net.Layers[i])
-		mux := (g.crossbars + int64(cfg.Subarrays()) - 1) / int64(cfg.Subarrays())
-		if mux > worst {
-			worst = mux
+		if l := &net.Layers[i]; l.IsCompute() && m.Multiplex(m.layerGeometry(l).crossbars) > analytic.MaxMultiplex {
+			return false
 		}
 	}
-	return worst
+	return true
 }

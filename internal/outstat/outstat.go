@@ -24,40 +24,19 @@
 package outstat
 
 import (
-	"github.com/inca-arch/inca/internal/analog"
+	"github.com/inca-arch/inca/internal/analytic"
 	"github.com/inca-arch/inca/internal/arch"
-	"github.com/inca-arch/inca/internal/mem"
 	"github.com/inca-arch/inca/internal/metrics"
 	"github.com/inca-arch/inca/internal/nn"
-	"github.com/inca-arch/inca/internal/noc"
 	"github.com/inca-arch/inca/internal/sim"
 )
 
 // Machine is a configured output-stationary accelerator.
-type Machine struct {
-	Cfg  arch.Config
-	hier mem.Hierarchy
-	adc  analog.ADC
-	dac  analog.DAC
-	dig  analog.Digital
-	tree noc.HTree
-}
+type Machine struct{ analytic.Machine }
 
 // New builds a machine from a configuration (normally
 // arch.OutStationary()).
-func New(cfg arch.Config) *Machine {
-	if err := cfg.Validate(); err != nil {
-		panic("outstat: " + err.Error())
-	}
-	return &Machine{
-		Cfg:  cfg,
-		hier: mem.Hierarchy{Buf: cfg.Buffer, Dram: cfg.DRAM},
-		adc:  analog.NewADC(cfg.ADCBits),
-		dac:  analog.NewDAC(1),
-		dig:  analog.NewDigital(),
-		tree: noc.Standard(cfg.MacroSize, cfg.TileSize, cfg.Tiles),
-	}
-}
+func New(cfg arch.Config) *Machine { return &Machine{analytic.New("outstat", cfg)} }
 
 // geometry captures how one layer's output matrix tiles onto the
 // accumulator crossbars.
@@ -138,15 +117,15 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	r.Counts.RRAMWrites = outputs * g.colsPerCh
 
 	r.Energy.Add(metrics.RRAMArray, float64(macEvents)*activity*dev.ReadEnergyAvg())
-	r.Energy.Add(metrics.ADC, m.adc.ConversionEnergy(r.Counts.ADCConversions))
-	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*activity*m.dac.EnergyPerConv)
-	r.Energy.Add(metrics.Digital, float64(adds)*m.dig.AddEnergy)
+	r.Energy.Add(metrics.ADC, m.ADC.ConversionEnergy(r.Counts.ADCConversions))
+	r.Energy.Add(metrics.DAC, float64(r.Counts.DACConversions)*activity*m.DAC.EnergyPerConv)
+	r.Energy.Add(metrics.Digital, float64(adds)*m.Dig.AddEnergy)
 	r.Energy.Add(metrics.RRAMArray, float64(r.Counts.RRAMWrites)*dev.WriteEnergy())
 
 	// Interconnect: streamed operands broadcast across the blocks that
 	// share them through the macro/tile H-tree.
-	bcastIn, _ := m.tree.BroadcastCost(g.chBlocks)
-	bcastW, _ := m.tree.BroadcastCost(g.posBlocks)
+	bcastIn, _ := m.Tree.BroadcastCost(g.chBlocks)
+	bcastW, _ := m.Tree.BroadcastCost(g.posBlocks)
 	r.Energy.Add(metrics.Digital,
 		bcastIn*float64(g.depth*g.positions*actBits)*activity+
 			bcastW*float64(g.depth*g.channels*wBits)*activity)
@@ -154,33 +133,24 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// --- Memory traffic ---
 	// Inputs: the layer's input map streams once per channel block.
 	inputFetchBits := g.depth * g.positions * actBits * g.chBlocks
-	resIn := m.hier.ResidentFraction(inputBytes)
-	bufJ, dramJ, lat := m.hier.TrafficCost(inputFetchBits, resIn, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	memLat := lat
+	resIn := m.Hier.ResidentFraction(inputBytes)
+	memLat := m.Traffic(r, inputFetchBits, resIn, false)
 	r.Counts.BufferAccesses += m.Cfg.Buffer.Beats(inputFetchBits)
 	r.Counts.DRAMAccesses += int64(float64(inputFetchBits/8) * (1 - resIn))
 
 	// Weights: the kernel tensor streams once per position block.
 	weightBytes := g.depth * g.channels * wBits / 8
 	weightFetchBits := g.depth * g.channels * wBits * g.posBlocks
-	resW := m.hier.ResidentFraction(weightBytes)
-	bufJ, dramJ, lat = m.hier.TrafficCost(weightFetchBits, resW, false)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	memLat += lat
+	resW := m.Hier.ResidentFraction(weightBytes)
+	memLat += m.Traffic(r, weightFetchBits, resW, false)
 	r.Counts.BufferAccesses += m.Cfg.Buffer.Beats(weightFetchBits)
 	r.Counts.DRAMAccesses += int64(float64(weightFetchBits/8) * (1 - resW))
 
 	// Outputs: each element saves exactly once (the OS win over WS's
 	// per-position output redirection).
 	saveBits := outputs * actBits
-	resOut := m.hier.ResidentFraction(outputBytes)
-	bufJ, dramJ, lat = m.hier.TrafficCost(saveBits, resOut, true)
-	r.Energy.Add(metrics.Buffer, bufJ)
-	r.Energy.Add(metrics.DRAM, dramJ)
-	memLat += lat
+	resOut := m.Hier.ResidentFraction(outputBytes)
+	memLat += m.Traffic(r, saveBits, resOut, true)
 	r.Counts.BufferAccesses += m.Cfg.Buffer.Beats(saveBits)
 	r.Counts.DRAMAccesses += int64(float64(saveBits/8) * (1 - resOut))
 
@@ -189,9 +159,8 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// chip has time-multiplexes. The serial dimension per crossbar is
 	// the K accumulation steps × input-bit cycles; conversions drain
 	// through the shared ADCs once per output.
-	multiplex := (g.crossbars + int64(m.Cfg.Subarrays()) - 1) / int64(m.Cfg.Subarrays())
-	computeTime := float64(g.depth*actBits*multiplex) * dev.ReadPulse
-	adcTime := float64(r.Counts.ADCConversions) * m.adc.ConvLatency / float64(m.Cfg.ADCCount())
+	computeTime := float64(g.depth*actBits*m.Multiplex(g.crossbars)) * dev.ReadPulse
+	adcTime := float64(r.Counts.ADCConversions) * m.ADC.ConvLatency / float64(m.Cfg.ADCCount())
 	if adcTime > computeTime {
 		computeTime = adcTime
 	}
@@ -221,67 +190,19 @@ func (m *Machine) Simulate(net *nn.Network, phase sim.Phase) *sim.Report {
 	if phase != sim.Inference {
 		panic("outstat: output-stationary machine supports inference only")
 	}
-	rep := &sim.Report{
-		Arch:    m.Cfg.Name,
-		Network: net.Name,
-		Phase:   phase,
-		Batch:   m.Cfg.BatchSize,
-		Layers:  make([]sim.LayerResult, 0, net.ComputeCount()),
-	}
 	b := int64(m.Cfg.BatchSize)
-
-	// sum and max track the per-image layer latencies (summed in layer
-	// order) and the bottleneck stage.
-	var sum, max float64
-	var total metrics.Result
-	for i := range net.Layers {
-		l := &net.Layers[i]
-		if !l.IsCompute() {
-			m.postProcess(&total, l)
-			continue
-		}
+	rep, sum, max := m.Walk(net, phase, metrics.Result{}, func(row *sim.LayerResult) {
+		l := &row.Layer
 		g := m.layerGeometry(l)
-		rep.Layers = append(rep.Layers, sim.LayerResult{
-			Layer:          *l,
-			Utilization:    m.utilization(&g),
-			AllocatedCells: g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols),
-		})
-		layer := &rep.Layers[len(rep.Layers)-1].Result
-		m.pass(layer, &g, l.InputElems(), l.OutputElems())
-		layer.Scale(float64(b))
-		total.Add(layer)
-		t := layer.Latency / float64(b)
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
+		row.Utilization = m.utilization(&g)
+		row.AllocatedCells = g.crossbars * int64(m.Cfg.SubarrayRows) * int64(m.Cfg.SubarrayCols)
+		m.pass(&row.Result, &g, l.InputElems(), l.OutputElems())
+		row.Result.Scale(float64(b))
+	})
 
 	// Inference pipelines layer-wise like the WS baseline: one image
 	// flows through all layers, subsequent images follow the bottleneck
 	// stage.
-	total.Latency = sum + float64(b-1)*max
-
-	rep.Total = total
+	rep.Total.Latency = sum + float64(b-1)*max
 	return rep
-}
-
-// postProcess charges the digital ReLU / pooling / residual-add units
-// for a non-compute layer to r (element-wise, pipelined behind the
-// arrays).
-func (m *Machine) postProcess(r *metrics.Result, l *nn.Layer) {
-	var p metrics.Result
-	var ops int64
-	switch l.Kind {
-	case nn.ReLU, nn.Add:
-		ops = l.OutputElems()
-	case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
-		ops = l.InputElems()
-	default:
-		return
-	}
-	ops *= int64(m.Cfg.BatchSize)
-	p.Counts.DigitalOps = ops
-	p.Energy.Add(metrics.Digital, float64(ops)*m.dig.AddEnergy)
-	r.Add(&p)
 }

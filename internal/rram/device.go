@@ -114,22 +114,22 @@ func SRAMCell() Device {
 }
 
 // ReadEnergyOn returns the energy of reading one on-state cell.
-func (d Device) ReadEnergyOn() float64 { return d.OnCellPower * d.ReadPulse }
+func (d *Device) ReadEnergyOn() float64 { return d.OnCellPower * d.ReadPulse }
 
 // ReadEnergyOff returns the energy of reading one off-state cell.
-func (d Device) ReadEnergyOff() float64 { return d.OffCellPower * d.ReadPulse }
+func (d *Device) ReadEnergyOff() float64 { return d.OffCellPower * d.ReadPulse }
 
 // ReadEnergyAvg returns the expected per-cell read energy assuming a
 // uniform mix of on and off cells — the figure the analytical simulators
 // charge per cell-read event.
-func (d Device) ReadEnergyAvg() float64 {
+func (d *Device) ReadEnergyAvg() float64 {
 	return (d.ReadEnergyOn() + d.ReadEnergyOff()) / 2
 }
 
 // WriteEnergy returns the energy of one write pulse into a cell, estimated
 // as V²/R_on × pulse width (worst case, cell driven to the low-resistance
 // state).
-func (d Device) WriteEnergy() float64 {
+func (d *Device) WriteEnergy() float64 {
 	return d.WriteVoltage * d.WriteVoltage / d.ROn * d.WritePulse
 }
 

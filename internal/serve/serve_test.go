@@ -173,6 +173,35 @@ func TestSimulateCustomConfigAndBatch(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsUnrunnableConfig sends custom configurations the
+// simulators would divide by zero on: each must fail validation as a
+// 400 naming the field, not run and come back as a 500 panic.
+func TestSimulateRejectsUnrunnableConfig(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		dataflow string
+		cfg      arch.Config
+		edit     func(*arch.Config)
+		want     string
+	}{
+		{"ws", arch.Baseline(), func(c *arch.Config) { c.CellBits = 0 }, "invalid cell bits"},
+		{"os", arch.OutStationary(), func(c *arch.Config) { c.CellBits = 9 }, "invalid cell bits"},
+		{"is", arch.INCA(), func(c *arch.Config) { c.SubarraysPerADC = 0 }, "invalid ADC sharing"},
+	} {
+		tc.edit(&tc.cfg)
+		var cfgJSON bytes.Buffer
+		if err := tc.cfg.WriteJSON(&cfgJSON); err != nil {
+			t.Fatal(err)
+		}
+		body := `{"dataflow":"` + tc.dataflow + `","model":"LeNet5","phase":"inference","config":` + cfgJSON.String() + `}`
+		resp := post(t, ts.URL+"/v1/simulate", body, nil)
+		raw := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), tc.want) {
+			t.Errorf("%s: status = %d, body %s; want 400 naming %q", tc.dataflow, resp.StatusCode, raw, tc.want)
+		}
+	}
+}
+
 func TestSimulateBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, body := range []string{
