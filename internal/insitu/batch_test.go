@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/inca-arch/inca/internal/data"
+	"github.com/inca-arch/inca/internal/rram"
 	"github.com/inca-arch/inca/internal/tensor"
 	"github.com/inca-arch/inca/internal/train"
 )
@@ -30,28 +31,65 @@ func TestForwardBatchMatchesPerImage(t *testing.T) {
 	}
 }
 
-// TestTrainStepBatchOfOneEqualsTrainStep pins batch consistency at B=1.
+// TestTrainStepBatchOfOneEqualsTrainStep checks that one image is a
+// batch of one, bit for bit, under every device setting: Forward equals
+// ForwardBatch of one, TrainStep equals TrainStepBatch of one (loss and
+// updated parameters), and both machines count the same device events.
 func TestTrainStepBatchOfOneEqualsTrainStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	x := tensor.Randn(rng, 1, 1, 12, 12)
-	a := smallNet(44)
-	b := a.Clone()
+	for _, tc := range []struct {
+		name string
+		opt  func() Options
+	}{
+		{"ideal", func() Options { return Options{} }},
+		{"8/8", func() Options { return Options{WeightBits: 8, ActivationBits: 8} }},
+		{"ADC 4", func() Options { return Options{ADCBits: 4} }},
+		{"noise", func() Options { return Options{ActNoise: rram.NewNoiseModel(0.05, 10)} }},
+		{"8/8 + ADC 4", func() Options { return Options{WeightBits: 8, ActivationBits: 8, ADCBits: 4} }},
+		{"A4 + ADC 6", func() Options { return Options{ActivationBits: 4, ADCBits: 6} }},
+	} {
+		a := smallNet(44)
+		b := a.Clone()
+		ma, mb := New(tc.opt()), New(tc.opt())
+		if !sameBits(ma.Forward(a, x).Data(), mb.ForwardBatch(b, []*tensor.Tensor{x})[0].Data()) {
+			t.Errorf("%s: Forward and ForwardBatch of one differ", tc.name)
+		}
+		lossA := ma.TrainStep(a, x, 1, 0.05)
+		lossB := mb.TrainStepBatch(b, []*tensor.Tensor{x}, []int{1}, 0.05)
+		if math.Float64bits(lossA) != math.Float64bits(lossB) {
+			t.Errorf("%s: losses differ: %v vs %v", tc.name, lossA, lossB)
+		}
+		for i := range a.Layers {
+			switch la := a.Layers[i].(type) {
+			case *train.Conv:
+				if !sameBits(la.W.Data(), b.Layers[i].(*train.Conv).W.Data()) {
+					t.Errorf("%s: conv %d weights diverged", tc.name, i)
+				}
+			case *train.FC:
+				lb := b.Layers[i].(*train.FC)
+				if !sameBits(la.W.Data(), lb.W.Data()) || !sameBits(la.B.Data(), lb.B.Data()) {
+					t.Errorf("%s: fc %d parameters diverged", tc.name, i)
+				}
+			}
+		}
+		if ma.Stats() != mb.Stats() {
+			t.Errorf("%s: device events differ: %+v vs %+v", tc.name, ma.Stats(), mb.Stats())
+		}
+	}
+}
 
-	lossA := New(Options{}).TrainStep(a, x, 1, 0.05)
-	lossB := New(Options{}).TrainStepBatch(b, []*tensor.Tensor{x}, []int{1}, 0.05)
-	if math.Abs(lossA-lossB) > 1e-9 {
-		t.Fatalf("losses differ: %v vs %v", lossA, lossB)
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	for i := range a.Layers {
-		ca, ok := a.Layers[i].(*train.Conv)
-		if !ok {
-			continue
-		}
-		cb := b.Layers[i].(*train.Conv)
-		if !ca.W.Equal(cb.W, 1e-9) {
-			t.Fatalf("conv %d weights diverged", i)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
 		}
 	}
+	return true
 }
 
 // TestTrainStepBatchEqualsMeanGradient verifies the batch step applies the
