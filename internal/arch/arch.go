@@ -215,6 +215,16 @@ func (c *Config) ActPlanes() int {
 	return (c.ActivationBits + c.CellBits - 1) / c.CellBits
 }
 
+// WeightSlices returns how many cells one weight value needs, the twin
+// of ActPlanes: a weight whose width is not a multiple of CellBits takes
+// one more cell for its leftover bits.
+func (c *Config) WeightSlices() int {
+	if c.CellBits < 1 {
+		return c.WeightBits
+	}
+	return (c.WeightBits + c.CellBits - 1) / c.CellBits
+}
+
 // CellsPerSubarray returns the RRAM cell count of one subarray including
 // stacked planes.
 func (c *Config) CellsPerSubarray() int {

@@ -38,7 +38,7 @@ type geometry struct {
 
 func (m *Machine) layerGeometry(l *nn.Layer) geometry {
 	var g geometry
-	wb := int64(m.Cfg.WeightBits / m.Cfg.CellBits)
+	wb := int64(m.Cfg.WeightSlices())
 	switch l.Kind {
 	case nn.Conv:
 		g.positions = int64(l.OutH) * int64(l.OutW)
@@ -131,7 +131,7 @@ func (m *Machine) pass(r *metrics.Result, g *geometry, inputBytes, outputBytes i
 	// Save: every output goes back through the buffer (Eq. 6, the ISAAC
 	// pipelining requirement).
 	// One actBits-wide value per output channel per position.
-	outChannels := g.cols / int64(m.Cfg.WeightBits/m.Cfg.CellBits)
+	outChannels := g.cols / int64(m.Cfg.WeightSlices())
 	saveBits := g.positions * outChannels * actBits
 	resOut := m.Hier.ResidentFraction(outputBytes)
 	memLat += m.Traffic(r, saveBits, resOut, true)
@@ -192,7 +192,7 @@ func (m *Machine) programWeights(r *metrics.Result, cells int64, transposed bool
 	// The weight data itself travels DRAM -> buffer -> arrays; this DRAM
 	// traffic is what makes DRAM the largest slice of the WS breakdown in
 	// Fig. 6 even at CIFAR scale.
-	weightBits := cells / int64(m.Cfg.WeightBits/m.Cfg.CellBits) * int64(m.Cfg.WeightBits)
+	weightBits := cells / int64(m.Cfg.WeightSlices()) * int64(m.Cfg.WeightBits)
 	r.Latency += m.Traffic(r, weightBits, 0, false)
 	r.Counts.DRAMAccesses += weightBits / 8
 }

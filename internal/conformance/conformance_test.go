@@ -147,3 +147,32 @@ func BenchmarkSimulate(b *testing.B) {
 		}
 	}
 }
+
+// TestWeightSlicesRoundUp checks the crossbar backends store every bit
+// of a weight: an 8-bit weight takes three 3-bit cells where 4-bit
+// cells need two, and two 5-bit cells where one 8-bit cell does, so the
+// narrower cells must allocate more of the array on ResNet18.
+func TestWeightSlicesRoundUp(t *testing.T) {
+	net := nn.ResNet18()
+	for _, id := range []string{"ws", "os"} {
+		d, err := dataflow.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := func(cellBits int) int64 {
+			cfg := d.Default
+			cfg.CellBits = cellBits
+			var n int64
+			for _, lr := range d.Machine(cfg).Simulate(net, sim.Inference).Layers {
+				n += lr.AllocatedCells
+			}
+			return n
+		}
+		for _, pair := range [][2]int{{3, 4}, {5, 8}} {
+			if narrow, wide := cells(pair[0]), cells(pair[1]); narrow <= wide {
+				t.Errorf("%s: CellBits %d allocates %d cells, CellBits %d %d; want more for the narrower cells",
+					id, pair[0], narrow, pair[1], wide)
+			}
+		}
+	}
+}

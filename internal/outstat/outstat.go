@@ -52,7 +52,7 @@ type geometry struct {
 
 func (m *Machine) layerGeometry(l *nn.Layer) geometry {
 	var g geometry
-	g.colsPerCh = int64(m.Cfg.WeightBits / m.Cfg.CellBits)
+	g.colsPerCh = int64(m.Cfg.WeightSlices())
 	switch l.Kind {
 	case nn.Conv:
 		g.positions = int64(l.OutH) * int64(l.OutW)
