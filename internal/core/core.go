@@ -60,70 +60,55 @@ type Mapping struct {
 func (m *Machine) Map(l *nn.Layer) (mp Mapping) {
 	s := m.Cfg.SubarrayRows // square subarrays
 	cellsPerPlane := s * s
+	actPlanes := int64(m.Cfg.ActPlanes())
 	switch {
-	case l.Kind == nn.Conv && l.KH == 1 && l.KW == 1:
-		// Pointwise: fold input channels onto the plane ("we fold the
-		// dimension which requires accumulation to the 2D plane"). When a
-		// channel vector is shorter than the plane, several output
-		// positions pack into one plane (their reads then serialize);
-		// positions on distinct planes proceed in parallel.
+	case l.Kind == nn.FC || l.Kind == nn.Conv && l.KH == 1 && l.KW == 1:
+		// Folded: fold input channels onto the plane ("we fold the
+		// dimension which requires accumulation to the 2D plane"); an FC
+		// layer is exactly one window. When a channel vector is shorter
+		// than the plane, several output positions pack into one plane
+		// (their reads then serialize); positions on distinct planes
+		// proceed in parallel.
 		groups := ceilInt(l.InC, cellsPerPlane)
 		posPerPlane := 1
 		if l.InC < cellsPerPlane {
 			posPerPlane = cellsPerPlane / l.InC
 		}
 		mp.Groups = groups
-		mp.OutChannels = l.OutC
-		mp.Windows = int64(l.OutH) * int64(l.OutW)
+		mp.Windows = 1
+		if l.Kind != nn.FC {
+			mp.Windows = int64(l.OutH) * int64(l.OutW)
+		}
 		mp.WindowCells = int64(minInt(l.InC, cellsPerPlane))
 		mp.SerialWindows = int64(minInt(posPerPlane, int(mp.Windows)))
 		mp.SerialOut = int64(l.OutC)
-		mp.TotalArrays = ceil64(mp.Windows, int64(posPerPlane)) * int64(groups) * int64(m.Cfg.ActPlanes())
+		mp.TotalArrays = ceil64(mp.Windows, int64(posPerPlane)) * int64(groups) * actPlanes
 		mp.Utilization = float64(int64(l.InC)*mp.Windows) /
-			float64(mp.TotalArrays/int64(m.Cfg.ActPlanes())*int64(cellsPerPlane))
-		mp.WeightBytes = l.WeightParams() * int64(m.Cfg.WeightBits) / 8
-	case l.Kind == nn.Conv:
-		partsH := ceilInt(l.InH, s)
-		partsW := ceilInt(l.InW, s)
-		parts := int64(partsH) * int64(partsW)
-		mp.Groups = l.InC
-		mp.OutChannels = l.OutC
-		mp.Windows = int64(l.OutH) * int64(l.OutW)
-		mp.WindowCells = int64(l.KH) * int64(l.KW)
-		mp.SerialWindows = ceil64(mp.Windows, parts)
-		mp.SerialOut = int64(l.OutC)
-		mp.TotalArrays = parts * int64(l.InC) * int64(m.Cfg.ActPlanes())
-		mp.Utilization = float64(l.InH*l.InW) / float64(partsH*partsW*cellsPerPlane)
-		mp.HaloFraction = haloFraction(l.KH, s)
-		mp.WeightBytes = l.WeightParams() * int64(m.Cfg.WeightBits) / 8
-	case l.Kind == nn.Depthwise:
-		partsH := ceilInt(l.InH, s)
-		partsW := ceilInt(l.InW, s)
-		parts := int64(partsH) * int64(partsW)
-		mp.Groups = 1 // no accumulation across channels (Fig. 3b)
-		mp.OutChannels = l.OutC
-		mp.Windows = int64(l.OutH) * int64(l.OutW)
-		mp.WindowCells = int64(l.KH) * int64(l.KW)
-		mp.SerialWindows = ceil64(mp.Windows, parts)
-		// Each output channel reads only its own channel's arrays, so the
+			float64(mp.TotalArrays/actPlanes*int64(cellsPerPlane))
+	case l.Kind == nn.Conv || l.Kind == nn.Depthwise:
+		// Spatial: each channel's map is partitioned onto the planes and
+		// the macro adder tree accumulates across channels. A depthwise
+		// layer accumulates nothing across channels (Fig. 3b), and each
+		// output channel reads only its own channel's arrays, so the
 		// channel loop runs concurrently across arrays.
-		mp.SerialOut = 1
-		mp.TotalArrays = parts * int64(l.InC) * int64(m.Cfg.ActPlanes())
+		partsH := ceilInt(l.InH, s)
+		partsW := ceilInt(l.InW, s)
+		parts := int64(partsH) * int64(partsW)
+		mp.Groups, mp.SerialOut = l.InC, int64(l.OutC)
+		if l.Kind == nn.Depthwise {
+			mp.Groups, mp.SerialOut = 1, 1
+		}
+		mp.Windows = int64(l.OutH) * int64(l.OutW)
+		mp.WindowCells = int64(l.KH) * int64(l.KW)
+		mp.SerialWindows = ceil64(mp.Windows, parts)
+		mp.TotalArrays = parts * int64(l.InC) * actPlanes
 		mp.Utilization = float64(l.InH*l.InW) / float64(partsH*partsW*cellsPerPlane)
 		mp.HaloFraction = haloFraction(l.KH, s)
-		mp.WeightBytes = l.WeightParams() * int64(m.Cfg.WeightBits) / 8
-	case l.Kind == nn.FC:
-		groups := ceilInt(l.InC, cellsPerPlane)
-		mp.Groups = groups
-		mp.OutChannels = l.OutC
-		mp.Windows = 1
-		mp.WindowCells = int64(minInt(l.InC, cellsPerPlane))
-		mp.SerialWindows = 1
-		mp.SerialOut = int64(l.OutC)
-		mp.TotalArrays = int64(groups) * int64(m.Cfg.ActPlanes())
-		mp.Utilization = float64(l.InC) / float64(groups*cellsPerPlane)
-		mp.WeightBytes = l.WeightParams() * int64(m.Cfg.WeightBits) / 8
+	default:
+		return mp
 	}
+	mp.OutChannels = l.OutC
+	mp.WeightBytes = l.WeightParams() * int64(m.Cfg.WeightBits) / 8
 	return mp
 }
 
