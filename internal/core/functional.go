@@ -47,18 +47,18 @@ func FunctionalConv2D(batch []*tensor.Tensor, w *tensor.Tensor, opt FuncOptions)
 
 	// One 3D stack per input channel; plane p of stack c holds image p's
 	// channel c (padded — the mapper pads partitions before writing).
+	// Each image is padded once; channel-major, image-minor writes keep
+	// the noise draws in stack order.
+	padded := make([]*tensor.Tensor, len(batch))
+	for p, img := range batch {
+		padded[p] = tensor.Pad(img, opt.Pad, opt.Pad)
+	}
 	stacks := make([]*rram.Stack, c)
+	plane := tensor.New(h, wd)
 	for ic := 0; ic < c; ic++ {
 		stacks[ic] = rram.NewStack(len(batch), h, wd)
-		for p, img := range batch {
-			padded := tensor.Pad(img, opt.Pad, opt.Pad)
-			// Extract channel ic as a 2D tensor.
-			plane := tensor.New(h, wd)
-			for y := 0; y < h; y++ {
-				for x := 0; x < wd; x++ {
-					plane.Set(padded.At(ic, y, x), y, x)
-				}
-			}
+		for p := range batch {
+			copy(plane.Data(), padded[p].Data()[ic*h*wd:])
 			if opt.Noise != nil {
 				stacks[ic].Planes[p].SetNoise(opt.Noise)
 			}
@@ -77,18 +77,12 @@ func FunctionalConv2D(batch []*tensor.Tensor, w *tensor.Tensor, opt FuncOptions)
 	for on := 0; on < n; on++ {
 		for ic := 0; ic < c; ic++ {
 			// Stream kernel (on, ic) onto the pillars of stack ic.
-			for ky := 0; ky < kh; ky++ {
-				for kx := 0; kx < kw; kx++ {
-					kern.Set(w.At(on, ic, ky, kx), ky, kx)
-				}
-			}
+			copy(kern.Data(), w.Data()[(on*c+ic)*kh*kw:])
 			// All planes (the whole batch) respond to one sweep.
-			perPlane := stacks[ic].ConvolveAll(kern, h, wd, opt.Stride)
-			for p, m := range perPlane {
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						outs[p].Set(outs[p].At(on, oy, ox)+m.At(oy, ox), on, oy, ox)
-					}
+			for p, m := range stacks[ic].ConvolveAll(kern, h, wd, opt.Stride) {
+				acc := outs[p].Data()[on*oh*ow:]
+				for j, v := range m.Data() {
+					acc[j] += v
 				}
 			}
 		}
