@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test vet perfbench-vet race api-surface api-surface-update bench-gate bench-budget bench-sweep serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
+.PHONY: check build test vet perfbench-vet race api-surface api-surface-update bench-gate bench-budget bench-sweep examples serve-smoke cluster-smoke job-smoke obs-smoke chaos trace fuzz-smoke profile
 
 check: vet perfbench-vet build race api-surface bench-gate
 
@@ -94,6 +94,14 @@ fuzz-smoke:
 # inspect with `go tool pprof train.test cpu.pprof`.
 profile:
 	$(GO) test -run '^$$' -bench NoiseTrial -cpuprofile cpu.pprof ./internal/train/
+
+# Run every example program (the library surface, end to end); any
+# non-zero exit fails. Building them alone misses a runtime break.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # End-to-end smoke of the HTTP service: boot inca-serve, probe /healthz,
 # evaluate one simulate cell twice (responses must be byte-identical),
